@@ -194,7 +194,6 @@ Fig5Result run_fig5(const Fig5Options& options) {
   spec.sweeps.push_back(
       SweepAxis{"scheduler", {"bml", "per-day", "static-max"}});
   SweepOptions sweep_options;
-  sweep_options.keep_results = true;
   // The lower bound needed the trace anyway; share it so the three
   // scenarios replay it instead of regenerating 87 days each.
   sweep_options.shared_trace = &trace;
@@ -210,9 +209,9 @@ Fig5Result run_fig5(const Fig5Options& options) {
       [&] { report = run_sweep(spec, sweep_options); },
   });
 
-  result.bml_sim = std::move(report.results[0].sim);
-  result.per_day_sim = std::move(report.results[1].sim);
-  result.global_sim = std::move(report.results[2].sim);
+  result.bml_sim = std::move(report.rows[0].sim);
+  result.per_day_sim = std::move(report.rows[1].sim);
+  result.global_sim = std::move(report.rows[2].sim);
   result.bml = result.bml_sim.per_day_total();
   result.per_day_bound = result.per_day_sim.per_day_total();
   result.global_bound = result.global_sim.per_day_total();

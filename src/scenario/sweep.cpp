@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <concepts>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -26,14 +27,6 @@ double elapsed_seconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        since)
       .count();
-}
-
-/// Numeric cell formatting shared with CsvWriter (12 significant digits).
-std::string csv_num(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
 }
 
 ReqRate design_max_rate(const ScenarioSpec& spec,
@@ -114,14 +107,22 @@ std::uint64_t app_seed(const ScenarioSpec& spec, std::size_t i) {
          0x7FFF'FFFF'FFFF'FFFFULL;
 }
 
-/// The three runtime channels whose *configuration* gates CSV column
-/// groups (schema must be a function of the spec, never the outcome).
-bool spec_groups_enabled(const ScenarioSpec& spec) {
-  return spec.fault_groups > 0 && spec.fault_group_mtbf > 0.0;
-}
-
-bool spec_faults_enabled(const ScenarioSpec& spec) {
-  return spec.fault_mtbf > 0.0 || spec_groups_enabled(spec);
+/// The fault model a spec configures — what the simulator runs with, and
+/// whose runtime_active() / group_active() gate the fault CSV columns.
+FaultModel fault_model(const ScenarioSpec& spec) {
+  FaultModel faults;
+  faults.boot_time_jitter = spec.boot_time_jitter;
+  faults.boot_failure_prob = spec.boot_failure_prob;
+  faults.mtbf = spec.fault_mtbf;
+  faults.mttr = spec.fault_mttr;
+  faults.groups = spec.fault_groups;
+  faults.group_mtbf = spec.fault_group_mtbf;
+  faults.group_mttr = spec.fault_group_mttr;
+  faults.crews = spec.fault_crews;
+  faults.seed = spec.fault_seed >= 0
+                    ? static_cast<std::uint64_t>(spec.fault_seed)
+                    : spec.seed;
+  return faults;
 }
 
 /// Effective app list: the `[app]` sections, or the classic single app
@@ -170,36 +171,6 @@ std::vector<AppSpec> effective_apps(const ScenarioSpec& spec) {
     }
   }
   return out;
-}
-
-bool spec_slo_enabled(const ScenarioSpec& spec) {
-  for (const AppSpec& app : effective_apps(spec))
-    if (app.slo_availability > 0.0) return true;
-  return false;
-}
-
-bool spec_degrade_enabled(const ScenarioSpec& spec) {
-  return spec.degrade_overload_factor > 0.0;
-}
-
-/// Priority classes only rank something when at least two effective apps
-/// differ — a fleet of equal classes is byte-identical to a
-/// priority-unaware run, so it keeps the priority-free schema.
-bool spec_priority_enabled(const ScenarioSpec& spec) {
-  const std::vector<AppSpec> apps = effective_apps(spec);
-  for (const AppSpec& app : apps)
-    if (app.priority != apps.front().priority) return true;
-  return false;
-}
-
-/// Tenant churn: configured either explicitly (any [app] with a non-default
-/// arrive/depart window) or stochastically (both churn.* rates set). Gates
-/// the churn CSV column group on configuration, not outcome, like faults.
-bool spec_churn_enabled(const ScenarioSpec& spec) {
-  if (spec.churn_interarrival > 0.0 && spec.churn_lifetime > 0.0) return true;
-  for (const AppSpec& app : effective_apps(spec))
-    if (app.arrive > 0 || app.depart >= 0) return true;
-  return false;
 }
 
 /// Exponential whole-second draw, >= 1 s — the same transform the fault
@@ -425,17 +396,7 @@ ScenarioResult run_built(const ScenarioSpec& spec, const ScenarioBuild& build,
   options.coordinator_budget = spec.coordinator_budget == "design-max"
                                    ? build.design->max_rate()
                                    : parse_double(spec.coordinator_budget);
-  options.faults.boot_time_jitter = spec.boot_time_jitter;
-  options.faults.boot_failure_prob = spec.boot_failure_prob;
-  options.faults.mtbf = spec.fault_mtbf;
-  options.faults.mttr = spec.fault_mttr;
-  options.faults.groups = spec.fault_groups;
-  options.faults.group_mtbf = spec.fault_group_mtbf;
-  options.faults.group_mttr = spec.fault_group_mttr;
-  options.faults.crews = spec.fault_crews;
-  options.faults.seed = spec.fault_seed >= 0
-                            ? static_cast<std::uint64_t>(spec.fault_seed)
-                            : spec.seed;
+  options.faults = fault_model(spec);
   options.slo_window = spec.slo_window;
   options.degrade.overload_factor = spec.degrade_overload_factor;
   options.degrade.penalty = spec.degrade_penalty;
@@ -513,9 +474,20 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   return run_scenario_impl(spec, nullptr);
 }
 
-ScenarioResult run_scenario(const ScenarioSpec& spec,
-                            const LoadTrace& trace) {
-  return run_scenario_impl(spec, &trace);
+ConfiguredChannels configured_channels(const ScenarioSpec& spec) {
+  const FaultModel faults = fault_model(spec);
+  ConfiguredChannels on;
+  on.faults = faults.runtime_active();
+  on.groups = faults.group_active();
+  on.degrade = spec.degrade_overload_factor > 0.0;
+  on.churn = spec.churn_interarrival > 0.0 && spec.churn_lifetime > 0.0;
+  const std::vector<AppSpec> apps = effective_apps(spec);
+  for (const AppSpec& app : apps) {
+    on.slo = on.slo || app.slo_availability > 0.0;
+    on.priority = on.priority || app.priority != apps.front().priority;
+    on.churn = on.churn || app.arrive > 0 || app.depart >= 0;
+  }
+  return on;
 }
 
 std::vector<ScenarioSpec> expand_sweep(const ScenarioSpec& spec) {
@@ -557,7 +529,6 @@ SweepReport run_sweep(const ScenarioSpec& spec, const SweepOptions& options) {
 
   const std::size_t n = grid_size(spec);
   report.rows.resize(n);
-  if (options.keep_results) report.results.resize(n);
 
   // Build caching: when no axis touches a catalog / design / trace / seed
   // input, every grid point needs the exact same catalog, traces, design
@@ -575,57 +546,16 @@ SweepReport run_sweep(const ScenarioSpec& spec, const SweepOptions& options) {
       n,
       [&](std::size_t i) {
         const auto scenario_start = std::chrono::steady_clock::now();
-        const std::vector<std::string> values = grid_values(spec, i);
+        std::vector<std::string> values = grid_values(spec, i);
         ScenarioResult result =
             shared_build.has_value()
                 ? run_built(grid_point(spec, values), *shared_build,
                             scenario_start)
                 : run_scenario_impl(grid_point(spec, values),
                                     options.shared_trace);
-
-        SweepRow& row = report.rows[i];
-        row.scenario = result.spec.name;
-        row.axis_values = values;
-        row.scheduler = result.sim.scheduler_name;
-        row.total_energy = result.sim.total_energy();
-        row.compute_energy = result.sim.compute_energy;
-        row.reconfiguration_energy = result.sim.reconfiguration_energy;
-        row.reconfigurations = result.sim.reconfigurations;
-        row.qos_violation_seconds = result.sim.qos.violation_seconds;
-        row.served_fraction = result.sim.qos.served_fraction();
-        row.mean_power = result.trace_duration > 0.0
-                             ? result.sim.total_energy() / result.trace_duration
-                             : 0.0;
-        row.peak_machines = result.sim.peak_machines;
-        row.faults_enabled = spec_faults_enabled(result.spec);
-        row.machine_failures = result.sim.machine_failures;
-        row.availability = result.sim.availability;
-        row.lost_capacity = result.sim.lost_capacity;
-        row.groups_enabled = spec_groups_enabled(result.spec);
-        row.group_strikes = result.sim.group_strikes;
-        row.slo_enabled = spec_slo_enabled(result.spec);
-        row.spare_seconds = result.sim.spare_seconds;
-        row.spare_energy = result.sim.spare_energy;
-        row.degrade_enabled = spec_degrade_enabled(result.spec);
-        row.overload_seconds = result.sim.overload_seconds;
-        row.penalty_lost = result.sim.penalty_lost_capacity;
-        row.priority_enabled = spec_priority_enabled(result.spec);
-        row.preemptions = result.sim.preemptions;
-        row.churn_enabled = spec_churn_enabled(result.spec);
-        row.arrivals = result.sim.arrivals;
-        row.departures = result.sim.departures;
-        row.apps.reserve(result.apps.size());
-        for (const WorkloadResult& app : result.apps)
-          row.apps.push_back(SweepAppRow{
-              app.name, app.compute_energy, app.reconfiguration_energy,
-              app.qos_stats.violation_seconds,
-              app.qos_stats.served_fraction(), app.availability,
-              app.lost_capacity, app.spare_seconds, app.spare_energy,
-              app.overload_seconds, app.penalty_lost_capacity,
-              app.preempted_seconds, app.active_seconds});
-        row.wall_seconds = result.wall_seconds;
-        row.metrics = result.sim.metrics;
-        if (options.keep_results) report.results[i] = std::move(result);
+        SimMetrics shard = std::exchange(result.sim.metrics, SimMetrics{});
+        report.rows[i] =
+            SweepRow{std::move(result), std::move(values), std::move(shard)};
       },
       report.threads);
 
@@ -648,139 +578,158 @@ SweepReport run_sweep(const ScenarioSpec& spec, const SweepOptions& options) {
   return report;
 }
 
+namespace {
+
+/// CSV cells: names verbatim, integers in full, reals with the 12
+/// significant digits CsvWriter uses.
+std::string cell(const std::string& text) { return text; }
+std::string cell(double v) {
+  std::ostringstream os;
+  os.precision(12);
+  os << v;
+  return os.str();
+}
+template <std::integral T>
+std::string cell(T v) {
+  return std::to_string(v);
+}
+
+/// One CSV column: its name, the ConfiguredChannels flag that gates it
+/// (null = always present), and its cell formatter.
+template <typename Source>
+struct Column {
+  const char* name;
+  bool ConfiguredChannels::*gate;
+  std::string (*format)(const Source&);
+};
+
+/// Cluster-wide columns, after `scenario` and the axis columns.
+/// `scheduler_name` is the resolved Scheduler::name() (e.g.
+/// "bml(oracle-max)"), distinct from a possible `scheduler` axis column.
+const Column<SweepRow> kClusterColumns[] = {
+    {"scheduler_name", nullptr,
+     [](const SweepRow& r) { return cell(r.sim.scheduler_name); }},
+    {"total_energy_j", nullptr,
+     [](const SweepRow& r) { return cell(r.sim.total_energy()); }},
+    {"compute_energy_j", nullptr,
+     [](const SweepRow& r) { return cell(r.sim.compute_energy); }},
+    {"reconfiguration_energy_j", nullptr,
+     [](const SweepRow& r) { return cell(r.sim.reconfiguration_energy); }},
+    {"reconfigurations", nullptr,
+     [](const SweepRow& r) { return cell(r.sim.reconfigurations); }},
+    {"qos_violation_s", nullptr,
+     [](const SweepRow& r) { return cell(r.sim.qos.violation_seconds); }},
+    {"served_fraction", nullptr,
+     [](const SweepRow& r) { return cell(r.sim.qos.served_fraction()); }},
+    {"mean_power_w", nullptr,
+     [](const SweepRow& r) { return cell(r.mean_power()); }},
+    {"peak_machines", nullptr,
+     [](const SweepRow& r) { return cell(r.sim.peak_machines); }},
+    {"machine_failures", &ConfiguredChannels::faults,
+     [](const SweepRow& r) { return cell(r.sim.machine_failures); }},
+    {"availability", &ConfiguredChannels::faults,
+     [](const SweepRow& r) { return cell(r.sim.availability); }},
+    {"lost_capacity_req_s", &ConfiguredChannels::faults,
+     [](const SweepRow& r) { return cell(r.sim.lost_capacity); }},
+    {"group_strikes", &ConfiguredChannels::groups,
+     [](const SweepRow& r) { return cell(r.sim.group_strikes); }},
+    {"spare_seconds", &ConfiguredChannels::slo,
+     [](const SweepRow& r) { return cell(r.sim.spare_seconds); }},
+    {"spare_energy_j", &ConfiguredChannels::slo,
+     [](const SweepRow& r) { return cell(r.sim.spare_energy); }},
+    {"overload_seconds", &ConfiguredChannels::degrade,
+     [](const SweepRow& r) { return cell(r.sim.overload_seconds); }},
+    {"penalty_lost_req_s", &ConfiguredChannels::degrade,
+     [](const SweepRow& r) { return cell(r.sim.penalty_lost_capacity); }},
+    {"preemptions", &ConfiguredChannels::priority,
+     [](const SweepRow& r) { return cell(r.sim.preemptions); }},
+    {"arrivals", &ConfiguredChannels::churn,
+     [](const SweepRow& r) { return cell(r.sim.arrivals); }},
+    {"departures", &ConfiguredChannels::churn,
+     [](const SweepRow& r) { return cell(r.sim.departures); }},
+};
+
+/// Per-app columns, repeated as app<i>_<name> for every app slot.
+const Column<WorkloadResult> kAppColumns[] = {
+    {"name", nullptr, [](const WorkloadResult& a) { return cell(a.name); }},
+    {"compute_energy_j", nullptr,
+     [](const WorkloadResult& a) { return cell(a.compute_energy); }},
+    {"reconfiguration_energy_j", nullptr,
+     [](const WorkloadResult& a) { return cell(a.reconfiguration_energy); }},
+    {"qos_violation_s", nullptr,
+     [](const WorkloadResult& a) {
+       return cell(a.qos_stats.violation_seconds);
+     }},
+    {"served_fraction", nullptr,
+     [](const WorkloadResult& a) {
+       return cell(a.qos_stats.served_fraction());
+     }},
+    {"availability", &ConfiguredChannels::faults,
+     [](const WorkloadResult& a) { return cell(a.availability); }},
+    {"lost_capacity_req_s", &ConfiguredChannels::faults,
+     [](const WorkloadResult& a) { return cell(a.lost_capacity); }},
+    {"spare_seconds", &ConfiguredChannels::slo,
+     [](const WorkloadResult& a) { return cell(a.spare_seconds); }},
+    {"spare_energy_j", &ConfiguredChannels::slo,
+     [](const WorkloadResult& a) { return cell(a.spare_energy); }},
+    {"overload_seconds", &ConfiguredChannels::degrade,
+     [](const WorkloadResult& a) { return cell(a.overload_seconds); }},
+    {"penalty_lost_req_s", &ConfiguredChannels::degrade,
+     [](const WorkloadResult& a) { return cell(a.penalty_lost_capacity); }},
+    {"preempted_seconds", &ConfiguredChannels::priority,
+     [](const WorkloadResult& a) { return cell(a.preempted_seconds); }},
+    {"active_seconds", &ConfiguredChannels::churn,
+     [](const WorkloadResult& a) { return cell(a.active_seconds); }},
+};
+
+/// The columns of `table` whose gate some row's configuration enables.
+template <typename Source, std::size_t N>
+std::vector<const Column<Source>*> present_columns(
+    const Column<Source> (&table)[N],
+    const std::vector<ConfiguredChannels>& configured) {
+  std::vector<const Column<Source>*> out;
+  for (const Column<Source>& column : table)
+    if (column.gate == nullptr ||
+        std::any_of(configured.begin(), configured.end(),
+                    [&](const ConfiguredChannels& c) {
+                      return c.*column.gate;
+                    }))
+      out.push_back(&column);
+  return out;
+}
+
+}  // namespace
+
 std::string SweepReport::to_csv() const {
-  // Per-app column groups only appear for genuinely multi-tenant sweeps:
-  // a single-app sweep (including single-[app] specs) keeps the classic
-  // column set, byte-for-byte. Fault columns likewise only appear when
-  // some row *configured* runtime faults — gating on configuration, not
-  // outcome, keeps the schema a function of the spec (a faulty config
-  // that happens to land zero failures still reports its columns).
+  std::vector<ConfiguredChannels> configured;
+  configured.reserve(rows.size());
   std::size_t max_apps = 0;
-  bool faulty = false;
-  bool grouped = false;
-  bool slo = false;
-  bool degraded = false;
-  bool prioritized = false;
-  bool churned = false;
   for (const SweepRow& row : rows) {
+    configured.push_back(configured_channels(row.spec));
     max_apps = std::max(max_apps, row.apps.size());
-    faulty = faulty || row.faults_enabled;
-    grouped = grouped || row.groups_enabled;
-    slo = slo || row.slo_enabled;
-    degraded = degraded || row.degrade_enabled;
-    prioritized = prioritized || row.priority_enabled;
-    churned = churned || row.churn_enabled;
   }
-  const bool per_app = max_apps >= 2;
-  const std::size_t app_columns = 5 + (faulty ? 2 : 0) + (slo ? 2 : 0) +
-                                  (degraded ? 2 : 0) + (prioritized ? 1 : 0) +
-                                  (churned ? 1 : 0);
+  const auto cluster = present_columns(kClusterColumns, configured);
+  const auto per_app = present_columns(kAppColumns, configured);
+  // Single-app sweeps (including single-[app] specs) carry no app groups.
+  const std::size_t app_slots = max_apps >= 2 ? max_apps : 0;
 
   CsvWriter writer;
   std::vector<std::string> header{"scenario"};
-  for (const std::string& key : axis_keys) header.push_back(key);
-  // `scheduler_name` is the resolved Scheduler::name() (e.g.
-  // "bml(oracle-max)"), distinct from a possible `scheduler` axis column.
-  for (const char* column :
-       {"scheduler_name", "total_energy_j", "compute_energy_j",
-        "reconfiguration_energy_j", "reconfigurations", "qos_violation_s",
-        "served_fraction", "mean_power_w", "peak_machines"})
-    header.emplace_back(column);
-  if (faulty)
-    for (const char* column :
-         {"machine_failures", "availability", "lost_capacity_req_s"})
-      header.emplace_back(column);
-  if (grouped) header.emplace_back("group_strikes");
-  if (slo)
-    for (const char* column : {"spare_seconds", "spare_energy_j"})
-      header.emplace_back(column);
-  if (degraded)
-    for (const char* column : {"overload_seconds", "penalty_lost_req_s"})
-      header.emplace_back(column);
-  if (prioritized) header.emplace_back("preemptions");
-  if (churned)
-    for (const char* column : {"arrivals", "departures"})
-      header.emplace_back(column);
-  if (per_app)
-    for (std::size_t i = 0; i < max_apps; ++i) {
-      const std::string prefix = "app" + std::to_string(i) + "_";
-      for (const char* column :
-           {"name", "compute_energy_j", "reconfiguration_energy_j",
-            "qos_violation_s", "served_fraction"})
-        header.push_back(prefix + column);
-      if (faulty)
-        for (const char* column : {"availability", "lost_capacity_req_s"})
-          header.push_back(prefix + column);
-      if (slo)
-        for (const char* column : {"spare_seconds", "spare_energy_j"})
-          header.push_back(prefix + column);
-      if (degraded)
-        for (const char* column : {"overload_seconds", "penalty_lost_req_s"})
-          header.push_back(prefix + column);
-      if (prioritized) header.push_back(prefix + "preempted_seconds");
-      if (churned) header.push_back(prefix + "active_seconds");
-    }
+  header.insert(header.end(), axis_keys.begin(), axis_keys.end());
+  for (const auto* column : cluster) header.emplace_back(column->name);
+  for (std::size_t i = 0; i < app_slots; ++i)
+    for (const auto* column : per_app)
+      header.push_back("app" + std::to_string(i) + "_" + column->name);
   writer.set_header(std::move(header));
 
   for (const SweepRow& row : rows) {
-    std::vector<std::string> cells{row.scenario};
-    for (const std::string& value : row.axis_values) cells.push_back(value);
-    cells.push_back(row.scheduler);
-    cells.push_back(csv_num(row.total_energy));
-    cells.push_back(csv_num(row.compute_energy));
-    cells.push_back(csv_num(row.reconfiguration_energy));
-    cells.push_back(std::to_string(row.reconfigurations));
-    cells.push_back(std::to_string(row.qos_violation_seconds));
-    cells.push_back(csv_num(row.served_fraction));
-    cells.push_back(csv_num(row.mean_power));
-    cells.push_back(std::to_string(row.peak_machines));
-    if (faulty) {
-      cells.push_back(std::to_string(row.machine_failures));
-      cells.push_back(csv_num(row.availability));
-      cells.push_back(csv_num(row.lost_capacity));
-    }
-    if (grouped) cells.push_back(std::to_string(row.group_strikes));
-    if (slo) {
-      cells.push_back(std::to_string(row.spare_seconds));
-      cells.push_back(csv_num(row.spare_energy));
-    }
-    if (degraded) {
-      cells.push_back(std::to_string(row.overload_seconds));
-      cells.push_back(csv_num(row.penalty_lost));
-    }
-    if (prioritized) cells.push_back(std::to_string(row.preemptions));
-    if (churned) {
-      cells.push_back(std::to_string(row.arrivals));
-      cells.push_back(std::to_string(row.departures));
-    }
-    if (per_app)
-      for (std::size_t i = 0; i < max_apps; ++i) {
-        if (i < row.apps.size()) {
-          const SweepAppRow& app = row.apps[i];
-          cells.push_back(app.name);
-          cells.push_back(csv_num(app.compute_energy));
-          cells.push_back(csv_num(app.reconfiguration_energy));
-          cells.push_back(std::to_string(app.qos_violation_seconds));
-          cells.push_back(csv_num(app.served_fraction));
-          if (faulty) {
-            cells.push_back(csv_num(app.availability));
-            cells.push_back(csv_num(app.lost_capacity));
-          }
-          if (slo) {
-            cells.push_back(std::to_string(app.spare_seconds));
-            cells.push_back(csv_num(app.spare_energy));
-          }
-          if (degraded) {
-            cells.push_back(std::to_string(app.overload_seconds));
-            cells.push_back(csv_num(app.penalty_lost));
-          }
-          if (prioritized)
-            cells.push_back(std::to_string(app.preempted_seconds));
-          if (churned) cells.push_back(std::to_string(app.active_seconds));
-        } else {
-          cells.insert(cells.end(), app_columns, "");
-        }
-      }
+    std::vector<std::string> cells{row.spec.name};
+    cells.insert(cells.end(), row.axis_values.begin(), row.axis_values.end());
+    for (const auto* column : cluster) cells.push_back(column->format(row));
+    for (std::size_t i = 0; i < app_slots; ++i)
+      for (const auto* column : per_app)
+        cells.push_back(i < row.apps.size() ? column->format(row.apps[i])
+                                            : std::string());
     writer.add_row(std::move(cells));
   }
   return writer.to_string();
@@ -790,12 +739,13 @@ std::string SweepReport::summary_table() const {
   AsciiTable table({"scenario", "energy (kWh)", "mean W", "reconfig",
                     "QoS viol (s)", "served %", "machines", "wall (ms)"});
   for (const SweepRow& row : rows)
-    table.add_row({row.scenario, AsciiTable::num(joules_to_kwh(row.total_energy)),
-                   AsciiTable::num(row.mean_power, 1),
-                   std::to_string(row.reconfigurations),
-                   std::to_string(row.qos_violation_seconds),
-                   AsciiTable::num(100.0 * row.served_fraction, 3),
-                   std::to_string(row.peak_machines),
+    table.add_row({row.spec.name,
+                   AsciiTable::num(joules_to_kwh(row.sim.total_energy())),
+                   AsciiTable::num(row.mean_power(), 1),
+                   std::to_string(row.sim.reconfigurations),
+                   std::to_string(row.sim.qos.violation_seconds),
+                   AsciiTable::num(100.0 * row.sim.qos.served_fraction(), 3),
+                   std::to_string(row.sim.peak_machines),
                    AsciiTable::num(1000.0 * row.wall_seconds, 1)});
   return table.render();
 }
@@ -806,7 +756,8 @@ std::string SweepReport::perf_report() const {
   double scenario_wall = 0.0;
   for (const SweepRow& row : rows) {
     scenario_wall += row.wall_seconds;
-    table.add_row({row.scenario, AsciiTable::num(1000.0 * row.wall_seconds, 1),
+    table.add_row({row.spec.name,
+                   AsciiTable::num(1000.0 * row.wall_seconds, 1),
                    std::to_string(row.metrics.spans),
                    std::to_string(row.metrics.ticks),
                    std::to_string(row.metrics.scheduler_consults),

@@ -10,7 +10,6 @@
 // timings are reported on the console only, never in the CSV).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,19 +32,17 @@ struct ScenarioResult {
   Seconds trace_duration = 0.0;
   /// Build + replay wall time of this scenario (s).
   double wall_seconds = 0.0;
+
+  /// Total energy over the replayed trace duration (W; 0 for an empty
+  /// trace).
+  [[nodiscard]] Watts mean_power() const {
+    return trace_duration > 0.0 ? sim.total_energy() / trace_duration : 0.0;
+  }
 };
 
 /// Builds every component of `spec` through the registry and replays the
 /// simulation. Throws std::runtime_error on unresolvable specs.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec);
-
-/// As above, but replays `trace` instead of building the spec's trace
-/// generator — for callers that already hold the workload (a loaded
-/// recording, the analytic stage of an experiment) and fan a grid out over
-/// it without regenerating or re-reading it per scenario. The spec's
-/// `trace` fields are carried along as metadata but not consulted.
-[[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
-                                          const LoadTrace& trace);
 
 /// Expands the spec's sweep axes into the cartesian product of scenarios
 /// (first axis outermost), naming each `base[k1=v1,k2=v2,...]`. A spec
@@ -53,99 +50,45 @@ struct ScenarioResult {
 /// anything runs.
 [[nodiscard]] std::vector<ScenarioSpec> expand_sweep(const ScenarioSpec& spec);
 
-/// Per-application metrics of one sweep row.
-struct SweepAppRow {
-  std::string name;
-  Joules compute_energy = 0.0;
-  Joules reconfiguration_energy = 0.0;
-  std::int64_t qos_violation_seconds = 0;
-  double served_fraction = 1.0;
-  /// Runtime-fault slice of the app's fault domain (CSV columns appear
-  /// only when some row in the sweep enables runtime faults).
-  double availability = 1.0;
-  double lost_capacity = 0.0;
-  /// SLO-feedback slice (CSV columns appear only when some row configures
-  /// an availability SLO): seconds this app held provisioned spares and
-  /// the spares' idle-power energy (an attribution overlay inside the
-  /// app's compute energy).
-  std::int64_t spare_seconds = 0;
-  Joules spare_energy = 0.0;
-  /// Degraded-mode slice (CSV columns appear only when some row sets
-  /// degrade.overload_factor > 0): seconds the cluster ran overloaded
-  /// while this app offered load, and the app's share of the capacity
-  /// lost to the contention penalty (req·s).
-  std::int64_t overload_seconds = 0;
-  double penalty_lost = 0.0;
-  /// Preemption slice (CSV column appears only when some row ranks apps
-  /// by priority): seconds this app had provisioned machines preempted
-  /// away after a strike.
-  std::int64_t preempted_seconds = 0;
-  /// Tenant-lifecycle slice (CSV column appears only when some row
-  /// configures churn or an app active interval): seconds this tenant was
-  /// active — the window its QoS and energy integrals cover.
-  std::int64_t active_seconds = 0;
+/// The runtime channels a resolved spec configures. Each flag gates a CSV
+/// column group on configuration, never on outcome, so the schema is a
+/// function of the spec alone: a faulty config that lands zero failures
+/// still reports its columns, and a zero-rate config keeps the fault-free
+/// schema byte-for-byte.
+struct ConfiguredChannels {
+  /// faults.mtbf > 0, or an active rack channel (FaultModel::runtime_active).
+  bool faults = false;
+  /// faults.groups > 0 with faults.group_mtbf > 0 (FaultModel::group_active).
+  bool groups = false;
+  /// Some effective app declares slo.availability > 0.
+  bool slo = false;
+  /// degrade.overload_factor > 0.
+  bool degrade = false;
+  /// At least two effective apps have different priority classes; a fleet
+  /// of equal classes ranks nothing.
+  bool priority = false;
+  /// Both churn.* rates set, or some app has an arrive/depart window.
+  bool churn = false;
 };
 
-/// Aggregate metrics of one scenario — the sweep's unit of reporting.
-struct SweepRow {
-  std::string scenario;
+/// The one place the configuration gates are computed (CSV schema and the
+/// `bmlsim run` summary lines).
+[[nodiscard]] ConfiguredChannels configured_channels(const ScenarioSpec& spec);
+
+/// Per-application results of one sweep row.
+using SweepAppRow = WorkloadResult;
+
+/// One grid point of a sweep: the scenario's own results (ScenarioResult:
+/// resolved spec, cluster-wide SimulationResult, per-app WorkloadResults,
+/// wall time) plus its coordinates in the grid.
+struct SweepRow : ScenarioResult {
   /// Axis values of this grid point, parallel to SweepReport::axis_keys.
   std::vector<std::string> axis_values;
-  std::string scheduler;
-  Joules total_energy = 0.0;
-  Joules compute_energy = 0.0;
-  Joules reconfiguration_energy = 0.0;
-  int reconfigurations = 0;
-  std::int64_t qos_violation_seconds = 0;
-  /// Fraction of offered requests served, in [0, 1].
-  double served_fraction = 1.0;
-  /// total_energy / trace duration (W).
-  Watts mean_power = 0.0;
-  std::size_t peak_machines = 0;
-  /// Runtime-fault aggregates; `faults_enabled` records whether this
-  /// row's *configuration* had a runtime fault channel (faults.mtbf > 0,
-  /// or an active correlated-strike channel: faults.groups > 0 with
-  /// faults.group_mtbf > 0), which — not the outcome — gates the fault
-  /// CSV columns, so the CSV schema is a function of the spec alone.
-  /// Zero-rate sweeps keep the classic column set byte-for-byte.
-  bool faults_enabled = false;
-  int machine_failures = 0;
-  double availability = 1.0;
-  double lost_capacity = 0.0;
-  /// Correlated-strike channel (`groups_enabled` gates the group_strikes
-  /// column, again on configuration, not outcome).
-  bool groups_enabled = false;
-  int group_strikes = 0;
-  /// SLO feedback: `slo_enabled` records whether any app of this row's
-  /// configuration declares slo.availability > 0, gating the spare
-  /// columns; the aggregates mirror SimulationResult.
-  bool slo_enabled = false;
-  std::int64_t spare_seconds = 0;
-  Joules spare_energy = 0.0;
-  /// Degraded-mode serving: `degrade_enabled` records whether this row's
-  /// configuration sets degrade.overload_factor > 0, gating the overload
-  /// columns (configuration, not outcome, as with faults).
-  bool degrade_enabled = false;
-  std::int64_t overload_seconds = 0;
-  double penalty_lost = 0.0;
-  /// Priority classes: `priority_enabled` records whether this row's
-  /// configuration ranks at least two apps differently, gating the
-  /// preemption columns.
-  bool priority_enabled = false;
-  int preemptions = 0;
-  /// Tenant lifecycle: `churn_enabled` records whether this row's
-  /// configuration declares churn rates or a per-app active interval,
-  /// gating the arrival/departure columns (configuration, not outcome).
-  bool churn_enabled = false;
-  int arrivals = 0;
-  int departures = 0;
-  /// Per-app attribution, parallel to the scenario's app list.
-  std::vector<SweepAppRow> apps;
-  double wall_seconds = 0.0;
-  /// This scenario's simulator self-metrics shard (disabled and empty
-  /// unless the spec sets obs.metrics). Shards are merged into
-  /// SweepReport::metrics in grid index order after the parallel run, so
-  /// the aggregate is byte-identical across --threads values.
+  /// This scenario's simulator self-metrics shard, moved out of
+  /// sim.metrics (disabled and empty unless the spec sets obs.metrics).
+  /// Shards are merged into SweepReport::metrics in grid index order after
+  /// the parallel run, so the aggregate is byte-identical across --threads
+  /// values.
   SimMetrics metrics;
 };
 
@@ -153,9 +96,6 @@ struct SweepRow {
 struct SweepReport {
   std::vector<std::string> axis_keys;
   std::vector<SweepRow> rows;
-  /// Full per-scenario results, parallel to rows (kept only when
-  /// SweepOptions::keep_results).
-  std::vector<ScenarioResult> results;
   /// Whole-sweep wall time (s).
   double wall_seconds = 0.0;
   unsigned threads = 1;
@@ -171,25 +111,13 @@ struct SweepReport {
   /// across thread counts and machines.
   MetricsRegistry metrics;
 
-  /// Deterministic CSV of the rows: scenario, axis columns, metrics.
-  /// Multi-app sweeps (any row with >= 2 apps) append per-app column
-  /// groups (app<i>_name, app<i>_compute_energy_j, ...); single-app
-  /// sweeps keep the classic column set byte-for-byte. Sweeps with a
-  /// runtime fault channel configured on any row (faults.mtbf > 0 or an
-  /// active faults.groups channel) append machine_failures / availability
-  /// / lost_capacity_req_s cluster columns, and availability /
-  /// lost-capacity per-app columns inside the app groups; zero-rate fault
-  /// configs keep the fault-free schema byte-for-byte. A configured
-  /// correlated-strike channel appends group_strikes, and any row with an
-  /// availability SLO appends spare_seconds / spare_energy_j (cluster and
-  /// per-app). A configured degrade model (degrade.overload_factor > 0 on
-  /// any row) appends overload_seconds / penalty_lost_req_s (cluster and
-  /// per-app), and differing app priorities append preemptions (cluster)
-  /// and preempted_seconds (per-app); specs without the new keys keep the
-  /// previous schema byte-for-byte. A configured tenant lifecycle (churn
-  /// rates or an app arrive/depart interval on any row) appends arrivals /
-  /// departures (cluster) and active_seconds (per-app). Excludes
-  /// wall-clock timings, so the bytes are identical across thread counts.
+  /// Deterministic CSV of the rows: scenario, axis columns, then the
+  /// cluster and per-app column tables in sweep.cpp (kClusterColumns,
+  /// kAppColumns). A gated column appears when any row's
+  /// configured_channels() enables its channel; per-app groups appear
+  /// when some row has >= 2 apps, and shorter rows are blank-padded.
+  /// Excludes wall-clock timings, so the bytes are identical across
+  /// thread counts.
   [[nodiscard]] std::string to_csv() const;
 
   /// Console summary rendered with util/table.
@@ -205,13 +133,12 @@ struct SweepReport {
 struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency.
   unsigned threads = 0;
-  /// Retain every ScenarioResult (per-day series, power series, ...) in
-  /// SweepReport::results.
-  bool keep_results = false;
   /// Replay this trace in every scenario instead of running each one's
-  /// trace generator (see the run_scenario overload). The sweep must not
-  /// declare `trace`/`trace.*` axes — run_sweep throws if it does. The
-  /// pointee must outlive the call.
+  /// trace generator — for callers that already hold the workload (a
+  /// loaded recording, the analytic stage of an experiment). The spec's
+  /// `trace` fields are carried along as metadata but not consulted. The
+  /// sweep must not declare `trace`/`trace.*` axes — run_sweep throws if
+  /// it does. The pointee must outlive the call.
   const LoadTrace* shared_trace = nullptr;
 };
 

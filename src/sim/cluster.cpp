@@ -20,14 +20,6 @@ Cluster::Cluster(Catalog candidates, const Combination& initial,
       faults_.mttr < 0.0 || faults_.groups < 0 || faults_.group_mtbf < 0.0 ||
       faults_.group_mttr < 0.0 || faults_.crews < 0)
     throw std::invalid_argument("Cluster: invalid fault model");
-  if (faults_.mtbf_per_arch.size() > candidates_.size() ||
-      faults_.mttr_per_arch.size() > candidates_.size())
-    throw std::invalid_argument(
-        "Cluster: per-arch fault overrides wider than the catalog");
-  for (Seconds m : faults_.mtbf_per_arch)
-    if (m < 0.0) throw std::invalid_argument("Cluster: invalid fault model");
-  for (Seconds m : faults_.mttr_per_arch)
-    if (m < 0.0) throw std::invalid_argument("Cluster: invalid fault model");
   if (faults_.active()) fault_rng_.emplace(faults_.seed);
   if (initial.counts().size() > candidates_.size())
     throw std::invalid_argument("Cluster: initial combination too wide");

@@ -59,8 +59,6 @@ namespace bml {
 ///     `crews` concurrent repair crews (FIFO, deterministic tie-break);
 ///     crews = 0 means unlimited (every repair proceeds in parallel).
 ///
-/// Per-arch overrides replace the scalar means for the architectures they
-/// name (catalog order, <= 0 entries fall back to the scalar).
 /// Deterministic per seed.
 struct FaultModel {
   double boot_time_jitter = 0.0;
@@ -70,10 +68,6 @@ struct FaultModel {
   Seconds mtbf = 0.0;
   /// Mean repair duration in seconds (0 = minimum 1 s repairs).
   Seconds mttr = 0.0;
-  /// Optional per-architecture overrides, indexed in catalog order; <= 0
-  /// (or missing) entries use the scalars above.
-  std::vector<Seconds> mtbf_per_arch;
-  std::vector<Seconds> mttr_per_arch;
   /// Correlated-strike topology: racks per fault domain (0 disables the
   /// group channel), mean seconds between strikes per (domain, rack), and
   /// mean repair duration of each strike's casualties.
@@ -96,22 +90,7 @@ struct FaultModel {
 
   /// Runtime crash/repair channel enabled?
   [[nodiscard]] bool runtime_active() const {
-    if (mtbf > 0.0 || group_active()) return true;
-    for (Seconds m : mtbf_per_arch)
-      if (m > 0.0) return true;
-    return false;
-  }
-
-  /// Effective per-arch means (override, else scalar).
-  [[nodiscard]] Seconds arch_mtbf(std::size_t arch) const {
-    return arch < mtbf_per_arch.size() && mtbf_per_arch[arch] > 0.0
-               ? mtbf_per_arch[arch]
-               : mtbf;
-  }
-  [[nodiscard]] Seconds arch_mttr(std::size_t arch) const {
-    return arch < mttr_per_arch.size() && mttr_per_arch[arch] > 0.0
-               ? mttr_per_arch[arch]
-               : mttr;
+    return mtbf > 0.0 || group_active();
   }
 };
 

@@ -22,23 +22,22 @@ TimePoint exponential_seconds(Rng& rng, Seconds mean) {
 FaultTimeline::FaultTimeline(const FaultModel& model, std::size_t arch_kinds,
                              std::size_t domains) {
   crews_ = model.crews;
-  if (!model.runtime_active()) return;
-  streams_.reserve(domains * arch_kinds);
-  for (std::size_t d = 0; d < domains; ++d)
-    for (std::size_t a = 0; a < arch_kinds; ++a) {
-      const Seconds mtbf = model.arch_mtbf(a);
-      if (mtbf <= 0.0) continue;
-      const auto key = static_cast<std::uint64_t>(d * arch_kinds + a + 1);
-      Stream stream{Rng(model.seed + 0x9E3779B97F4A7C15ULL * key),
-                    mtbf,
-                    model.arch_mttr(a),
-                    d,
-                    a,
-                    0,
-                    0};
-      advance(stream);
-      streams_.push_back(std::move(stream));
-    }
+  if (model.mtbf > 0.0) {
+    streams_.reserve(domains * arch_kinds);
+    for (std::size_t d = 0; d < domains; ++d)
+      for (std::size_t a = 0; a < arch_kinds; ++a) {
+        const auto key = static_cast<std::uint64_t>(d * arch_kinds + a + 1);
+        Stream stream{Rng(model.seed + 0x9E3779B97F4A7C15ULL * key),
+                      model.mtbf,
+                      model.mttr,
+                      d,
+                      a,
+                      0,
+                      0};
+        advance(stream);
+        streams_.push_back(std::move(stream));
+      }
+  }
   if (model.group_active()) {
     const auto racks = static_cast<std::size_t>(model.groups);
     group_streams_.reserve(domains * racks);

@@ -225,9 +225,6 @@ struct Run {
   std::vector<TimePoint> consult_until;
   bool fleet_mode = false;
   FleetPowerCurve power_curve;
-  std::vector<double> power_samples;
-  double bucket_max = 0.0;
-  std::size_t bucket_fill = 0;
   /// Runtime crash/repair state; disengaged unless the fault model's
   /// runtime channel is active.
   std::optional<FaultRun> faults;
@@ -760,23 +757,15 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
   return run;
 }
 
-/// Flushes the trailing power bucket and copies the cluster-wide and
-/// per-app meters into the result.
-void finalize_run(Run& run, const SimulatorOptions& options,
-                  const std::vector<WorkloadView>& views,
+/// Copies the cluster-wide and per-app meters into the result.
+void finalize_run(Run& run, const std::vector<WorkloadView>& views,
                   MultiSimulationResult& out) {
-  if (options.record_power_every > 0 && run.bucket_fill > 0)
-    run.power_samples.push_back(run.bucket_max);
   SimulationResult& r = run.result;
   r.compute_energy = run.meter.compute_energy();
   r.reconfiguration_energy = run.meter.reconfiguration_energy();
   r.per_day_compute = run.meter.per_day_compute();
   r.per_day_reconfiguration = run.meter.per_day_reconfiguration();
   r.qos = run.qos.stats();
-  if (options.record_power_every > 0)
-    r.power_series =
-        TimeSeries(std::move(run.power_samples),
-                   static_cast<Seconds>(options.record_power_every));
   if (run.faults.has_value()) {
     const FaultRun& fr = *run.faults;
     r.machine_failures = fr.total_failures;
@@ -1322,8 +1311,8 @@ std::size_t longest_trace(const std::vector<WorkloadView>& views) {
 /// iteration per constant-value sub-run instead of one per second. Each
 /// sub-run's power / QoS / per-app attribution is closed-form; the
 /// cluster-wide piecewise kernels (EnergyMeter::add_runs,
-/// QosTracker::record_runs) and the power bucketing then each consume the
-/// whole run list in one call.
+/// QosTracker::record_runs) then each consume the whole run list in one
+/// call.
 ///
 /// Returns the time actually advanced to (== `end` normally). With the
 /// degrade model enabled, an overload entry/exit inside the span stops
@@ -1334,8 +1323,7 @@ std::size_t longest_trace(const std::vector<WorkloadView>& views) {
 TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
                        const std::vector<const CompiledTrace*>& compiled,
                        std::vector<CompiledTrace::Cursor>& cursors,
-                       TimePoint begin, TimePoint end,
-                       const SimulatorOptions& options, SimMetrics* metrics) {
+                       TimePoint begin, TimePoint end, SimMetrics* metrics) {
   run.span_runs.clear();
   // Fixed fleet for the whole span: capacity and transition power are
   // constant, and the compute power is the compiled fleet curve of the
@@ -1355,31 +1343,13 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
   // floating-point summation order; day attribution is unaffected (spans
   // never straddle days — the caller clamps them).
   constexpr std::size_t kFlushChunk = 512;
-  const auto flush = [&run, &options, capacity_now, transition, deg] {
+  const auto flush = [&run, capacity_now, transition, deg] {
     if (run.span_runs.empty()) return;
     if (deg)
       run.qos.record_runs_var(run.span_runs);
     else
       run.qos.record_runs(run.span_runs, capacity_now);
     run.meter.add_runs(run.span_runs, transition);
-    if (options.record_power_every > 0) {
-      for (const Run::SegmentRun& sr : run.span_runs) {
-        const double total_power = sr.compute + transition;
-        auto left = static_cast<std::size_t>(sr.seconds);
-        while (left > 0) {
-          const std::size_t chunk =
-              std::min(left, options.record_power_every - run.bucket_fill);
-          run.bucket_max = std::max(run.bucket_max, total_power);
-          run.bucket_fill += chunk;
-          left -= chunk;
-          if (run.bucket_fill == options.record_power_every) {
-            run.power_samples.push_back(run.bucket_max);
-            run.bucket_max = 0.0;
-            run.bucket_fill = 0;
-          }
-        }
-      }
-    }
     run.span_runs.clear();
   };
 
@@ -1387,8 +1357,7 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
   // the capacity, compute and transition shares are all exactly 1.0, so
   // the per-app accumulators would replay the cluster-wide streams
   // bit-for-bit — run_event_driven copies them at the end instead.
-  if (views.size() == 1 && options.record_power_every == 0 &&
-      !run.lifecycle_enabled) {
+  if (views.size() == 1 && !run.lifecycle_enabled) {
     // Fully fused single-workload walk — the innermost loop of the whole
     // simulator on noisy traces. QoS totals and the compute-energy
     // integral accumulate in registers and flush once per span through
@@ -1438,107 +1407,74 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
                                   static_cast<std::size_t>(totals.seconds));
     return end;
   }
-  if (views.size() == 1 && !run.lifecycle_enabled) {
-    // Single-workload with power recording: the bucketing needs per-run
-    // powers, so go through the scratch rows and the run kernels.
-    const CompiledTrace& trace = *compiled[0];
-    CompiledTrace::Cursor& cursor = cursors[0];
-    TimePoint cur = begin;
-    while (cur < end) {
-      const CompiledTrace::Run r = trace.run_at(cursor, cur);
-      const TimePoint sub_end = r.end < end ? r.end : end;
-      Run::SegmentRun sr{r.value, run.power_curve.power_at(r.value),
-                         sub_end - cur, capacity_now};
-      if (deg) {
-        const DegradedCap dc =
-            degraded_capacity(run.degrade, r.value, capacity_now);
-        if (first) {
-          span_over = dc.overloaded;
-          first = false;
-        } else if (dc.overloaded != span_over) {
-          end = cur;
-          break;
-        }
-        sr.cap = dc.effective;
-        if (dc.overloaded) {
-          run.loads[0] = r.value;
-          account_overload(views, run, r.value, dc.lost_rate, sr.seconds);
-        }
-      }
-      run.span_runs.push_back(sr);
-      if (run.span_runs.size() == kFlushChunk) flush();
-      cur = sub_end;
+  // Fused k-way merge over the apps' compiled RLE streams: one frontier
+  // entry per app (current value in run.loads, current run end in
+  // run.run_ends). Each shared sub-run is the intersection of the apps'
+  // current runs, and only the cursors whose run ends exactly at the
+  // sub-run boundary advance — so each app's stream is consumed once
+  // per span instead of being re-probed once per sub-run. The sub-run
+  // arithmetic (total summed fresh in app order, per-app attribution via
+  // attribute_span) is operation-for-operation the per-sub-run walk it
+  // replaces, so every accumulator stays bit-identical.
+  const std::size_t k = views.size();
+  std::uint64_t advances = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    // Inactive tenants hold a zero-load frontier entry pinned to the
+    // span end: their cursor is never probed, the 0.0 still sums in app
+    // order (bit-identical to the reference gather), and the advance
+    // loop below can never re-seat them (run end == span end).
+    if (run.lifecycle_enabled && !run.active[i]) {
+      run.loads[i] = 0.0;
+      run.run_ends[i] = end;
+      continue;
     }
-  } else {
-    // Fused k-way merge over the apps' compiled RLE streams: one frontier
-    // entry per app (current value in run.loads, current run end in
-    // run.run_ends). Each shared sub-run is the intersection of the apps'
-    // current runs, and only the cursors whose run ends exactly at the
-    // sub-run boundary advance — so each app's stream is consumed once
-    // per span instead of being re-probed once per sub-run. The sub-run
-    // arithmetic (total summed fresh in app order, per-app attribution via
-    // attribute_span) is operation-for-operation the per-sub-run walk it
-    // replaces, so every accumulator stays bit-identical.
-    const std::size_t k = views.size();
-    std::uint64_t advances = 0;
+    const CompiledTrace::Run r = compiled[i]->run_at(cursors[i], begin);
+    run.loads[i] = r.value;
+    run.run_ends[i] = r.end;
+    ++advances;
+  }
+  TimePoint cur = begin;
+  while (cur < end) {
+    TimePoint sub_end = end;
+    ReqRate total = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
-      // Inactive tenants hold a zero-load frontier entry pinned to the
-      // span end: their cursor is never probed, the 0.0 still sums in app
-      // order (bit-identical to the reference gather), and the advance
-      // loop below can never re-seat them (run end == span end).
-      if (run.lifecycle_enabled && !run.active[i]) {
-        run.loads[i] = 0.0;
-        run.run_ends[i] = end;
-        continue;
-      }
-      const CompiledTrace::Run r = compiled[i]->run_at(cursors[i], begin);
-      run.loads[i] = r.value;
-      run.run_ends[i] = r.end;
-      ++advances;
+      total += run.loads[i];
+      if (run.run_ends[i] < sub_end) sub_end = run.run_ends[i];
     }
-    TimePoint cur = begin;
-    while (cur < end) {
-      TimePoint sub_end = end;
-      ReqRate total = 0.0;
-      for (std::size_t i = 0; i < k; ++i) {
-        total += run.loads[i];
-        if (run.run_ends[i] < sub_end) sub_end = run.run_ends[i];
+    const TimePoint len = sub_end - cur;
+    ReqRate cap_eff = capacity_now;
+    if (deg) {
+      const DegradedCap dc =
+          degraded_capacity(run.degrade, total, capacity_now);
+      if (first) {
+        span_over = dc.overloaded;
+        first = false;
+      } else if (dc.overloaded != span_over) {
+        end = cur;
+        break;
       }
-      const TimePoint len = sub_end - cur;
-      ReqRate cap_eff = capacity_now;
-      if (deg) {
-        const DegradedCap dc =
-            degraded_capacity(run.degrade, total, capacity_now);
-        if (first) {
-          span_over = dc.overloaded;
-          first = false;
-        } else if (dc.overloaded != span_over) {
-          end = cur;
-          break;
-        }
-        cap_eff = dc.effective;
-        if (dc.overloaded) account_overload(views, run, total, dc.lost_rate, len);
-      }
-      const Watts compute = run.power_curve.power_at(total);
-      run.span_runs.push_back(Run::SegmentRun{total, compute, len, cap_eff});
-      if (run.span_runs.size() == kFlushChunk) flush();
-      attribute_span(views, run, total, ClusterPower{compute, transition},
-                     len, cap_eff);
-      cur = sub_end;
-      if (cur >= end) break;
-      for (std::size_t i = 0; i < k; ++i) {
-        if (run.run_ends[i] == cur) {
-          const CompiledTrace::Run r = compiled[i]->run_at(cursors[i], cur);
-          run.loads[i] = r.value;
-          run.run_ends[i] = r.end;
-          ++advances;
-        }
+      cap_eff = dc.effective;
+      if (dc.overloaded) account_overload(views, run, total, dc.lost_rate, len);
+    }
+    const Watts compute = run.power_curve.power_at(total);
+    run.span_runs.push_back(Run::SegmentRun{total, compute, len, cap_eff});
+    if (run.span_runs.size() == kFlushChunk) flush();
+    attribute_span(views, run, total, ClusterPower{compute, transition},
+                   len, cap_eff);
+    cur = sub_end;
+    if (cur >= end) break;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (run.run_ends[i] == cur) {
+        const CompiledTrace::Run r = compiled[i]->run_at(cursors[i], cur);
+        run.loads[i] = r.value;
+        run.run_ends[i] = r.end;
+        ++advances;
       }
     }
-    if (metrics) {
-      metrics->merge_frontier_advances += advances;
-      if (k > metrics->merge_apps_max) metrics->merge_apps_max = k;
-    }
+  }
+  if (metrics) {
+    metrics->merge_frontier_advances += advances;
+    if (k > metrics->merge_apps_max) metrics->merge_apps_max = k;
   }
   flush();
   return end;
@@ -1660,21 +1596,11 @@ MultiSimulationResult Simulator::run_per_second(
 
     run.result.peak_machines =
         std::max(run.result.peak_machines, run.cluster.machine_count());
-
-    if (options_.record_power_every > 0) {
-      run.bucket_max =
-          std::max(run.bucket_max, power.compute + power.transition);
-      if (++run.bucket_fill == options_.record_power_every) {
-        run.power_samples.push_back(run.bucket_max);
-        run.bucket_max = 0.0;
-        run.bucket_fill = 0;
-      }
-    }
   }
   if (timeline)
     timeline->events.assign(events.events().begin(), events.events().end());
   MultiSimulationResult out;
-  finalize_run(run, options_, views, out);
+  finalize_run(run, views, out);
   if (log_events) out.total.events = std::move(events);
   return out;
 }
@@ -1847,8 +1773,8 @@ MultiSimulationResult Simulator::run_event_driven(
     //    state, exactly like the per-second reference. (All of that
     //    accounting sits after the advance for this reason; its
     //    integrands are constant in-span either way.)
-    const TimePoint advanced = advance_span(views, run, compiled, cursors, t,
-                                            span_end, options_, metrics);
+    const TimePoint advanced =
+        advance_span(views, run, compiled, cursors, t, span_end, metrics);
     if (advanced < span_end) {
       span_end = advanced;
       cause = SpanEndCause::kOverloadCrossing;
@@ -1909,7 +1835,7 @@ MultiSimulationResult Simulator::run_event_driven(
     run.app_meters[0] = run.meter;
   }
   MultiSimulationResult out;
-  finalize_run(run, options_, views, out);
+  finalize_run(run, views, out);
   return out;
 }
 

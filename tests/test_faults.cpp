@@ -99,13 +99,10 @@ TEST(FaultModel, RuntimeChannelActivation) {
   EXPECT_FALSE(model.runtime_active());
   model.mtbf = 3600.0;
   EXPECT_TRUE(model.runtime_active());
+  // A repair time alone configures no strikes.
   model.mtbf = 0.0;
-  model.mtbf_per_arch = {0.0, 7200.0};
-  EXPECT_TRUE(model.runtime_active());
-  EXPECT_DOUBLE_EQ(model.arch_mtbf(1), 7200.0);
-  EXPECT_DOUBLE_EQ(model.arch_mtbf(0), 0.0);  // falls back to the scalar
   model.mttr = 60.0;
-  EXPECT_DOUBLE_EQ(model.arch_mttr(1), 60.0);
+  EXPECT_FALSE(model.runtime_active());
 }
 
 TEST(FaultModel, ClusterValidatesRuntimeParameters) {
@@ -115,12 +112,6 @@ TEST(FaultModel, ClusterValidatesRuntimeParameters) {
   FaultModel bad2;
   bad2.mttr = -0.5;
   EXPECT_THROW(Cluster(candidates(), {}, bad2), std::invalid_argument);
-  FaultModel bad3;
-  bad3.mtbf_per_arch.assign(candidates().size() + 1, 100.0);
-  EXPECT_THROW(Cluster(candidates(), {}, bad3), std::invalid_argument);
-  FaultModel bad4;
-  bad4.mttr_per_arch = {-3.0};
-  EXPECT_THROW(Cluster(candidates(), {}, bad4), std::invalid_argument);
 }
 
 TEST(SimMachine, FailAndRepairTransitions) {

@@ -10,6 +10,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "predict/predictor.hpp"
 #include "scenario/registry.hpp"
@@ -411,14 +414,14 @@ TEST(RunSweep, FaultAxesShareOneBuildAndStayDeterministic) {
   EXPECT_EQ(CombinationTable::built_count() - before, 1u);
   ASSERT_EQ(one.rows.size(), 4u);
   for (const SweepRow& row : one.rows) {
-    EXPECT_TRUE(row.faults_enabled);
-    EXPECT_GT(row.machine_failures, 0);
-    EXPECT_LT(row.availability, 1.0);
+    EXPECT_TRUE(configured_channels(row.spec).faults);
+    EXPECT_GT(row.sim.machine_failures, 0);
+    EXPECT_LT(row.sim.availability, 1.0);
   }
   // More frequent strikes cost more availability (same seed, same trace).
-  EXPECT_LT(one.rows[0].availability, one.rows[2].availability);
+  EXPECT_LT(one.rows[0].sim.availability, one.rows[2].sim.availability);
   // Different fault seeds land different timelines.
-  EXPECT_NE(one.rows[0].availability, one.rows[1].availability);
+  EXPECT_NE(one.rows[0].sim.availability, one.rows[1].sim.availability);
 
   const SweepReport four = run_sweep(spec, SweepOptions{.threads = 4});
   EXPECT_EQ(one.to_csv(), four.to_csv());
@@ -522,11 +525,11 @@ TEST(RunSweep, GroupFaultAndSloColumnsArePinnedAndThreadStable) {
 
   const SweepReport one = run_sweep(spec, SweepOptions{.threads = 1});
   ASSERT_EQ(one.rows.size(), 1u);
-  EXPECT_TRUE(one.rows[0].faults_enabled);
-  EXPECT_TRUE(one.rows[0].groups_enabled);
-  EXPECT_TRUE(one.rows[0].slo_enabled);
-  EXPECT_GT(one.rows[0].group_strikes, 0);
-  EXPECT_GT(one.rows[0].spare_seconds, 0);
+  EXPECT_TRUE(configured_channels(one.rows[0].spec).faults);
+  EXPECT_TRUE(configured_channels(one.rows[0].spec).groups);
+  EXPECT_TRUE(configured_channels(one.rows[0].spec).slo);
+  EXPECT_GT(one.rows[0].sim.group_strikes, 0);
+  EXPECT_GT(one.rows[0].sim.spare_seconds, 0);
 
   const std::string csv = one.to_csv();
   const std::string header = csv.substr(0, csv.find('\n'));
@@ -666,13 +669,13 @@ fault_domain = pool
 )");
   const SweepReport one = run_sweep(spec, SweepOptions{.threads = 1});
   ASSERT_EQ(one.rows.size(), 1u);
-  EXPECT_TRUE(one.rows[0].degrade_enabled);
-  EXPECT_TRUE(one.rows[0].priority_enabled);
+  EXPECT_TRUE(configured_channels(one.rows[0].spec).degrade);
+  EXPECT_TRUE(configured_channels(one.rows[0].spec).priority);
   // Strikes shrank the fleet below the offered 1700 req/s, so the
   // surviving machines ran overloaded and batch capacity was preempted.
-  EXPECT_GT(one.rows[0].overload_seconds, 0);
-  EXPECT_GT(one.rows[0].penalty_lost, 0.0);
-  EXPECT_GT(one.rows[0].preemptions, 0);
+  EXPECT_GT(one.rows[0].sim.overload_seconds, 0);
+  EXPECT_GT(one.rows[0].sim.penalty_lost_capacity, 0.0);
+  EXPECT_GT(one.rows[0].sim.preemptions, 0);
   ASSERT_EQ(one.rows[0].apps.size(), 2u);
   EXPECT_EQ(one.rows[0].apps[0].preempted_seconds, 0);
   EXPECT_GT(one.rows[0].apps[1].preempted_seconds, 0);
@@ -824,9 +827,9 @@ depart = 3600
 )");
   const SweepReport one = run_sweep(spec, SweepOptions{.threads = 1});
   ASSERT_EQ(one.rows.size(), 1u);
-  EXPECT_TRUE(one.rows[0].churn_enabled);
-  EXPECT_EQ(one.rows[0].arrivals, 1);
-  EXPECT_GE(one.rows[0].departures, 1);
+  EXPECT_TRUE(configured_channels(one.rows[0].spec).churn);
+  EXPECT_EQ(one.rows[0].sim.arrivals, 1);
+  EXPECT_GE(one.rows[0].sim.departures, 1);
   ASSERT_EQ(one.rows[0].apps.size(), 3u);
   EXPECT_EQ(one.rows[0].apps[1].active_seconds, 3600);
   EXPECT_LT(one.rows[0].apps[2].active_seconds, 7200);
@@ -864,7 +867,7 @@ trace.rate = 200
 trace.duration = 1200
 )");
   const SweepReport plain = run_sweep(spec, SweepOptions{.threads = 1});
-  EXPECT_FALSE(plain.rows[0].churn_enabled);
+  EXPECT_FALSE(configured_channels(plain.rows[0].spec).churn);
   EXPECT_EQ(plain.to_csv().find("arrivals"), std::string::npos);
   EXPECT_EQ(plain.to_csv().find("active_seconds"), std::string::npos);
   // An explicit arrive = 0 / depart = -1 pair is the always-active
@@ -874,6 +877,143 @@ trace.duration = 1200
   defaults.apps[1].depart = -1;
   const SweepReport same = run_sweep(defaults, SweepOptions{.threads = 1});
   EXPECT_EQ(plain.to_csv(), same.to_csv());
+}
+
+/// A CSV split into lines of comma-separated cells (no quoting: the
+/// names in these specs contain no commas).
+std::vector<std::vector<std::string>> csv_cells(const std::string& csv) {
+  std::vector<std::vector<std::string>> lines;
+  std::istringstream in(csv);
+  for (std::string line; std::getline(in, line);) {
+    std::vector<std::string> cells{""};
+    for (const char c : line) {
+      if (c == ',')
+        cells.emplace_back();
+      else
+        cells.back() += c;
+    }
+    lines.push_back(std::move(cells));
+  }
+  return lines;
+}
+
+TEST(RunSweep, EveryColumnGroupIsPinnedAndShortRowsArePadded) {
+  // Every gated group configured at once: faults, rack groups, SLO,
+  // degrade, two priority classes and churn. The churn.max axis gives one
+  // row 3 tenants and the other 4, so the 3-tenant row pads its missing
+  // app3 group with blanks. Column order: scenario, axes, the cluster
+  // table, then the per-app table once per app slot.
+  const ScenarioSpec spec = parse_scenario(R"(name = everything
+seed = 7
+faults.mtbf = 7200
+faults.mttr = 600
+faults.groups = 2
+faults.group_mtbf = 7200
+faults.group_mttr = 1200
+faults.crews = 1
+faults.seed = 5
+slo.window = 3600
+degrade.overload_factor = 0.5
+degrade.penalty = 0.4
+churn.interarrival = 600
+churn.lifetime = 1800
+churn.template = 1
+sweep churn.max = 1,2
+[app]
+name = web
+trace = constant
+trace.rate = 900
+trace.duration = 7200
+priority = 2
+slo.availability = 0.999
+[app]
+name = batch
+trace = constant
+trace.rate = 400
+trace.duration = 7200
+)");
+  const SweepReport one = run_sweep(spec, SweepOptions{.threads = 1});
+  ASSERT_EQ(one.rows.size(), 2u);
+  EXPECT_EQ(one.rows[0].apps.size(), 3u);
+  EXPECT_EQ(one.rows[1].apps.size(), 4u);
+
+  const std::string csv = one.to_csv();
+  std::string app_groups;
+  for (int i = 0; i < 4; ++i) {
+    const std::string p = ",app" + std::to_string(i) + "_";
+    for (const char* column :
+         {"name", "compute_energy_j", "reconfiguration_energy_j",
+          "qos_violation_s", "served_fraction", "availability",
+          "lost_capacity_req_s", "spare_seconds", "spare_energy_j",
+          "overload_seconds", "penalty_lost_req_s", "preempted_seconds",
+          "active_seconds"})
+      app_groups += p + column;
+  }
+  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+            "scenario,churn.max,scheduler_name,total_energy_j,"
+            "compute_energy_j,reconfiguration_energy_j,reconfigurations,"
+            "qos_violation_s,served_fraction,mean_power_w,peak_machines,"
+            "machine_failures,availability,lost_capacity_req_s,"
+            "group_strikes,spare_seconds,spare_energy_j,overload_seconds,"
+            "penalty_lost_req_s,preemptions,arrivals,departures" +
+                app_groups);
+
+  const auto lines = csv_cells(csv);
+  ASSERT_EQ(lines.size(), 3u);
+  for (const std::vector<std::string>& cells : lines)
+    ASSERT_EQ(cells.size(), 74u);
+  // The 3-tenant row: app2 is the one clone, app3 is all blanks.
+  EXPECT_EQ(lines[1][20], "1");  // arrivals
+  EXPECT_EQ(lines[1][48], "batch+c0");
+  for (std::size_t c = 61; c < 74; ++c) EXPECT_EQ(lines[1][c], "") << c;
+  EXPECT_EQ(lines[2][20], "2");
+  EXPECT_EQ(lines[2][61], "batch+c1");
+
+  const SweepReport four = run_sweep(spec, SweepOptions{.threads = 4});
+  EXPECT_EQ(csv, four.to_csv());
+}
+
+TEST(RunSweep, ChurnColumnsGateOnConfigurationNotArrivals) {
+  // Churn rates are set, but the first clone would arrive far past the
+  // horizon: no tenant ever arrives, yet the churn columns appear (with
+  // zero arrivals) because the gate is the configuration, not the outcome.
+  const ScenarioSpec spec = parse_scenario(R"(name = late
+churn.interarrival = 1e12
+churn.lifetime = 1800
+[app]
+name = web
+trace = constant
+trace.rate = 900
+trace.duration = 3600
+[app]
+name = batch
+trace = constant
+trace.rate = 400
+trace.duration = 3600
+)");
+  const SweepReport report = run_sweep(spec, SweepOptions{.threads = 1});
+  ASSERT_EQ(report.rows.size(), 1u);
+  EXPECT_EQ(report.rows[0].sim.arrivals, 0);
+  EXPECT_EQ(report.rows[0].apps.size(), 2u);
+  EXPECT_TRUE(configured_channels(report.rows[0].spec).churn);
+
+  const auto lines = csv_cells(report.to_csv());
+  ASSERT_EQ(lines.size(), 2u);
+  const std::vector<std::string> expected_header{
+      "scenario", "scheduler_name", "total_energy_j", "compute_energy_j",
+      "reconfiguration_energy_j", "reconfigurations", "qos_violation_s",
+      "served_fraction", "mean_power_w", "peak_machines", "arrivals",
+      "departures", "app0_name", "app0_compute_energy_j",
+      "app0_reconfiguration_energy_j", "app0_qos_violation_s",
+      "app0_served_fraction", "app0_active_seconds", "app1_name",
+      "app1_compute_energy_j", "app1_reconfiguration_energy_j",
+      "app1_qos_violation_s", "app1_served_fraction", "app1_active_seconds"};
+  EXPECT_EQ(lines[0], expected_header);
+  ASSERT_EQ(lines[1].size(), expected_header.size());
+  EXPECT_EQ(lines[1][10], "0");     // arrivals
+  EXPECT_EQ(lines[1][11], "0");     // departures
+  EXPECT_EQ(lines[1][17], "3600");  // app0_active_seconds
+  EXPECT_EQ(lines[1][23], "3600");  // app1_active_seconds
 }
 
 TEST(RunSweep, DegradeAndPriorityAxesKeepTheSharedBuild) {
@@ -899,12 +1039,12 @@ trace.duration = 7200
   const SweepReport report = run_sweep(spec, SweepOptions{.threads = 2});
   EXPECT_EQ(CombinationTable::built_count() - before, 1u);
   ASSERT_EQ(report.rows.size(), 4u);
-  EXPECT_FALSE(report.rows[0].degrade_enabled);
-  EXPECT_FALSE(report.rows[0].priority_enabled);
-  EXPECT_TRUE(report.rows[1].priority_enabled);
-  EXPECT_TRUE(report.rows[2].degrade_enabled);
-  EXPECT_TRUE(report.rows[3].degrade_enabled);
-  EXPECT_TRUE(report.rows[3].priority_enabled);
+  EXPECT_FALSE(configured_channels(report.rows[0].spec).degrade);
+  EXPECT_FALSE(configured_channels(report.rows[0].spec).priority);
+  EXPECT_TRUE(configured_channels(report.rows[1].spec).priority);
+  EXPECT_TRUE(configured_channels(report.rows[2].spec).degrade);
+  EXPECT_TRUE(configured_channels(report.rows[3].spec).degrade);
+  EXPECT_TRUE(configured_channels(report.rows[3].spec).priority);
 }
 
 TEST(RunSweep, SloAxesKeepTheSharedBuild) {
@@ -925,16 +1065,16 @@ TEST(RunSweep, SloAxesKeepTheSharedBuild) {
   const SweepReport report = run_sweep(spec, SweepOptions{.threads = 2});
   EXPECT_EQ(CombinationTable::built_count() - before, 1u);
   ASSERT_EQ(report.rows.size(), 2u);
-  EXPECT_FALSE(report.rows[0].slo_enabled);
-  EXPECT_TRUE(report.rows[1].slo_enabled);
-  EXPECT_EQ(report.rows[0].spare_seconds, 0);
-  EXPECT_GT(report.rows[1].spare_seconds, 0);
+  EXPECT_FALSE(configured_channels(report.rows[0].spec).slo);
+  EXPECT_TRUE(configured_channels(report.rows[1].spec).slo);
+  EXPECT_EQ(report.rows[0].sim.spare_seconds, 0);
+  EXPECT_GT(report.rows[1].sim.spare_seconds, 0);
   // The strike *timeline* is state-independent, but whether a strike
   // fells anything is not: provisioned spares can turn a strike on an
   // otherwise-empty stripe into a landed one, so the landed counts may
   // legitimately differ between the rows. Both rows see landed strikes.
-  EXPECT_GT(report.rows[0].group_strikes, 0);
-  EXPECT_GT(report.rows[1].group_strikes, 0);
+  EXPECT_GT(report.rows[0].sim.group_strikes, 0);
+  EXPECT_GT(report.rows[1].sim.group_strikes, 0);
 }
 
 TEST(Registry, UnknownComponentsListAlternatives) {
@@ -1132,22 +1272,24 @@ TEST(RunSweep, RowsCarryAxisValuesAndMetrics) {
   spec.sweeps.push_back(SweepAxis{"scheduler", {"bml", "static-max"}});
   SweepOptions options;
   options.threads = 2;
-  options.keep_results = true;
   const SweepReport report = run_sweep(spec, options);
 
   ASSERT_EQ(report.rows.size(), 2u);
-  ASSERT_EQ(report.results.size(), 2u);
   EXPECT_EQ(report.axis_keys, std::vector<std::string>{"scheduler"});
   const SweepRow& bml_row = report.rows[0];
+  EXPECT_EQ(bml_row.spec.name, "mini[scheduler=bml]");
   EXPECT_EQ(bml_row.axis_values, std::vector<std::string>{"bml"});
-  EXPECT_EQ(bml_row.scheduler, "bml(oracle-max)");
-  EXPECT_GT(bml_row.total_energy, 0.0);
-  EXPECT_DOUBLE_EQ(bml_row.total_energy,
-                   bml_row.compute_energy + bml_row.reconfiguration_energy);
-  EXPECT_DOUBLE_EQ(bml_row.mean_power, bml_row.total_energy / 1200.0);
-  EXPECT_GT(bml_row.peak_machines, 0u);
+  EXPECT_EQ(bml_row.sim.scheduler_name, "bml(oracle-max)");
+  EXPECT_GT(bml_row.sim.total_energy(), 0.0);
+  EXPECT_DOUBLE_EQ(bml_row.mean_power(), bml_row.sim.total_energy() / 1200.0);
+  EXPECT_GT(bml_row.sim.peak_machines, 0u);
+  // Rows carry the whole result, per-day series and app slices included.
+  ASSERT_EQ(bml_row.apps.size(), 1u);
+  EXPECT_DOUBLE_EQ(bml_row.apps[0].compute_energy, bml_row.sim.compute_energy);
+  ASSERT_EQ(bml_row.sim.per_day_compute.size(), 1u);
+  EXPECT_DOUBLE_EQ(bml_row.sim.per_day_compute[0], bml_row.sim.compute_energy);
   // The always-on Big fleet burns more than BML at 400 req/s.
-  EXPECT_GT(report.rows[1].total_energy, bml_row.total_energy);
+  EXPECT_GT(report.rows[1].sim.total_energy(), bml_row.sim.total_energy());
   // Console summary renders one line per scenario.
   const std::string table = report.summary_table();
   EXPECT_NE(table.find("mini[scheduler=bml]"), std::string::npos);
@@ -1202,11 +1344,11 @@ TEST(RunSweep, NonBuildAxesShareOneBuild) {
   ASSERT_EQ(points.size(), report.rows.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const ScenarioResult solo = run_scenario(points[i]);
-    EXPECT_EQ(report.rows[i].scenario, solo.spec.name);
-    EXPECT_DOUBLE_EQ(report.rows[i].total_energy, solo.sim.total_energy());
-    EXPECT_DOUBLE_EQ(report.rows[i].compute_energy, solo.sim.compute_energy);
-    EXPECT_EQ(report.rows[i].reconfigurations, solo.sim.reconfigurations);
-    EXPECT_EQ(report.rows[i].qos_violation_seconds,
+    EXPECT_EQ(report.rows[i].spec.name, solo.spec.name);
+    EXPECT_DOUBLE_EQ(report.rows[i].sim.total_energy(), solo.sim.total_energy());
+    EXPECT_DOUBLE_EQ(report.rows[i].sim.compute_energy, solo.sim.compute_energy);
+    EXPECT_EQ(report.rows[i].sim.reconfigurations, solo.sim.reconfigurations);
+    EXPECT_EQ(report.rows[i].sim.qos.violation_seconds,
               solo.sim.qos.violation_seconds);
   }
 }
@@ -1243,7 +1385,7 @@ TEST(RunSweep, TraceAndSeedAxesAlsoBlockSharing) {
   // build must not be shared.
   EXPECT_EQ(CombinationTable::built_count() - before, 2u);
   // Different seeds really did produce different workloads.
-  EXPECT_NE(report.rows[0].total_energy, report.rows[1].total_energy);
+  EXPECT_NE(report.rows[0].sim.total_energy(), report.rows[1].sim.total_energy());
 }
 
 TEST(RunSweep, UnresolvableSpecThrows) {

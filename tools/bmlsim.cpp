@@ -107,75 +107,68 @@ int cmd_run(const std::string& path, const std::string& csv_path,
   }
   SweepOptions options;
   options.threads = 1;
-  options.keep_results = true;
   const SweepReport report = run_sweep(base, options);
   std::fputs(report.summary_table().c_str(), stdout);
 
-  const SimulationResult& sim = report.results.front().sim;
+  const SweepRow& row = report.rows.front();
+  const SimulationResult& sim = row.sim;
+  const ConfiguredChannels on = configured_channels(row.spec);
   std::printf("\nscheduler %s: %.3f kWh compute + %.3f kWh reconfiguration "
               "over %d reconfigurations\n",
               sim.scheduler_name.c_str(), joules_to_kwh(sim.compute_energy),
               joules_to_kwh(sim.reconfiguration_energy), sim.reconfigurations);
-  const bool grouped = spec.fault_groups > 0 && spec.fault_group_mtbf > 0.0;
-  const bool faulty = spec.fault_mtbf > 0.0 || grouped;
-  if (faulty) {
+  if (on.faults) {
     std::printf("faults: %d machine failures, availability %.4f%%, "
                 "%.0f req-s capacity lost\n",
                 sim.machine_failures, 100.0 * sim.availability,
                 sim.lost_capacity);
-    if (grouped)
+    if (on.groups)
       std::printf("  %d rack strikes across %d groups (%s repair crews)\n",
                   sim.group_strikes, spec.fault_groups,
                   spec.fault_crews > 0 ? std::to_string(spec.fault_crews).c_str()
                                        : "unlimited");
   }
-  bool slo = spec.apps.empty() && spec.slo_availability > 0.0;
-  for (const AppSpec& app : spec.apps)
-    if (app.slo_availability > 0.0) slo = true;
-  if (slo)
+  if (on.slo)
     std::printf("slo: %lld s with spares provisioned, %.3f kWh spare energy "
                 "(%.0f s window)\n",
                 static_cast<long long>(sim.spare_seconds),
                 joules_to_kwh(sim.spare_energy), spec.slo_window);
-  const bool degraded = spec.degrade_overload_factor > 0.0;
-  if (degraded)
+  if (on.degrade)
     std::printf("degrade: %lld s overloaded, %.0f req-s lost to the "
                 "contention penalty (factor %.2f, penalty %.2f)\n",
                 static_cast<long long>(sim.overload_seconds),
                 sim.penalty_lost_capacity, spec.degrade_overload_factor,
                 spec.degrade_penalty);
-  if (sim.preemptions > 0)
+  if (on.priority)
     std::printf("priority: %d preemptions backfilled high-priority apps "
                 "after strikes\n",
                 sim.preemptions);
-  const std::vector<WorkloadResult>& apps = report.results.front().apps;
-  if (apps.size() >= 2) {
+  if (row.apps.size() >= 2) {
     std::vector<std::string> columns{"app",           "scheduler",
                                      "compute (kWh)", "reconfig (kWh)",
                                      "QoS viol (s)",  "served %"};
-    if (faulty) {
+    if (on.faults) {
       columns.push_back("avail %");
       columns.push_back("failures");
     }
-    if (slo) columns.push_back("spare (s)");
-    if (degraded) columns.push_back("overload (s)");
-    if (sim.preemptions > 0) columns.push_back("preempted (s)");
+    if (on.slo) columns.push_back("spare (s)");
+    if (on.degrade) columns.push_back("overload (s)");
+    if (on.priority) columns.push_back("preempted (s)");
     AsciiTable per_app(columns);
-    for (const WorkloadResult& app : apps) {
+    for (const WorkloadResult& app : row.apps) {
       std::vector<std::string> cells{
           app.name, app.scheduler_name,
           AsciiTable::num(joules_to_kwh(app.compute_energy), 3),
           AsciiTable::num(joules_to_kwh(app.reconfiguration_energy), 3),
           std::to_string(app.qos_stats.violation_seconds),
           AsciiTable::num(100.0 * app.qos_stats.served_fraction(), 3)};
-      if (faulty) {
+      if (on.faults) {
         cells.push_back(AsciiTable::num(100.0 * app.availability, 4));
         cells.push_back(std::to_string(app.failures));
       }
-      if (slo) cells.push_back(std::to_string(app.spare_seconds));
-      if (degraded) cells.push_back(std::to_string(app.overload_seconds));
-      if (sim.preemptions > 0)
-        cells.push_back(std::to_string(app.preempted_seconds));
+      if (on.slo) cells.push_back(std::to_string(app.spare_seconds));
+      if (on.degrade) cells.push_back(std::to_string(app.overload_seconds));
+      if (on.priority) cells.push_back(std::to_string(app.preempted_seconds));
       per_app.add_row(cells);
     }
     std::fputs(per_app.render().c_str(), stdout);
