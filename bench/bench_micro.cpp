@@ -235,9 +235,9 @@ BENCHMARK(BM_MultiAppSimulatorDay)->Unit(benchmark::kMillisecond);
 
 // One simulated day across a 1,000-app colocated fleet stamped out of
 // four tenant archetypes, replicas sharing one trace + compiled form per
-// archetype exactly as the scenario engine's `replicas` dedup does. This
-// is the regime of the fused k-way merge and the fleet-mode consult
-// cache (k >= 4); items_per_second counts app-trace-seconds
+// archetype exactly as the scenario engine's `replicas` dedup does: the
+// widest fused k-way merge and the most consult-cache entries of the
+// suite; items_per_second counts app-trace-seconds
 // (1000 x 86400 per iteration).
 void BM_FleetScaleDay(benchmark::State& state) {
   auto d = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));

@@ -42,7 +42,7 @@ struct BmlDesignOptions {
   /// Per-architecture machine limits in *input catalog order*; empty means
   /// unlimited ("we consider that enough machines of each type are
   /// available"). Caps on removed architectures are ignored.
-  std::vector<int> inventory_caps;
+  std::vector<int> inventory_caps{};
   /// Materialise the dense rate table (recommended; O(max_rate) memory).
   bool build_table = true;
 };

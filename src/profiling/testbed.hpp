@@ -15,11 +15,14 @@
 #include <string>
 
 #include "arch/profile.hpp"
-#include "sim/machine.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace bml {
+
+/// Power state of a testbed machine; boots and shutdowns take the
+/// profile's transition durations.
+enum class MachineState { kOff, kBooting, kOn, kShuttingDown };
 
 /// Ground truth describing one machine type under the target application.
 struct MachineSpec {

@@ -166,7 +166,10 @@ std::vector<AppSpec> effective_apps(const ScenarioSpec& spec) {
     for (int r = 0; r < app.replicas; ++r) {
       AppSpec copy = app;
       copy.replicas = 1;
-      if (!copy.name.empty()) copy.name += "-" + std::to_string(r);
+      if (!copy.name.empty()) {
+        copy.name += '-';
+        copy.name += std::to_string(r);
+      }
       out.push_back(std::move(copy));
     }
   }

@@ -25,10 +25,6 @@ CoordinatorMode parse_coordinator_mode(const std::string& name) {
 }
 
 Coordinator::Coordinator(const Catalog& candidates, CoordinatorMode mode,
-                         std::vector<double> shares, ReqRate budget)
-    : Coordinator(candidates, mode, std::move(shares), budget, {}) {}
-
-Coordinator::Coordinator(const Catalog& candidates, CoordinatorMode mode,
                          std::vector<double> shares, ReqRate budget,
                          std::vector<int> priorities)
     : candidates_(&candidates),
@@ -79,12 +75,6 @@ void Coordinator::set_active(const std::vector<char>& active) {
   share_total_ = 0.0;
   for (std::size_t i = 0; i < shares_.size(); ++i)
     if (active[i]) share_total_ += shares_[i];
-}
-
-Combination Coordinator::merge(const std::vector<Combination>& proposals,
-                               std::vector<Combination>& contributions) const {
-  static const std::vector<Combination> kNoSpares;
-  return merge(proposals, kNoSpares, contributions);
 }
 
 Combination Coordinator::merge(const std::vector<Combination>& proposals,

@@ -61,31 +61,23 @@ class Coordinator {
   /// `shares` are the per-app weights (one per workload, all > 0; only
   /// consulted in partitioned mode). `budget` is the total cluster
   /// capacity (req/s) partitioned among the apps; <= 0 disables the clamp
-  /// (partitioned degenerates to sum).
-  Coordinator(const Catalog& candidates, CoordinatorMode mode,
-              std::vector<double> shares, ReqRate budget);
-
-  /// As above with per-app priority classes (same length as `shares`;
-  /// empty = all zero). Priorities only matter in partitioned mode with a
-  /// budget, and only when at least two differ — see the header comment.
+  /// (partitioned degenerates to sum). `priorities` are the per-app
+  /// priority classes (same length as `shares`; empty = all zero).
+  /// Priorities only matter in partitioned mode with a budget, and only
+  /// when at least two differ — see the header comment.
   Coordinator(const Catalog& candidates, CoordinatorMode mode,
               std::vector<double> shares, ReqRate budget,
-              std::vector<int> priorities);
+              std::vector<int> priorities = {});
 
   /// Merges one proposal per app (width <= candidate count; resized
   /// internally) into the cluster-wide target. `contributions` receives
   /// each app's post-clamp combination — the slice of the merged fleet
   /// attributed to that app (reconfiguration-energy attribution keys off
-  /// these).
-  [[nodiscard]] Combination merge(const std::vector<Combination>& proposals,
-                                  std::vector<Combination>& contributions) const;
-
-  /// As above with SLO spare capacity: `spares` (same length as
-  /// `proposals`, possibly empty combinations) is added to each app's
+  /// these). `spares` is the SLO spare capacity: empty (no SLO loop), or
+  /// one possibly empty combination per proposal, added to each app's
   /// contribution *after* the partitioned clamp — spares are emergency
   /// headroom the availability feedback loop provisions, deliberately
-  /// exempt from the steady-state capacity budget. With all spares empty
-  /// this is exactly merge(proposals, contributions).
+  /// exempt from the steady-state capacity budget.
   [[nodiscard]] Combination merge(const std::vector<Combination>& proposals,
                                   const std::vector<Combination>& spares,
                                   std::vector<Combination>& contributions) const;

@@ -92,16 +92,6 @@ MultiSimulationResult Simulator::run_views(
 
 namespace {
 
-/// App count at which the event-driven path switches into fleet mode:
-/// scheduler consults are cached across spans (skipping decide() while a
-/// cached decision_stable_until is in the future). The threshold keeps the
-/// small-k paths — which every existing example spec exercises — on the
-/// exact consult cadence of the per-second reference, so their outputs
-/// stay bit-for-bit unchanged; fleet mode trades extra span boundaries
-/// (cached bounds are conservative) for O(changed apps) consult work,
-/// staying inside the 1e-9 equivalence contract.
-constexpr std::size_t kFleetModeApps = 4;
-
 /// Reconfiguration bookkeeping shared by both execution strategies; the
 /// helpers below are the single copy of the decision and settle logic, so
 /// the per-second reference and the event-driven fast path cannot drift
@@ -216,14 +206,15 @@ struct Run {
   /// Decision-point snapshot buffer: refreshed via Cluster::snapshot_into
   /// so fleet-scale runs do not allocate four vectors per consult.
   ClusterSnapshot snap;
-  /// Fleet-mode consult cache (event-driven path, >= kFleetModeApps apps):
-  /// each app's cached decision_stable_until; entries <= now force a real
-  /// decide(). Invalidated wholesale whenever the cluster changes
-  /// underneath the schedulers (reconfigurations, transition completions,
-  /// fault events) — the Scheduler::decision_stable_until contract only
-  /// holds while the cluster is untouched.
+  /// Consult cache: each app's cached decision_stable_until; entries <= now
+  /// force a real decide(). Only the event-driven path fills it (after the
+  /// merge, while no reconfiguration is in flight), so the per-second
+  /// reference consults every active app every second. Invalidated
+  /// wholesale whenever the cluster changes underneath the schedulers
+  /// (reconfigurations, transition completions, fault events) — the
+  /// Scheduler::decision_stable_until contract only holds while the
+  /// cluster is untouched.
   std::vector<TimePoint> consult_until;
-  bool fleet_mode = false;
   FleetPowerCurve power_curve;
   /// Runtime crash/repair state; disengaged unless the fault model's
   /// runtime channel is active.
@@ -277,13 +268,15 @@ struct Run {
   std::vector<Combination> preempted;
   std::vector<Combination> preempted_scratch;
   std::vector<std::int64_t> app_preempted_seconds;
-  /// Tenant-lifecycle state (any view with arrive > 0 or depart >= 0):
-  /// the current active mask, the pre-sorted arrival/departure timeline
-  /// (consumed front to back — events bound fast-path spans exactly like
-  /// faults, so the active set is constant inside one), and the per-app
-  /// active-seconds integrals. `lifecycle_dirty` forces a merge at the
-  /// next consult so churn re-partitions capacity through the normal
-  /// decision path; fixed-tenant runs leave all of this disengaged.
+  /// Tenant-lifecycle state: the current active mask, the pre-sorted
+  /// arrival/departure timeline (consumed front to back — events bound
+  /// fast-path spans exactly like faults, so the active set is constant
+  /// inside one), and the per-app active-seconds integrals.
+  /// `lifecycle_dirty` forces a merge at the next consult so churn
+  /// re-partitions capacity through the normal decision path. A fixed
+  /// tenant set is this model with every app active and no events;
+  /// `lifecycle_enabled` (any view with arrive > 0 or depart >= 0) only
+  /// routes fixed single-app runs through the fused walk of advance_span.
   bool lifecycle_enabled = false;
   std::vector<char> active;
   std::size_t active_count = 0;
@@ -304,21 +297,13 @@ void update_transition_shares(const Catalog& candidates, Run& run) {
   double total = 0.0;
   for (const Combination& c : run.contributions)
     total += capacity(candidates, c);
-  if (run.lifecycle_enabled && total <= 0.0) {
-    // Equal split makes no sense over departed tenants: spread the
-    // (attribution-only) weight over the active set instead.
-    for (std::size_t i = 0; i < run.contributions.size(); ++i)
-      run.transition_shares[i] =
-          run.active[i] && run.active_count > 0
-              ? 1.0 / static_cast<double>(run.active_count)
-              : 0.0;
-    return;
-  }
-  const auto n = static_cast<double>(run.contributions.size());
+  // With nothing provisioned the (attribution-only) weight splits equally
+  // over the tenants present.
   for (std::size_t i = 0; i < run.contributions.size(); ++i)
     run.transition_shares[i] =
         total > 0.0 ? capacity(candidates, run.contributions[i]) / total
-                    : 1.0 / n;
+        : run.active[i] ? 1.0 / static_cast<double>(run.active_count)
+                        : 0.0;
 }
 
 /// Trailing-window downtime of domain `d` over [t - window, t), assuming
@@ -361,7 +346,7 @@ void current_spare_flags(Run& run, TimePoint t, std::vector<char>& flags) {
     if (run.slo_budget[i] < 0.0) continue;
     // A departed (or not-yet-arrived) tenant's flag is pinned clear: no
     // spares are held for apps that are not serving.
-    if (run.lifecycle_enabled && !run.active[i]) continue;
+    if (!run.active[i]) continue;
     const std::size_t d = fr.domain_of[i];
     flags[i] = static_cast<double>(window_unavailable(
                    fr, d, t, run.slo_window)) > run.slo_budget[i];
@@ -381,7 +366,7 @@ TimePoint next_slo_crossing(const Run& run, TimePoint t, TimePoint limit) {
     const double budget = run.slo_budget[i];
     if (budget < 0.0) continue;
     // Inactive tenants' flags are pinned clear, so they cannot cross.
-    if (run.lifecycle_enabled && !run.active[i]) continue;
+    if (!run.active[i]) continue;
     const std::size_t d = fr.domain_of[i];
     // A clean window stays clean: no downtime can enter it inside a span.
     if (fr.down_since[d] < 0 && fr.outages[d].empty()) continue;
@@ -424,15 +409,6 @@ Watts idle_power_of(const Catalog& candidates, const Combination& c) {
   for (std::size_t a = 0; a < candidates.size(); ++a)
     w += candidates[a].idle_power() * c.count(a);
   return w;
-}
-
-/// The coordinator merge both decision sites share: the proposals plus
-/// the currently provisioned SLO spares (none when the loop is off).
-Combination merge_current(Run& run) {
-  return run.slo_enabled
-             ? run.coordinator.merge(run.proposals, run.spares,
-                                     run.contributions_scratch)
-             : run.coordinator.merge(run.proposals, run.contributions_scratch);
 }
 
 /// Accrues the provisioned spares' idle energy and active seconds over a
@@ -548,7 +524,7 @@ bool apply_lifecycle_events(const std::vector<WorkloadView>& views,
       c.resize(candidates.size());
       run.proposals[i] = std::move(c);
       // Force a real consult for the newcomer at the next decision point.
-      if (run.fleet_mode) run.consult_until[i] = -1;
+      run.consult_until[i] = -1;
       ++run.result.arrivals;
       changed = true;
       if (events)
@@ -594,14 +570,11 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
     if (v.arrive > 0 || v.depart >= 0) lifecycle = true;
   }
   Coordinator coordinator(candidates, options.coordinator, std::move(shares),
-                          options.coordinator_budget, priorities);
-  std::vector<char> active;
-  if (lifecycle) {
-    active.assign(views.size(), 1);
-    for (std::size_t i = 0; i < views.size(); ++i)
-      if (views[i].arrive > 0) active[i] = 0;
-    coordinator.set_active(active);
-  }
+                          options.coordinator_budget, std::move(priorities));
+  std::vector<char> active(views.size(), 1);
+  for (std::size_t i = 0; i < views.size(); ++i)
+    if (views[i].arrive > 0) active[i] = 0;
+  coordinator.set_active(active);
 
   std::vector<Combination> proposals;
   proposals.reserve(views.size());
@@ -614,7 +587,7 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
     proposals.push_back(std::move(c));
   }
   std::vector<Combination> contributions;
-  Combination initial = coordinator.merge(proposals, contributions);
+  Combination initial = coordinator.merge(proposals, {}, contributions);
 
   Run run(Cluster(candidates, initial, options.faults, std::move(plan)),
           std::move(coordinator));
@@ -629,31 +602,27 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
   run.proposals = std::move(proposals);
   run.contributions = std::move(contributions);
   run.lifecycle_enabled = lifecycle;
-  run.active_count = views.size();
-  if (lifecycle) {
-    run.active = std::move(active);
-    run.active_count = 0;
-    for (const char a : run.active)
-      if (a) ++run.active_count;
-    run.app_active_seconds.assign(views.size(), 0);
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (views[i].arrive > 0)
-        run.lifecycle_events.push_back(
-            Run::LifecycleEvent{views[i].arrive, i, false});
-      if (views[i].depart >= 0)
-        run.lifecycle_events.push_back(
-            Run::LifecycleEvent{views[i].depart, i, true});
-    }
-    // Deterministic timeline: by time, arrivals before departures, by app
-    // index within a kind — all events at one instant land in one batch
-    // before any merge, so the order only shapes the event log.
-    std::sort(run.lifecycle_events.begin(), run.lifecycle_events.end(),
-              [](const Run::LifecycleEvent& a, const Run::LifecycleEvent& b) {
-                if (a.time != b.time) return a.time < b.time;
-                if (a.departure != b.departure) return !a.departure;
-                return a.app < b.app;
-              });
+  run.active = std::move(active);
+  run.active_count = static_cast<std::size_t>(
+      std::count(run.active.begin(), run.active.end(), 1));
+  run.app_active_seconds.assign(views.size(), 0);
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    if (views[i].arrive > 0)
+      run.lifecycle_events.push_back(
+          Run::LifecycleEvent{views[i].arrive, i, false});
+    if (views[i].depart >= 0)
+      run.lifecycle_events.push_back(
+          Run::LifecycleEvent{views[i].depart, i, true});
   }
+  // Deterministic timeline: by time, arrivals before departures, by app
+  // index within a kind — all events at one instant land in one batch
+  // before any merge, so the order only shapes the event log.
+  std::sort(run.lifecycle_events.begin(), run.lifecycle_events.end(),
+            [](const Run::LifecycleEvent& a, const Run::LifecycleEvent& b) {
+              if (a.time != b.time) return a.time < b.time;
+              if (a.departure != b.departure) return !a.departure;
+              return a.app < b.app;
+            });
   run.transition_shares.assign(views.size(), 0.0);
   update_transition_shares(candidates, run);
   run.app_meters.assign(views.size(), EnergyMeter(1.0));
@@ -661,7 +630,6 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
   run.loads.assign(views.size(), 0.0);
   run.alloc.assign(views.size(), 0.0);
   run.run_ends.assign(views.size(), 0);
-  run.fleet_mode = views.size() >= kFleetModeApps;
   run.consult_until.assign(views.size(), -1);
   run.slo_budget.assign(views.size(), -1.0);
   for (std::size_t i = 0; i < views.size(); ++i) {
@@ -823,8 +791,7 @@ void finalize_run(Run& run, const std::vector<WorkloadView>& views,
     }
     if (run.priority_enabled)
       app.preempted_seconds = run.app_preempted_seconds[i];
-    app.active_seconds = run.lifecycle_enabled ? run.app_active_seconds[i]
-                                               : app.qos_stats.total_seconds;
+    app.active_seconds = run.app_active_seconds[i];
   }
 }
 
@@ -867,60 +834,39 @@ void apply_decision(Combination decision, TimePoint now,
   state.current_target = std::move(decision);
 }
 
-/// Consults every app's scheduler at `now` and applies the coordinator's
-/// merged decision. A scheduler returning std::nullopt keeps its previous
-/// proposal; when no proposal changed — and no SLO spare flag flipped —
-/// the merged target cannot have changed either and the merge is skipped.
+/// Consults every active app's scheduler at `now` and applies the
+/// coordinator's merged decision. A scheduler returning std::nullopt keeps
+/// its previous proposal; when no proposal changed — and no SLO spare flag
+/// flipped — the merged target cannot have changed either and the merge
+/// is skipped.
 ///
-/// With `use_cache` set (the event-driven fleet path), apps whose cached
-/// decision_stable_until is still in the future are skipped entirely: the
-/// contract guarantees their decision cannot have changed while the
-/// cluster is untouched, and the caller invalidates the cache whenever it
-/// is. The per-second reference never passes `use_cache`, so it stays the
-/// oracle for the cached path.
+/// Apps whose cached decision_stable_until is still in the future are
+/// skipped entirely: the contract guarantees their decision cannot have
+/// changed while the cluster is untouched, and the cache is invalidated
+/// whenever it is. Only the event-driven path fills the cache, so the
+/// per-second reference consults every active app and stays the oracle
+/// for the cached path.
 void consult_and_apply(const std::vector<WorkloadView>& views, TimePoint now,
                        const Catalog& candidates, bool graceful_off, Run& run,
-                       EventLog* events, SimMetrics* metrics,
-                       bool use_cache = false) {
+                       EventLog* events, SimMetrics* metrics) {
   run.cluster.snapshot_into(run.snap);
   const ClusterSnapshot& snap = run.snap;
   bool any_new = false;
-  if (use_cache) {
-    std::uint64_t consults = 0;
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (run.lifecycle_enabled && !run.active[i]) continue;
-      if (run.consult_until[i] > now) continue;
-      ++consults;
-      std::optional<Combination> d =
-          views[i].scheduler->decide(now, *views[i].trace, snap);
-      if (d.has_value()) {
-        d->resize(candidates.size());
-        if (*d != run.proposals[i]) {
-          run.proposals[i] = std::move(*d);
-          any_new = true;
-        }
-      }
-      run.consult_until[i] =
-          views[i].scheduler->decision_stable_until(now, *views[i].trace);
-    }
-    if (metrics) metrics->scheduler_consults += consults;
-  } else {
-    if (metrics)
-      metrics->scheduler_consults +=
-          run.lifecycle_enabled ? run.active_count : views.size();
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (run.lifecycle_enabled && !run.active[i]) continue;
-      std::optional<Combination> d =
-          views[i].scheduler->decide(now, *views[i].trace, snap);
-      if (d.has_value()) {
-        d->resize(candidates.size());
-        if (*d != run.proposals[i]) {
-          run.proposals[i] = std::move(*d);
-          any_new = true;
-        }
+  std::uint64_t consults = 0;
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    if (!run.active[i] || run.consult_until[i] > now) continue;
+    ++consults;
+    std::optional<Combination> d =
+        views[i].scheduler->decide(now, *views[i].trace, snap);
+    if (d.has_value()) {
+      d->resize(candidates.size());
+      if (*d != run.proposals[i]) {
+        run.proposals[i] = std::move(*d);
+        any_new = true;
       }
     }
   }
+  if (metrics) metrics->scheduler_consults += consults;
   bool slo_changed = false;
   if (run.slo_enabled) {
     current_spare_flags(run, now, run.flags_scratch);
@@ -961,7 +907,8 @@ void consult_and_apply(const std::vector<WorkloadView>& views, TimePoint now,
       run.spare_granted[i] = granted ? 1 : 0;
     }
   }
-  Combination merged = merge_current(run);
+  Combination merged = run.coordinator.merge(run.proposals, run.spares,
+                                             run.contributions_scratch);
   run.contributions.swap(run.contributions_scratch);
   update_transition_shares(candidates, run);
   const int reconfigs_before = run.result.reconfigurations;
@@ -976,7 +923,7 @@ void consult_and_apply(const std::vector<WorkloadView>& views, TimePoint now,
         c = Combination{};
         c.resize(candidates.size());
       }
-  if (use_cache && run.result.reconfigurations != reconfigs_before)
+  if (run.result.reconfigurations != reconfigs_before)
     std::fill(run.consult_until.begin(), run.consult_until.end(),
               static_cast<TimePoint>(-1));
 }
@@ -1026,7 +973,8 @@ void restore_after_failure(TimePoint now, const Catalog& candidates,
                            EventLog* events) {
   // The merge includes the spares the last consult provisioned (the flags
   // themselves only change at consult instants, shared by both paths).
-  Combination merged = merge_current(run);
+  Combination merged = run.coordinator.merge(run.proposals, run.spares,
+                                             run.contributions_scratch);
   run.contributions.swap(run.contributions_scratch);
   if (run.priority_enabled && run.faults.has_value()) {
     // Victims: apps with priority strictly below the highest priority
@@ -1036,11 +984,10 @@ void restore_after_failure(TimePoint now, const Catalog& candidates,
     // beyond that predates the failures and is the decision loop's to fix.
     const FaultRun& fr = *run.faults;
     int top = std::numeric_limits<int>::min();
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (run.lifecycle_enabled && !run.active[i]) continue;
-      if (fr.failed_machines[fr.domain_of[i]] > 0 && views[i].priority > top)
+    for (std::size_t i = 0; i < views.size(); ++i)
+      if (run.active[i] && fr.failed_machines[fr.domain_of[i]] > 0 &&
+          views[i].priority > top)
         top = views[i].priority;
-    }
     for (Combination& c : run.preempted_scratch) {
       c = Combination{};
       c.resize(candidates.size());
@@ -1127,7 +1074,7 @@ void restore_after_failure(TimePoint now, const Catalog& candidates,
 /// decision was about to power down is simply dead instead), otherwise
 /// the fleet is restored against the merged target.
 /// Returns true when any event landed (the cluster changed), so the
-/// fleet-mode consult cache can be invalidated.
+/// consult cache can be invalidated.
 bool apply_fault_events(TimePoint now, const Catalog& candidates,
                         const std::vector<WorkloadView>& views, Run& run,
                         EventLog* events) {
@@ -1253,9 +1200,7 @@ ReqRate gather_loads(const std::vector<WorkloadView>& views, TimePoint now,
   for (std::size_t i = 0; i < views.size(); ++i) {
     // Inactive tenants offer exactly 0.0: summing the zero in app order
     // keeps the total bit-identical to a gather over the active subset.
-    run.loads[i] = run.lifecycle_enabled && !run.active[i]
-                       ? 0.0
-                       : views[i].trace->at(now);
+    run.loads[i] = run.active[i] ? views[i].trace->at(now) : 0.0;
     total += run.loads[i];
   }
   return total;
@@ -1270,29 +1215,16 @@ ReqRate gather_loads(const std::vector<WorkloadView>& views, TimePoint now,
 void attribute_span(const std::vector<WorkloadView>& views, Run& run,
                     ReqRate total_load, const ClusterPower& power,
                     TimePoint span, ReqRate capacity) {
-  if (run.lifecycle_enabled) {
-    // Tenant-lifecycle runs attribute over the active subset only:
-    // inactive apps integrate nothing (their loads are pinned to 0.0), and
-    // an idle-cluster equal split spreads over the tenants present.
-    Cluster::split_capacity(run.loads, total_load, capacity, run.alloc);
-    const auto n_active = static_cast<double>(run.active_count);
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (!run.active[i]) continue;
-      run.app_qos[i].record_span(run.loads[i], run.alloc[i], span);
-      const double compute_share =
-          total_load > 0.0 ? run.loads[i] / total_load : 1.0 / n_active;
-      run.app_meters[i].add_span(power.compute * compute_share,
-                                 power.transition * run.transition_shares[i],
-                                 static_cast<std::size_t>(span));
-    }
-    return;
-  }
-  const auto n = static_cast<double>(views.size());
+  // Attribution covers the active subset only: inactive apps integrate
+  // nothing (their loads are pinned to 0.0), and an idle-cluster equal
+  // split spreads over the tenants present.
   Cluster::split_capacity(run.loads, total_load, capacity, run.alloc);
+  const auto n_active = static_cast<double>(run.active_count);
   for (std::size_t i = 0; i < views.size(); ++i) {
+    if (!run.active[i]) continue;
     run.app_qos[i].record_span(run.loads[i], run.alloc[i], span);
     const double compute_share =
-        total_load > 0.0 ? run.loads[i] / total_load : 1.0 / n;
+        total_load > 0.0 ? run.loads[i] / total_load : 1.0 / n_active;
     run.app_meters[i].add_span(power.compute * compute_share,
                                power.transition * run.transition_shares[i],
                                static_cast<std::size_t>(span));
@@ -1423,7 +1355,7 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
     // span end: their cursor is never probed, the 0.0 still sums in app
     // order (bit-identical to the reference gather), and the advance
     // loop below can never re-seat them (run end == span end).
-    if (run.lifecycle_enabled && !run.active[i]) {
+    if (!run.active[i]) {
       run.loads[i] = 0.0;
       run.run_ends[i] = end;
       continue;
@@ -1517,8 +1449,7 @@ MultiSimulationResult Simulator::run_per_second(
 
     // Tenant arrivals and departures land first: the fault engine, the
     // schedulers and the dispatcher all see the post-churn tenant set.
-    if (run.lifecycle_enabled)
-      apply_lifecycle_events(views, now, candidates_, run, events_ptr);
+    apply_lifecycle_events(views, now, candidates_, run, events_ptr);
 
     // Fault events land at the start of the second, before any decision:
     // the scheduler and the dispatcher see the post-failure fleet.
@@ -1532,7 +1463,7 @@ MultiSimulationResult Simulator::run_per_second(
                         events_ptr, metrics);
     if (run.slo_enabled) account_spare_span(run, 1);
     if (run.priority_enabled) account_preemption_span(run, 1);
-    if (run.lifecycle_enabled) account_lifecycle_span(run, 1);
+    account_lifecycle_span(run, 1);
     if (metrics) ++metrics->ticks;
 
     const ReqRate load = gather_loads(views, now, run);
@@ -1643,44 +1574,37 @@ MultiSimulationResult Simulator::run_event_driven(
     //    the active set and the failure set are constant inside one.
     //    Any landed fault event changed the cluster, so cached consults
     //    die.
-    if (run.lifecycle_enabled)
-      apply_lifecycle_events(views, t, candidates_, run, nullptr);
+    apply_lifecycle_events(views, t, candidates_, run, nullptr);
     if (run.faults.has_value() &&
-        apply_fault_events(t, candidates_, views, run, nullptr) &&
-        run.fleet_mode)
+        apply_fault_events(t, candidates_, views, run, nullptr))
       std::fill(run.consult_until.begin(), run.consult_until.end(),
                 static_cast<TimePoint>(-1));
 
-    // 1. Scheduler decisions, exactly as in the reference loop. While no
+    // 1. Scheduler decisions, exactly as in the reference loop, skipping
+    //    apps whose cached bound is still in the future. While no
     //    reconfiguration is in flight the cluster state cannot change, so
     //    the intersection of the schedulers' stability bounds tells us how
     //    long the merged decision (and thus the fleet) stays as it is now.
-    //    Fleet mode reads the bounds straight from the consult cache —
-    //    consult_and_apply just refreshed every expired entry, and reusing
-    //    an unexpired (conservative) bound only ends spans early, which
-    //    splits integrals without changing any per-second value.
+    //    Only the apps just consulted get a fresh bound, and only once the
+    //    merge started no reconfiguration (one that did would invalidate
+    //    it at once). Reusing an unexpired (conservative) bound only ends
+    //    spans early, which splits integrals without changing any
+    //    per-second value.
     TimePoint stable_until = t + 1;
     if (!run.state.reconfiguring) {
       consult_and_apply(views, t, candidates_, options_.graceful_off, run,
-                        nullptr, metrics, run.fleet_mode);
+                        nullptr, metrics);
       if (!run.state.reconfiguring) {
         // Only active tenants constrain the bound (inactive schedulers
         // are never consulted); with nobody active the span runs to the
-        // next churn event or the trace end. For fixed-tenant runs this
-        // min over every app is exactly the chain it replaces.
+        // next churn event or the trace end.
         stable_until = std::numeric_limits<TimePoint>::max();
-        if (run.fleet_mode) {
-          for (std::size_t i = 0; i < views.size(); ++i) {
-            if (run.lifecycle_enabled && !run.active[i]) continue;
-            stable_until = std::min(stable_until, run.consult_until[i]);
-          }
-        } else {
-          for (std::size_t i = 0; i < views.size(); ++i) {
-            if (run.lifecycle_enabled && !run.active[i]) continue;
-            stable_until = std::min(
-                stable_until,
-                views[i].scheduler->decision_stable_until(t, *views[i].trace));
-          }
+        for (std::size_t i = 0; i < views.size(); ++i) {
+          if (!run.active[i]) continue;
+          if (run.consult_until[i] <= t)
+            run.consult_until[i] =
+                views[i].scheduler->decision_stable_until(t, *views[i].trace);
+          stable_until = std::min(stable_until, run.consult_until[i]);
         }
         if (stable_until == std::numeric_limits<TimePoint>::max())
           stable_until = n;
@@ -1728,8 +1652,7 @@ MultiSimulationResult Simulator::run_event_driven(
     // fault strike: the active set (and with it the gather, attribution
     // and coordinator partition) is constant inside one. Step 0 consumed
     // every event due at or before t, so this is strictly in the future.
-    if (run.lifecycle_enabled &&
-        run.next_lifecycle < run.lifecycle_events.size()) {
+    if (run.next_lifecycle < run.lifecycle_events.size()) {
       const TimePoint churn_at =
           run.lifecycle_events[run.next_lifecycle].time;
       if (churn_at < span_end) {
@@ -1802,14 +1725,14 @@ MultiSimulationResult Simulator::run_event_driven(
     if (run.faults.has_value()) account_fault_span(*run.faults, span);
     if (run.slo_enabled) account_spare_span(run, span);
     if (run.priority_enabled) account_preemption_span(run, span);
-    if (run.lifecycle_enabled) account_lifecycle_span(run, span);
+    account_lifecycle_span(run, span);
     if (run.state.reconfiguring) run.result.reconfiguring_seconds += span;
 
     // 4. Machine transitions progress; completions land exactly at the
     //    end of the span (Cluster::step is exact for multi-second steps).
     //    Anything that touched the cluster this span — a completion or an
     //    in-flight reconfiguration (whose settle below may issue deferred
-    //    offs) — invalidates the fleet-mode consult cache.
+    //    offs) — invalidates the consult cache.
     bool cluster_changed = false;
     if (run.cluster.transitioning())
       cluster_changed = run.cluster.step(static_cast<Seconds>(span)) > 0;
@@ -1818,7 +1741,7 @@ MultiSimulationResult Simulator::run_event_driven(
       settle_reconfiguration(span_end - 1, run.cluster, run.state, nullptr);
       cluster_changed = true;
     }
-    if (cluster_changed && run.fleet_mode)
+    if (cluster_changed)
       std::fill(run.consult_until.begin(), run.consult_until.end(),
                 static_cast<TimePoint>(-1));
 

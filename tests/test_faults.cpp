@@ -1,7 +1,7 @@
 // Tests for fault injection (sim/cluster FaultModel): the boot-path
 // channel (jittered / retried boots) and the runtime crash/repair channel
 // (per-(domain, arch) MTBF/MTTR renewal processes, sim/fault_timeline.hpp)
-// — machine FSM transitions, timeline determinism, self-healing, and the
+// — cluster fail/repair counts, timeline determinism, self-healing, and the
 // availability / lost-capacity accounting.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "predict/predictor.hpp"
 #include "sched/bml_scheduler.hpp"
 #include "sim/fault_timeline.hpp"
-#include "sim/machine.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
 
@@ -112,24 +111,6 @@ TEST(FaultModel, ClusterValidatesRuntimeParameters) {
   FaultModel bad2;
   bad2.mttr = -0.5;
   EXPECT_THROW(Cluster(candidates(), {}, bad2), std::invalid_argument);
-}
-
-TEST(SimMachine, FailAndRepairTransitions) {
-  SimMachine machine(0, MachineState::kOn);
-  machine.fail();
-  EXPECT_EQ(machine.state(), MachineState::kFailed);
-  EXPECT_FALSE(machine.serving());
-  EXPECT_STREQ(to_string(machine.state()), "Failed");
-  // Failed machines draw no transition power and do not advance on step.
-  const ArchitectureProfile& profile = candidates().front();
-  EXPECT_DOUBLE_EQ(machine.transition_power(profile), 0.0);
-  EXPECT_FALSE(machine.step(10.0));
-  EXPECT_EQ(machine.state(), MachineState::kFailed);
-  machine.repair();
-  EXPECT_EQ(machine.state(), MachineState::kOff);
-  // Illegal transitions throw.
-  EXPECT_THROW(machine.fail(), std::logic_error);    // Off machines cannot fail
-  EXPECT_THROW(machine.repair(), std::logic_error);  // nothing to repair
 }
 
 TEST(Cluster, FailOneAndRepairOneKeepCountsInSync) {

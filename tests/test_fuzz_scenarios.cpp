@@ -8,10 +8,10 @@
 // not just the hand-picked ones in test_simulator_fastpath.cpp. The run
 // is seeded and bounded (fixed iteration count, short traces) so it is a
 // deterministic part of the normal test suite, not a soak job; bump
-// kIterations locally to fuzz harder. Half the specs are biased into
-// fleet mode (8-32 effective apps via `replicas`, fault domains shared
-// across apps) so the k >= 4 fused-merge + consult-cache fast path gets
-// fuzzed as hard as the small-k byte-identical one.
+// kIterations locally to fuzz harder. Half the specs are biased to fleet
+// scale (8-32 effective apps via `replicas`, fault domains shared across
+// apps) so the wide fused merge gets fuzzed as hard as the 1-3 app specs;
+// every spec, at any app count, runs the consult cache.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -102,8 +102,7 @@ std::string random_workload(Rng& rng, bool top_level, int shared_domains = 0,
 }
 
 /// Top-level stochastic churn block: seed-deterministic clone arrivals on
-/// top of the declared sections, exercised in both the small-k and the
-/// fleet regime.
+/// top of the declared sections, exercised at both small and fleet scale.
 std::string random_churn(Rng& rng, int sections) {
   std::ostringstream os;
   os << "churn.interarrival = " << rng.uniform_int(600, 2400) << '\n';
@@ -146,11 +145,10 @@ std::string random_spec_text(Rng& rng, int iteration) {
                                                 "0", "0.25", "0.5", "1"})
        << '\n';
   }
-  // Half the specs stay in the small-k regime (<= 3 apps) whose fast
-  // path the byte-identity contract pins; the other half are stamped
-  // into fleet mode (8-32 effective apps via `replicas`, k >= 4) where
-  // the fused k-way merge and the consult cache engage — the regime
-  // where the fast path diverges most from the reference loop.
+  // Half the specs stay small (<= 3 apps, including the fused single-app
+  // walk); the other half are stamped to fleet scale (8-32 effective
+  // apps via `replicas`), where the k-way merge is widest and one strike
+  // in a shared domain hits many apps at once.
   if (rng.chance(0.5)) {
     const int sections = static_cast<int>(rng.uniform_int(4, 8));
     const int domains = static_cast<int>(rng.uniform_int(2, 3));

@@ -1,10 +1,9 @@
 // Cross-module integration tests: application model + schedulers +
-// simulator + load balancer working together as a deployment would.
+// simulator working together as a deployment would.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "app/load_balancer.hpp"
 #include "app/migration.hpp"
 #include "core/bml_design.hpp"
 #include "predict/predictor.hpp"
@@ -69,28 +68,6 @@ TEST(Integration, HeadroomProtectsAgainstUnderPrediction) {
 
   EXPECT_LT(t.qos.served_fraction(), 1.0);
   EXPECT_GT(c.qos.served_fraction(), t.qos.served_fraction());
-}
-
-TEST(Integration, LoadBalancerFollowsSchedulerDecisions) {
-  // Drive a load balancer from the scheduler's targets over a step trace
-  // and verify it always has the capacity the cluster promises.
-  const LoadTrace trace = step_trace({{5.0, 500.0}, {600.0, 500.0}});
-  BmlScheduler scheduler(design(), std::make_shared<OracleMaxPredictor>());
-  LoadBalancer balancer(design()->candidates());
-  (void)balancer.reconfigure(scheduler.initial_combination(trace));
-
-  int instance_actions = 0;
-  for (TimePoint t = 0; t < static_cast<TimePoint>(trace.size()); t += 50) {
-    const auto target = scheduler.decide(t, trace, ClusterSnapshot{});
-    ASSERT_TRUE(target.has_value());
-    if (!(*target == balancer.combination()))
-      instance_actions +=
-          static_cast<int>(balancer.reconfigure(*target).size());
-    const ReqRate load = trace.at(t);
-    if (capacity(design()->candidates(), *target) >= load)
-      EXPECT_DOUBLE_EQ(balancer.route(load), load) << "t=" << t;
-  }
-  EXPECT_GT(instance_actions, 0);
 }
 
 TEST(Integration, MigrationDowntimeIsSmallForStatelessApp) {

@@ -208,7 +208,7 @@ TEST(Coordinator, SumModeIsElementwiseSum) {
                                 0.0);
   std::vector<Combination> contributions;
   const Combination merged = coordinator.merge(
-      {Combination({2, 1}), Combination({0, 3})}, contributions);
+      {Combination({2, 1}), Combination({0, 3})}, {}, contributions);
   Combination expected({2, 4});
   expected.resize(catalog.size());
   EXPECT_EQ(merged, expected);
@@ -228,7 +228,7 @@ TEST(Coordinator, PartitionedClampsToCapacityShares) {
 
   std::vector<Combination> contributions;
   const Combination merged = coordinator.merge(
-      {Combination({3, 0}), Combination({1, 0})}, contributions);
+      {Combination({3, 0}), Combination({1, 0})}, {}, contributions);
   // App 0 asked for 3 Bigs (3x its cap): trimmed largest-first down to 1.
   EXPECT_EQ(contributions[0].count(0), 1);
   EXPECT_EQ(contributions[1].count(0), 1);
@@ -259,13 +259,13 @@ TEST(Coordinator, FinalTrimStepPicksTheSmallestSufficientArch) {
   proposal.add(0, 1);
   proposal.add(little, 1);
   std::vector<Combination> contributions;
-  const Combination merged = coordinator.merge({proposal}, contributions);
+  const Combination merged = coordinator.merge({proposal}, {}, contributions);
   EXPECT_EQ(merged.count(0), 1);
   EXPECT_EQ(merged.count(little), 0);
   EXPECT_DOUBLE_EQ(capacity(catalog, merged), big_perf);
   // Determinism: the same inputs trim identically.
   std::vector<Combination> again;
-  EXPECT_EQ(coordinator.merge({proposal}, again), merged);
+  EXPECT_EQ(coordinator.merge({proposal}, {}, again), merged);
 }
 
 TEST(Coordinator, TrimStillShedsLargestFirstWhileFarOverCap) {
@@ -280,7 +280,7 @@ TEST(Coordinator, TrimStillShedsLargestFirstWhileFarOverCap) {
   proposal.resize(catalog.size());
   proposal.add(0, 3);
   std::vector<Combination> contributions;
-  const Combination merged = coordinator.merge({proposal}, contributions);
+  const Combination merged = coordinator.merge({proposal}, {}, contributions);
   EXPECT_EQ(merged.count(0), 1);
   EXPECT_LE(capacity(catalog, merged), 1.2 * big_perf + 1e-9);
 }
@@ -298,7 +298,7 @@ TEST(Coordinator, NoBudgetDisablesTheClamp) {
                                 {1.0}, 0.0);
   std::vector<Combination> contributions;
   const Combination merged =
-      coordinator.merge({Combination({5, 2})}, contributions);
+      coordinator.merge({Combination({5, 2})}, {}, contributions);
   EXPECT_EQ(merged.count(0), 5);
   EXPECT_EQ(merged.count(1), 2);
 }
@@ -312,7 +312,7 @@ TEST(Coordinator, RejectsBadInputs) {
   const Coordinator coordinator(catalog, CoordinatorMode::kSum, {1.0}, 0.0);
   std::vector<Combination> contributions;
   EXPECT_THROW(
-      (void)coordinator.merge({Combination({1}), Combination({1})},
+      (void)coordinator.merge({Combination({1}), Combination({1})}, {},
                               contributions),
       std::invalid_argument);
 }

@@ -1,11 +1,14 @@
 // Tests for obs/: histogram bucket edges, deterministic registry
-// rendering, the simulator's span-cause accounting, thread-count
-// independence of sweep metrics, CSV byte-identity with observability on
-// or off, and the pinned golden Chrome trace-event export.
+// rendering, the simulator's span-cause accounting and consult counts,
+// thread-count independence of sweep metrics, CSV byte-identity with
+// observability on or off, and the pinned golden Chrome trace-event
+// export.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -172,8 +175,67 @@ TEST(SimMetrics, MetricsCollectionDoesNotChangeResults) {
   EXPECT_FALSE(a.sim.metrics.enabled);
 }
 
-// Four effective apps (3 replicas + 1) put the event-driven path in
-// fleet mode: the fused k-way merge and the consult cache are active.
+// A quiet 3-day run of `apps` tenants (800 req/s, then 300 req/s) under
+// static-max, whose decision never changes.
+std::string quiet_days_spec(int apps) {
+  std::string text = "name = quiet\ncatalog = illustrative\nseed = 7\n";
+  for (int a = 0; a < apps; ++a)
+    text += "[app]\nname = app" + std::to_string(a) +
+            "\ntrace = constant\ntrace.rate = " + (a == 0 ? "800" : "300") +
+            "\ntrace.duration = 259200\nscheduler = static-max\n";
+  return text;
+}
+
+void expect_close(double fast, double reference, const char* what) {
+  EXPECT_NEAR(fast, reference, 1e-9 * std::max(1.0, std::abs(reference)))
+      << what;
+}
+
+TEST(SimMetrics, EveryAppCountConsultsOnlyWhenTheCachedBoundExpires) {
+  // The event-driven path keeps each app's decision_stable_until across
+  // spans at any app count: three day-bounded spans cost one consult per
+  // app, while the per-second reference consults every app every second.
+  for (const int apps : {1, 2}) {
+    SCOPED_TRACE("apps = " + std::to_string(apps));
+    ScenarioSpec spec = parse_scenario(quiet_days_spec(apps));
+    spec.obs_metrics = true;
+    const ScenarioResult fast = run_scenario(spec);
+    spec.event_driven = false;
+    const ScenarioResult reference = run_scenario(spec);
+
+    const auto k = static_cast<std::uint64_t>(apps);
+    EXPECT_EQ(fast.sim.metrics.spans, 3u);
+    EXPECT_EQ(fast.sim.metrics.scheduler_consults, k);
+    EXPECT_EQ(reference.sim.metrics.ticks, 259'200u);
+    EXPECT_EQ(reference.sim.metrics.scheduler_consults, k * 259'200u);
+
+    EXPECT_EQ(fast.sim.reconfigurations, reference.sim.reconfigurations);
+    EXPECT_EQ(fast.sim.peak_machines, reference.sim.peak_machines);
+    EXPECT_EQ(fast.sim.qos.total_seconds, reference.sim.qos.total_seconds);
+    EXPECT_EQ(fast.sim.qos.violation_seconds,
+              reference.sim.qos.violation_seconds);
+    expect_close(fast.sim.compute_energy, reference.sim.compute_energy,
+                 "compute_energy");
+    expect_close(fast.sim.reconfiguration_energy,
+                 reference.sim.reconfiguration_energy,
+                 "reconfiguration_energy");
+    expect_close(fast.sim.qos.unserved_requests,
+                 reference.sim.qos.unserved_requests, "unserved_requests");
+    ASSERT_EQ(fast.apps.size(), reference.apps.size());
+    for (std::size_t a = 0; a < fast.apps.size(); ++a) {
+      EXPECT_EQ(fast.apps[a].active_seconds, reference.apps[a].active_seconds);
+      EXPECT_EQ(fast.apps[a].qos_stats.violation_seconds,
+                reference.apps[a].qos_stats.violation_seconds);
+      expect_close(fast.apps[a].compute_energy,
+                   reference.apps[a].compute_energy, "app compute_energy");
+      expect_close(fast.apps[a].reconfiguration_energy,
+                   reference.apps[a].reconfiguration_energy,
+                   "app reconfiguration_energy");
+    }
+  }
+}
+
+// Four effective apps (3 replicas + 1) run the fused k-way merge.
 constexpr const char* kFleetSpec = R"(name = fleet
 catalog = illustrative
 seed = 7
