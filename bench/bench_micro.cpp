@@ -19,6 +19,7 @@
 #include "core/bml_design.hpp"
 #include "core/dispatch_plan.hpp"
 #include "predict/predictor.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/sweep.hpp"
 #include "sched/bml_scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -197,8 +198,8 @@ BENCHMARK(BM_SimulatorDay)->Unit(benchmark::kMillisecond);
 // one day through the multi-workload layer: the per-app attribution and
 // coordinator-merge overhead on top of BM_SimulatorDay. Traces and
 // schedulers are built once and passed as non-owning views, so the loop
-// times the replay itself (the oracle schedulers carry only the
-// predictor's per-trace cache, as in the replay_week benchmarks).
+// times the replay itself: each timed run walks the schedulers'
+// prediction cursors again from t = 0, as in the replay_week benchmarks.
 // items_per_second counts app-trace-seconds (3 x 86400 per iteration).
 void BM_MultiAppSimulatorDay(benchmark::State& state) {
   auto d = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
@@ -224,7 +225,7 @@ void BM_MultiAppSimulatorDay(benchmark::State& state) {
                                             QosClass::kTolerant, 1.0});
     seconds_per_iter += static_cast<std::int64_t>(traces[i].size());
   }
-  benchmark::DoNotOptimize(simulator.run(views));  // warm predictor caches
+  benchmark::DoNotOptimize(simulator.run(views));  // bind the cursors
   for (auto _ : state) {
     benchmark::DoNotOptimize(simulator.run(views));
   }
@@ -256,9 +257,9 @@ void BM_FleetScaleDay(benchmark::State& state) {
   const CompiledTrace compiled[kArchetypes] = {
       CompiledTrace(traces[0]), CompiledTrace(traces[1]),
       CompiledTrace(traces[2]), CompiledTrace(traces[3])};
-  // One predictor per archetype: replicas of an archetype replay the same
-  // trace, so the window-max cache is built once and shared, mirroring
-  // the deduplicated scenario build.
+  // One predictor per archetype, shared by its replicas' schedulers:
+  // predictors hold no per-trace state on the BML path, and every
+  // scheduler slides its own cursor over the shared trace.
   std::shared_ptr<OracleMaxPredictor> predictors[kArchetypes];
   for (auto& p : predictors) p = std::make_shared<OracleMaxPredictor>();
   const Simulator simulator(d->candidates());
@@ -278,7 +279,7 @@ void BM_FleetScaleDay(benchmark::State& state) {
                                             &compiled[a]});
     seconds_per_iter += static_cast<std::int64_t>(traces[a].size());
   }
-  benchmark::DoNotOptimize(simulator.run(views));  // warm predictor caches
+  benchmark::DoNotOptimize(simulator.run(views));  // bind the cursors
   for (auto _ : state) {
     benchmark::DoNotOptimize(simulator.run(views));
   }
@@ -336,7 +337,7 @@ void BM_FleetScaleChurnDay(benchmark::State& state) {
     views.push_back(view);
     seconds_per_iter += static_cast<std::int64_t>(traces[a].size());
   }
-  benchmark::DoNotOptimize(simulator.run(views));  // warm predictor caches
+  benchmark::DoNotOptimize(simulator.run(views));  // bind the cursors
   for (auto _ : state) {
     benchmark::DoNotOptimize(simulator.run(views));
   }
@@ -378,12 +379,13 @@ void replay_week(benchmark::State& state, const LoadTrace& trace,
   auto d = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
   options.event_driven = event_driven;
   const Simulator simulator(d->candidates(), options);
-  // The oracle BML scheduler carries no cross-run state besides the
-  // predictor's per-trace window-max cache; constructing it once (and
-  // warming the cache with one run) keeps the measurement on the replay
-  // itself rather than on the O(trace) cache build. The trace is likewise
-  // compiled once and shared across runs via the view, as the sweep
-  // runner does across a grid (the per-second reference ignores it).
+  // The oracle BML scheduler is constructed once and bound to the trace
+  // by one untimed run; each timed run restarts its prediction cursor at
+  // t = 0 and walks it again, so the decision walks are part of the
+  // replay (BM_SimulatorWeekNoisyPredictor also times a fresh
+  // scheduler). The trace is compiled once and shared across runs via the
+  // view, as the sweep runner does across a grid (the per-second
+  // reference ignores it).
   BmlScheduler scheduler(d, std::make_shared<OracleMaxPredictor>());
   const CompiledTrace compiled(trace);
   const std::string name = "app";
@@ -421,6 +423,37 @@ void BM_SimulatorWeekNoisyReference(benchmark::State& state) {
   replay_week(state, noisy_week_trace(), /*event_driven=*/false);
 }
 BENCHMARK(BM_SimulatorWeekNoisyReference)->Unit(benchmark::kMillisecond);
+
+// The event-driven noisy week under BML with each sliding-window
+// predictor, building a fresh scheduler (and so a fresh prediction
+// cursor) every iteration: the exact decision walks over the whole week
+// are timed along with the replay. CI holds seasonal, which slides four
+// windows, to <= 8x oracle-max.
+void BM_SimulatorWeekNoisyPredictor(benchmark::State& state,
+                                    const std::string& predictor) {
+  auto d = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
+  const Simulator simulator(d->candidates());
+  const LoadTrace trace = noisy_week_trace();
+  const CompiledTrace compiled(trace);
+  const std::string name = "app";
+  for (auto _ : state) {
+    BmlScheduler scheduler(d, make_predictor(predictor, {}, 1));
+    const std::vector<Simulator::WorkloadView> views{Simulator::WorkloadView{
+        &name, &trace, &scheduler, QosClass::kTolerant, 1.0, &compiled}};
+    benchmark::DoNotOptimize(simulator.run(views));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(trace.size()));
+}
+BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyPredictor, oracle-max,
+                  std::string("oracle-max"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyPredictor, moving-max,
+                  std::string("moving-max"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyPredictor, seasonal,
+                  std::string("seasonal"))
+    ->Unit(benchmark::kMillisecond);
 
 // The steady week with an active runtime fault model (machine crashes
 // roughly every couple of hours, ~15 min mean repairs): every failure and

@@ -61,6 +61,9 @@ GATED = [
     "BM_SimulatorWeekSteadyEventDriven",
     "BM_SimulatorWeekNoisyEventDriven",
     "BM_SimulatorWeekNoisyReference",
+    "BM_SimulatorWeekNoisyPredictor/oracle-max",
+    "BM_SimulatorWeekNoisyPredictor/moving-max",
+    "BM_SimulatorWeekNoisyPredictor/seasonal",
     "BM_SimulatorWeekCorrelatedFaultsEventDriven",
     "BM_SimulatorWeekCorrelatedFaultsReference",
 ]

@@ -8,10 +8,11 @@
 // rates, making "which decision does load L map to" a single upper_bound —
 // and, crucially, making "when does the decision change" answerable by
 // comparing bucket indices instead of materialising and comparing
-// Combinations. The schedulers' decision_stable_until walk a trace's (or a
-// predictor's) run-length segments with index_for, so a noisy segment
-// whose values stay inside one bucket contributes zero scheduler
-// evaluations to the event-driven simulator.
+// Combinations. The reactive scheduler's decision_stable_until walks the
+// trace's run-length segments with index_for; the BML scheduler maps one
+// bucket's grid range back to predictions and hands it to its prediction
+// cursor. Either way a noisy stretch whose values stay inside one bucket
+// contributes zero scheduler evaluations to the event-driven simulator.
 //
 // Bucket equality implies combination equality (a bucket is one maximal
 // run of equal adjacent table entries); the converse may not hold when the
@@ -55,15 +56,10 @@ class DecisionThresholds {
     return index_for(rate) == index;
   }
 
-  /// Grid coordinate of `rate` — the value index_for compares against the
-  /// cut array. Exposed so stability walks can hoist the bucket bounds
-  /// once (bucket_grid_range) and test each probe with two compares
-  /// instead of an upper_bound per hop.
-  [[nodiscard]] double grid_of(ReqRate rate) const { return grid_index(rate); }
-
   /// Half-open grid interval [lo, hi) of bucket `index`: a rate is in the
-  /// bucket iff lo <= grid_of(rate) < hi. index_for counts cuts <= grid,
-  /// so index_for(rate) == index exactly when cuts_[index-1] <= grid and
+  /// bucket iff lo <= ceil(min(rate, max_rate())) < hi, and lo and hi are
+  /// whole grid points. index_for counts cuts <= grid, so
+  /// index_for(rate) == index exactly when cuts_[index-1] <= grid and
   /// grid < cuts_[index]; end buckets extend to +/-infinity.
   [[nodiscard]] std::pair<double, double> bucket_grid_range(
       std::size_t index) const {

@@ -2,68 +2,281 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
+#include <span>
 #include <stdexcept>
-
-#include "util/run_length.hpp"
+#include <utility>
 
 namespace bml {
 
 namespace {
 
-/// Conservative first time strictly after `now` at which the sliding-window
-/// maximum max_over(t - lead, t - lag) may change value, found by walking
-/// the trace's piecewise-constant segments via next_change(). Two events
-/// can move the max:
-///   * a sample larger than the current max enters the window — index
-///     j >= now - lag enters at t = j + lag + 1;
-///   * the last window index attaining the max slides out — index i leaves
-///     at t = i + lead + 1 (a max of 0 cannot drop, rates are >= 0).
-/// Both walks are capped: past kMaxSegments segments the trace is too
-/// fragmented for batching to pay off and the bound degrades to now + 1,
-/// preserving per-second querying.
-TimePoint sliding_max_stable_until(const LoadTrace& trace, TimePoint now,
-                                   TimePoint lead, TimePoint lag) {
-  constexpr int kMaxSegments = 64;
-  constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
-  const auto size = static_cast<TimePoint>(trace.size());
-  const double v = trace.max_over(now - lead, now - lag);
+/// Maximum of the trace over the window [t + begin, t + end), equal to
+/// LoadTrace::max_over on that window: samples outside the trace count as
+/// 0, which no rate is below. A query one second after the previous one
+/// slides the window by the van Herk/Gil-Werman scheme: the time line is
+/// cut into blocks as wide as the window, so a window is a suffix of one
+/// block plus a prefix of the next. Entering a block fills its suffix
+/// maxima in one backward pass (the only array, as wide as the window);
+/// the prefix max of the next block is folded as the window's end
+/// advances. Each step is branch-free max, so a pass over n seconds costs
+/// O(n) whatever the noise. Any other query — a jump ahead, a repeat or a
+/// restart — is one indexed max_over and leaves the sliding state alone,
+/// so sparse queries cost no more than the index lookup; so is every
+/// query of a window wider than the trace, which would not repay a block
+/// array that size.
+class SlidingMax {
+ public:
+  SlidingMax(const LoadTrace& trace, TimePoint begin, TimePoint end)
+      : trace_(trace),
+        begin_(begin),
+        width_(std::max<TimePoint>(end - begin, 0)),
+        slides_(width_ > 0 &&
+                width_ <= static_cast<TimePoint>(trace.size())),
+        suffix_(slides_ ? static_cast<std::size_t>(width_) : 0) {}
 
-  TimePoint leave_at = kNever;
-  if (v > 0.0) {
-    const TimePoint lo = std::max<TimePoint>(now - lead, 0);
-    const TimePoint hi = std::min(now - lag, size);
-    TimePoint last_attaining = -1;
-    int segments = 0;
-    for (TimePoint cur = lo; cur < hi;) {
-      if (++segments > kMaxSegments) return now + 1;
-      const TimePoint seg_end = std::min(trace.next_change(cur), hi);
-      if (trace.at(cur) == v) last_attaining = seg_end - 1;
-      cur = seg_end;
-    }
-    if (last_attaining >= 0) leave_at = last_attaining + lead + 1;
+  [[nodiscard]] double value(TimePoint t) {
+    const bool step = t == last_ + 1;
+    last_ = t;
+    const TimePoint start = t + begin_;
+    const TimePoint end = start + width_;
+    if (!step || !slides_) return trace_.max_over(start, end);
+    if (start < block_ || start >= block_ + width_ || folded_ > end)
+      enter_block(start);
+    for (; folded_ < end; ++folded_)
+      prefix_ = std::max(prefix_, sample(folded_));
+    return std::max(suffix_[static_cast<std::size_t>(start - block_)],
+                    prefix_);
   }
 
-  // Samples beyond the trace end are the implicit 0, which never exceeds a
-  // non-negative max, so the scan stops at the trace end. Bailing out at
-  // the segment cap is still sound: every sample walked so far was <= v.
-  TimePoint enter_at = kNever;
-  int segments = 0;
-  for (TimePoint cur = std::max<TimePoint>(now - lag, 0);
-       cur < size && cur + lag + 1 < leave_at;) {
-    if (trace.at(cur) > v) {
-      enter_at = cur + lag + 1;
-      break;
-    }
-    if (++segments > kMaxSegments) {
-      enter_at = cur + lag + 1;
-      break;
-    }
-    cur = trace.next_change(cur);
+ private:
+  [[nodiscard]] double sample(TimePoint i) const {
+    return i >= 0 && i < static_cast<TimePoint>(trace_.size())
+               ? trace_.series()[static_cast<std::size_t>(i)]
+               : 0.0;
   }
 
-  return std::max(std::min(enter_at, leave_at), now + 1);
+  /// Makes the block holding `start` current: its suffix maxima, and an
+  /// empty prefix of the block after it.
+  void enter_block(TimePoint start) {
+    TimePoint offset = start % width_;
+    if (offset < 0) offset += width_;
+    block_ = start - offset;
+    double max = 0.0;
+    for (TimePoint i = width_ - 1; i >= 0; --i) {
+      max = std::max(max, sample(block_ + i));
+      suffix_[static_cast<std::size_t>(i)] = max;
+    }
+    prefix_ = 0.0;
+    folded_ = block_ + width_;
+  }
+
+  const LoadTrace& trace_;
+  TimePoint begin_;
+  TimePoint width_;
+  bool slides_;
+  std::vector<double> suffix_;  // max over [block_ + i, block_ + width_)
+  TimePoint block_ = 0;         // first second of the current block
+  double prefix_ = 0.0;         // max over [block_ + width_, folded_)
+  // Past every window until a block is entered.
+  TimePoint folded_ = std::numeric_limits<TimePoint>::max();
+  TimePoint last_ = -2;  // no query yet: the first one is not a step
+};
+
+/// PredictionCursor over a class whose evaluate(t) is visible here, so
+/// first_outside() steps second by second with no virtual call per
+/// second. `settled_from` is the first time from which evaluate() no
+/// longer changes: every sample the prediction reads lies past the trace
+/// end.
+template <typename Derived>
+class SteppingCursor : public PredictionCursor {
+ public:
+  explicit SteppingCursor(TimePoint settled_from)
+      : settled_from_(settled_from) {}
+
+  [[nodiscard]] ReqRate value(TimePoint t) final {
+    return self().evaluate(t);
+  }
+
+  [[nodiscard]] TimePoint first_outside(TimePoint t, ReqRate lo,
+                                        ReqRate hi) final {
+    while (t < settled_from_) {
+      const ReqRate v = self().evaluate(++t);
+      if (v < lo || !(v < hi)) return t;
+    }
+    return std::numeric_limits<TimePoint>::max();
+  }
+
+ private:
+  [[nodiscard]] Derived& self() { return static_cast<Derived&>(*this); }
+
+  TimePoint settled_from_;
+};
+
+/// Cursor over one sliding window max [t + begin, t + end) with
+/// begin <= 0 <= end: the oracle and moving-max predictors. value() slides
+/// the window; first_outside() needs no window max at all, because a max
+/// leaves [lo, hi) exactly when a sample >= hi enters or the last sample
+/// >= lo leaves. It reads each entering sample at most once and crosses
+/// whole blocks of the trace's range-max index when their max allows.
+class WindowMaxCursor final : public PredictionCursor {
+ public:
+  WindowMaxCursor(const LoadTrace& trace, TimePoint begin, TimePoint end)
+      : trace_(trace), begin_(begin), end_(end), window_(trace, begin, end) {}
+
+  [[nodiscard]] ReqRate value(TimePoint t) override {
+    return window_.value(t);
+  }
+
+  [[nodiscard]] TimePoint first_outside(TimePoint t, ReqRate lo,
+                                        ReqRate hi) override {
+    const TimeSeries& series = trace_.series();
+    const auto n = static_cast<TimePoint>(series.size());
+    const std::span<const double> x = series.values();
+    const std::span<const double> blocks = series.block_maxima();
+    constexpr auto kBlock = static_cast<TimePoint>(TimeSeries::kMaxBlock);
+    const TimePoint width = end_ - begin_;
+    // Sample `next` enters the window at next - end + 1; the window holds
+    // sample i until i - begin + 1, the time returned when i is the
+    // anchor: the latest sample >= lo. With lo <= 0 every sample, the
+    // implicit zeros included, qualifies and the window never drops below
+    // lo; otherwise value(t) >= lo > 0 puts one in the window at t.
+    TimePoint next = t + end_;
+    TimePoint anchor = std::min(next, n) - 1;
+    if (lo > 0.0)
+      while (anchor >= 0 && x[static_cast<std::size_t>(anchor)] < lo) {
+        const auto b = static_cast<std::size_t>(anchor / kBlock);
+        const bool block_last = (anchor + 1) % kBlock == 0;
+        anchor -= block_last && b < blocks.size() && blocks[b] < lo ? kBlock
+                                                                    : 1;
+      }
+    while (next < n) {
+      // An index block whose max is below hi and that the anchor outlives
+      // is crossed at once (a noisy trace mostly, a constant run always):
+      // only its last sample >= lo, if any, matters.
+      const auto b = static_cast<std::size_t>(next / kBlock);
+      const TimePoint block_end = std::min((next / kBlock + 1) * kBlock, n);
+      if (next % kBlock == 0 && b < blocks.size() && blocks[b] < hi &&
+          anchor > block_end - 1 - width) {
+        if (blocks[b] >= lo) {
+          anchor = block_end - 1;
+          while (x[static_cast<std::size_t>(anchor)] < lo) --anchor;
+        }
+        next = block_end;
+        continue;
+      }
+      for (; next < block_end; ++next) {
+        const double v = x[static_cast<std::size_t>(next)];
+        if (!(v < hi)) return next - end_ + 1;
+        anchor = v >= lo ? next : anchor;
+        if (anchor <= next - width) return anchor - begin_ + 1;
+      }
+    }
+    // Only the implicit zeros enter from here on.
+    if (lo <= 0.0) return std::numeric_limits<TimePoint>::max();
+    return anchor - begin_ + 1;
+  }
+
+ private:
+  const LoadTrace& trace_;
+  TimePoint begin_;
+  TimePoint end_;
+  SlidingMax window_;
+};
+
+/// Cursor of a predictor whose predict() is cheap or has no streaming
+/// form: evaluate() calls predict() on a copy of the predictor, once per
+/// second — the latest reading is kept, because the scheduler reads the
+/// second first_outside() stopped at again.
+template <typename P>
+class CallingCursor final : public SteppingCursor<CallingCursor<P>> {
+ public:
+  CallingCursor(const P& predictor, const LoadTrace& trace, Seconds horizon,
+                TimePoint settled_from)
+      : SteppingCursor<CallingCursor<P>>(settled_from),
+        predictor_(predictor),
+        trace_(trace),
+        horizon_(horizon) {}
+
+  [[nodiscard]] ReqRate evaluate(TimePoint t) {
+    if (t != latest_time_) {
+      latest_time_ = t;
+      latest_ = predictor_.predict(trace_, t, horizon_);
+    }
+    return latest_;
+  }
+
+ private:
+  P predictor_;
+  const LoadTrace& trace_;
+  Seconds horizon_;
+  TimePoint latest_time_ = -1;
+  ReqRate latest_ = 0.0;
+};
+
+/// Trailing window of the seasonal predictor's day-over-day growth ratio.
+constexpr TimePoint kGrowthWindow = 3600;
+
+/// Whole seconds of the seasonal period and horizon; rejects a horizon
+/// whose window one period ago would reach samples at or after `now`.
+std::pair<TimePoint, TimePoint> seasonal_windows(Seconds period,
+                                                 Seconds horizon) {
+  if (horizon <= 0.0)
+    throw std::invalid_argument("SeasonalPredictor: horizon must be > 0");
+  const auto p = static_cast<TimePoint>(period);
+  const auto h = static_cast<TimePoint>(horizon);
+  if (h > p)
+    throw std::invalid_argument(
+        "SeasonalPredictor: horizon must not exceed the period (the window "
+        "one period ago would read samples at or after now)");
+  return {p, h};
+}
+
+/// The seasonal window's max scaled by the headroom and the recent
+/// day-over-day growth (ratio of the trailing hour to the same hour one
+/// period ago), clamped to [0.5, 3] to keep one outlier from exploding
+/// the forecast.
+ReqRate seasonal_forecast(double headroom, ReqRate seasonal, ReqRate recent,
+                          ReqRate recent_yesterday) {
+  double growth = 1.0;
+  if (recent_yesterday > 0.0 && recent > 0.0)
+    growth = std::clamp(recent / recent_yesterday, 0.5, 3.0);
+  return headroom * growth * seasonal;
+}
+
+/// The seasonal predictor's warm-up window and the three windows of its
+/// forecast, each slid on its own. From size + period on, the window one
+/// period ago lies past the trace end and the forecast is 0.
+class SeasonalCursor final : public SteppingCursor<SeasonalCursor> {
+ public:
+  SeasonalCursor(const LoadTrace& trace, TimePoint period, TimePoint h,
+                 double headroom)
+      : SteppingCursor(static_cast<TimePoint>(trace.size()) + period),
+        period_(period),
+        headroom_(headroom),
+        warm_up_(trace, -h, 0),
+        seasonal_(trace, -period, -period + h),
+        recent_(trace, -kGrowthWindow, 0),
+        recent_yesterday_(trace, -period - kGrowthWindow, -period) {}
+
+  [[nodiscard]] ReqRate evaluate(TimePoint t) {
+    if (t < period_) return headroom_ * warm_up_.value(t);
+    return seasonal_forecast(headroom_, seasonal_.value(t), recent_.value(t),
+                             recent_yesterday_.value(t));
+  }
+
+ private:
+  TimePoint period_;
+  double headroom_;
+  SlidingMax warm_up_;
+  SlidingMax seasonal_;
+  SlidingMax recent_;
+  SlidingMax recent_yesterday_;
+};
+
+void check_oracle_horizon(Seconds horizon) {
+  if (horizon <= 0.0)
+    throw std::invalid_argument("OracleMaxPredictor: horizon must be > 0");
 }
 
 }  // namespace
@@ -71,63 +284,32 @@ TimePoint sliding_max_stable_until(const LoadTrace& trace, TimePoint now,
 void OracleMaxPredictor::rebuild_cache(const LoadTrace& trace,
                                        Seconds horizon) {
   const std::size_t n = trace.size();
-  const auto w = static_cast<std::size_t>(horizon);
-  window_max_.assign(n, 0.0);
-  // Monotonic deque of indices with decreasing values over [t, t + w).
-  std::deque<std::size_t> deque;
-  // Seed with the first window, then slide leftwards... simplest is a
-  // right-to-left sparse approach; a forward pass works too: maintain the
-  // deque over a window that advances with t.
-  std::size_t right = 0;  // first index not yet inserted
-  for (std::size_t t = 0; t < n; ++t) {
-    while (right < std::min(n, t + w)) {
-      const double v = trace.at(static_cast<TimePoint>(right));
-      while (!deque.empty() &&
-             trace.at(static_cast<TimePoint>(deque.back())) <= v)
-        deque.pop_back();
-      deque.push_back(right);
-      ++right;
-    }
-    while (!deque.empty() && deque.front() < t) deque.pop_front();
-    window_max_[t] =
-        deque.empty() ? 0.0 : trace.at(static_cast<TimePoint>(deque.front()));
-  }
-  window_change_points_.clear();
-  for (std::size_t t = 1; t < n; ++t)
-    if (window_max_[t] != window_max_[t - 1])
-      window_change_points_.push_back(t);
+  SlidingMax window(trace, 0, static_cast<TimePoint>(horizon));
+  window_max_.resize(n);
+  for (std::size_t t = 0; t < n; ++t)
+    window_max_[t] = window.value(static_cast<TimePoint>(t));
   cached_trace_ = &trace;
   cached_size_ = n;
   cached_horizon_ = horizon;
-  change_hint_ = 0;
-}
-
-void OracleMaxPredictor::ensure_cache(const LoadTrace& trace, TimePoint now,
-                                      Seconds horizon) {
-  if (horizon <= 0.0)
-    throw std::invalid_argument("OracleMaxPredictor: horizon must be > 0");
-  if (now < 0) throw std::invalid_argument("OracleMaxPredictor: now < 0");
-  if (cached_trace_ != &trace || cached_size_ != trace.size() ||
-      cached_horizon_ != horizon)
-    rebuild_cache(trace, horizon);
 }
 
 ReqRate OracleMaxPredictor::predict(const LoadTrace& trace, TimePoint now,
                                     Seconds horizon) {
-  ensure_cache(trace, now, horizon);
+  check_oracle_horizon(horizon);
+  if (now < 0) throw std::invalid_argument("OracleMaxPredictor: now < 0");
+  if (cached_trace_ != &trace || cached_size_ != trace.size() ||
+      cached_horizon_ != horizon)
+    rebuild_cache(trace, horizon);
   const auto t = static_cast<std::size_t>(now);
   if (t >= window_max_.size()) return 0.0;
   return window_max_[t];
 }
 
-TimePoint OracleMaxPredictor::stable_until(const LoadTrace& trace,
-                                           TimePoint now, Seconds horizon) {
-  ensure_cache(trace, now, horizon);
-  const std::size_t n = window_max_.size();
-  const auto t = static_cast<std::size_t>(now);
-  if (t >= n) return std::numeric_limits<TimePoint>::max();  // 0 forever
-  return next_change_point_hinted(window_change_points_, t, n,
-                                  window_max_[n - 1], change_hint_);
+std::unique_ptr<PredictionCursor> OracleMaxPredictor::cursor(
+    const LoadTrace& trace, Seconds horizon) const {
+  check_oracle_horizon(horizon);
+  return std::make_unique<WindowMaxCursor>(trace, 0,
+                                            static_cast<TimePoint>(horizon));
 }
 
 ReqRate LastValuePredictor::predict(const LoadTrace& trace, TimePoint now,
@@ -136,14 +318,11 @@ ReqRate LastValuePredictor::predict(const LoadTrace& trace, TimePoint now,
   return trace.at(now - 1);
 }
 
-TimePoint LastValuePredictor::stable_until(const LoadTrace& trace,
-                                           TimePoint now,
-                                           Seconds /*horizon*/) {
-  // predict(t) reads at(t - 1): it changes one second after the trace does.
-  if (now <= 0) return now + 1;  // 0 until at(0) enters the history
-  const TimePoint change = trace.next_change(now - 1);
-  if (change == std::numeric_limits<TimePoint>::max()) return change;
-  return change + 1;
+std::unique_ptr<PredictionCursor> LastValuePredictor::cursor(
+    const LoadTrace& trace, Seconds horizon) const {
+  // predict(t) reads at(t - 1), which is 0 from t = size + 1 on.
+  return std::make_unique<CallingCursor<LastValuePredictor>>(
+      *this, trace, horizon, static_cast<TimePoint>(trace.size()) + 1);
 }
 
 MovingMaxPredictor::MovingMaxPredictor(Seconds window) : window_(window) {
@@ -157,11 +336,10 @@ ReqRate MovingMaxPredictor::predict(const LoadTrace& trace, TimePoint now,
   return trace.max_over(begin, now);
 }
 
-TimePoint MovingMaxPredictor::stable_until(const LoadTrace& trace,
-                                           TimePoint now,
-                                           Seconds /*horizon*/) {
-  return sliding_max_stable_until(trace, now,
-                                  static_cast<TimePoint>(window_), 0);
+std::unique_ptr<PredictionCursor> MovingMaxPredictor::cursor(
+    const LoadTrace& trace, Seconds /*horizon*/) const {
+  return std::make_unique<WindowMaxCursor>(
+      trace, -static_cast<TimePoint>(window_), 0);
 }
 
 EwmaPredictor::EwmaPredictor(double alpha, double headroom)
@@ -225,6 +403,14 @@ ReqRate LinearTrendPredictor::predict(const LoadTrace& trace, TimePoint now,
   return std::max({0.0, extrapolated, trace.at(now - 1)});
 }
 
+std::unique_ptr<PredictionCursor> LinearTrendPredictor::cursor(
+    const LoadTrace& trace, Seconds horizon) const {
+  // Past size + window the trailing window holds only the implicit zeros.
+  return std::make_unique<CallingCursor<LinearTrendPredictor>>(
+      *this, trace, horizon,
+      static_cast<TimePoint>(trace.size()) + static_cast<TimePoint>(window_));
+}
+
 SeasonalPredictor::SeasonalPredictor(Seconds period, double headroom)
     : period_(period), headroom_(headroom) {
   if (period_ <= 0.0)
@@ -235,48 +421,22 @@ SeasonalPredictor::SeasonalPredictor(Seconds period, double headroom)
 
 ReqRate SeasonalPredictor::predict(const LoadTrace& trace, TimePoint now,
                                    Seconds horizon) {
-  if (horizon <= 0.0)
-    throw std::invalid_argument("SeasonalPredictor: horizon must be > 0");
-  const auto period = static_cast<TimePoint>(period_);
-  const auto h = static_cast<TimePoint>(horizon);
+  const auto [period, h] = seasonal_windows(period_, horizon);
   if (now < period) {
     // Not a full period of history yet: trailing max is the safest guess.
     return headroom_ * trace.max_over(now - h, now);
   }
-  // Same window one period ago...
-  const ReqRate seasonal =
-      trace.max_over(now - period, now - period + h);
-  // ...scaled by the recent day-over-day growth (ratio of the trailing
-  // hour to the same hour yesterday), clamped to [0.5, 3] to keep one
-  // outlier from exploding the forecast.
-  const ReqRate recent = trace.max_over(now - 3600, now);
-  const ReqRate recent_yesterday =
-      trace.max_over(now - period - 3600, now - period);
-  double growth = 1.0;
-  if (recent_yesterday > 0.0 && recent > 0.0)
-    growth = std::clamp(recent / recent_yesterday, 0.5, 3.0);
-  return headroom_ * growth * seasonal;
+  // Same window one period ago, scaled by the recent growth.
+  return seasonal_forecast(
+      headroom_, trace.max_over(now - period, now - period + h),
+      trace.max_over(now - kGrowthWindow, now),
+      trace.max_over(now - period - kGrowthWindow, now - period));
 }
 
-TimePoint SeasonalPredictor::stable_until(const LoadTrace& trace,
-                                          TimePoint now, Seconds horizon) {
-  if (horizon <= 0.0)
-    throw std::invalid_argument("SeasonalPredictor: horizon must be > 0");
-  const auto period = static_cast<TimePoint>(period_);
-  const auto h = static_cast<TimePoint>(horizon);
-  if (now < period) {
-    // Warm-up branch is the trailing-window max; the formula itself
-    // switches at `period`, so never claim stability past it.
-    return std::min(sliding_max_stable_until(trace, now, h, 0), period);
-  }
-  // The forecast is a deterministic function of three windowed maxima; it
-  // is stable while all three are.
-  const TimePoint seasonal =
-      sliding_max_stable_until(trace, now, period, period - h);
-  const TimePoint recent = sliding_max_stable_until(trace, now, 3600, 0);
-  const TimePoint recent_yesterday =
-      sliding_max_stable_until(trace, now, period + 3600, period);
-  return std::min({seasonal, recent, recent_yesterday});
+std::unique_ptr<PredictionCursor> SeasonalPredictor::cursor(
+    const LoadTrace& trace, Seconds horizon) const {
+  const auto [period, h] = seasonal_windows(period_, horizon);
+  return std::make_unique<SeasonalCursor>(trace, period, h, headroom_);
 }
 
 ErrorInjectingPredictor::ErrorInjectingPredictor(

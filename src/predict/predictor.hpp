@@ -20,6 +20,28 @@
 
 namespace bml {
 
+/// Forward cursor over one pure predictor's output on one trace and
+/// horizon: value(t) == predict(trace, t, horizon), bit for bit, for every
+/// t >= 0 in any order. It is built for the scheduler's decision walks,
+/// which query non-decreasing times: stepping a second costs the
+/// sliding-window predictors O(1) amortised with no per-second arrays,
+/// and any other query one range-max lookup per window. The cursor reads
+/// the trace it was built on, which must outlive it.
+class PredictionCursor {
+ public:
+  virtual ~PredictionCursor() = default;
+
+  [[nodiscard]] virtual ReqRate value(TimePoint t) = 0;
+
+  /// Given value(t) in [lo, hi): the first time after `t` whose value
+  /// falls outside [lo, hi), or max() when none does. This is the
+  /// scheduler's walk to the next decision change, with the threshold
+  /// bucket mapped back to predictions; the cursor may answer it without
+  /// computing every value in between.
+  [[nodiscard]] virtual TimePoint first_outside(TimePoint t, ReqRate lo,
+                                                ReqRate hi) = 0;
+};
+
 /// Interface: predicted *maximum* load over [now, now + horizon).
 class Predictor {
  public:
@@ -31,64 +53,41 @@ class Predictor {
   [[nodiscard]] virtual ReqRate predict(const LoadTrace& trace, TimePoint now,
                                         Seconds horizon) = 0;
 
-  /// First time strictly after `now` at which predict() may return a value
-  /// different from predict(now) — the event-driven simulator skips
-  /// redundant scheduler consultations up to (exclusive) this bound.
-  /// Predictors with per-call state (EWMA, error injection) must keep the
-  /// conservative default of now + 1, which preserves per-second querying.
-  [[nodiscard]] virtual TimePoint stable_until(const LoadTrace& trace,
-                                               TimePoint now,
-                                               Seconds horizon) {
+  /// A cursor equal to predict() on `trace` at `horizon`, or nullptr when
+  /// predict() keeps per-call state (EWMA, error injection): such a
+  /// predictor must see every call its scheduler makes, so nothing may
+  /// probe it ahead of time. Validates `horizon` as predict() does.
+  [[nodiscard]] virtual std::unique_ptr<PredictionCursor> cursor(
+      const LoadTrace& trace, Seconds horizon) const {
     (void)trace;
     (void)horizon;
-    return now + 1;
+    return nullptr;
   }
-
-  /// True when predict() is a pure function of (trace, now, horizon): no
-  /// internal state is read or written, so callers may probe *future* time
-  /// points without corrupting the predictor. This is what lets the
-  /// schedulers' decision-level stability walk continue across a
-  /// stable_until of now + 1 (a pure predictor whose value genuinely
-  /// changes next second) — the per-second limiter on noisy traces.
-  /// Stateful predictors (EWMA, error injection) must keep the default.
-  [[nodiscard]] virtual bool pure() const { return false; }
 
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
 /// The paper's emulated predictor: true maximum over the look-ahead window
-/// (reads the future — an oracle). Window maxima are precomputed with a
-/// monotonic deque on first use (O(n) once, O(1) per query), which matters
-/// when the scheduler asks once per second over a three-month trace.
+/// (reads the future — an oracle). predict() reads a per-second array of
+/// window maxima built on first use (O(n) once, O(1) per query) for
+/// callers that ask at arbitrary times, such as the cost-aware scheduler
+/// and error injection. The cursor slides the window instead and builds
+/// no array.
 class OracleMaxPredictor final : public Predictor {
  public:
   [[nodiscard]] ReqRate predict(const LoadTrace& trace, TimePoint now,
                                 Seconds horizon) override;
-  /// O(log #segments) lookup in the window-max change-point index built
-  /// alongside the cache.
-  [[nodiscard]] TimePoint stable_until(const LoadTrace& trace, TimePoint now,
-                                       Seconds horizon) override;
-  [[nodiscard]] bool pure() const override { return true; }
+  [[nodiscard]] std::unique_ptr<PredictionCursor> cursor(
+      const LoadTrace& trace, Seconds horizon) const override;
   [[nodiscard]] std::string name() const override { return "oracle-max"; }
 
  private:
-  /// Validates the query and (re)builds the cache when the trace or
-  /// horizon changed — shared by predict() and stable_until().
-  void ensure_cache(const LoadTrace& trace, TimePoint now, Seconds horizon);
   void rebuild_cache(const LoadTrace& trace, Seconds horizon);
 
   const void* cached_trace_ = nullptr;
   std::size_t cached_size_ = 0;
   Seconds cached_horizon_ = 0.0;
   std::vector<double> window_max_;  // max over [t, t + horizon) per t
-  // Indices where window_max_ changes value, ascending — lets
-  // stable_until answer in O(log #segments).
-  std::vector<std::size_t> window_change_points_;
-  // Cursor into window_change_points_ carried between stable_until
-  // calls: the scheduler's stability walk probes monotonically
-  // increasing times, so consecutive lookups resolve without the binary
-  // search (see next_change_point_hinted).
-  std::size_t change_hint_ = 0;
 };
 
 /// Last observed value (history only).
@@ -96,11 +95,9 @@ class LastValuePredictor final : public Predictor {
  public:
   [[nodiscard]] ReqRate predict(const LoadTrace& trace, TimePoint now,
                                 Seconds horizon) override;
-  /// The prediction tracks at(now - 1): stable until one second after the
-  /// trace's next change.
-  [[nodiscard]] TimePoint stable_until(const LoadTrace& trace, TimePoint now,
-                                       Seconds horizon) override;
-  [[nodiscard]] bool pure() const override { return true; }
+  /// Calls predict(): one trace read per second.
+  [[nodiscard]] std::unique_ptr<PredictionCursor> cursor(
+      const LoadTrace& trace, Seconds horizon) const override;
   [[nodiscard]] std::string name() const override { return "last-value"; }
 };
 
@@ -111,13 +108,9 @@ class MovingMaxPredictor final : public Predictor {
   explicit MovingMaxPredictor(Seconds window);
   [[nodiscard]] ReqRate predict(const LoadTrace& trace, TimePoint now,
                                 Seconds horizon) override;
-  /// The trailing-window max is a pure function of the trace, so a
-  /// conservative change bound follows from walking the trace's
-  /// change-point segments (see sliding_max_stable_until); noisy spans
-  /// degrade gracefully to now + 1.
-  [[nodiscard]] TimePoint stable_until(const LoadTrace& trace, TimePoint now,
-                                       Seconds horizon) override;
-  [[nodiscard]] bool pure() const override { return true; }
+  /// Slides the trailing window: O(1) amortised per second.
+  [[nodiscard]] std::unique_ptr<PredictionCursor> cursor(
+      const LoadTrace& trace, Seconds horizon) const override;
   [[nodiscard]] std::string name() const override { return "moving-max"; }
 
  private:
@@ -126,6 +119,8 @@ class MovingMaxPredictor final : public Predictor {
 
 /// Exponentially weighted moving average of history with a safety factor:
 /// prediction = headroom * EWMA. alpha in (0, 1]; larger = more reactive.
+/// predict() folds the history up to `now` into its state, so it has no
+/// cursor.
 class EwmaPredictor final : public Predictor {
  public:
   EwmaPredictor(double alpha, double headroom = 1.2);
@@ -148,10 +143,10 @@ class LinearTrendPredictor final : public Predictor {
   explicit LinearTrendPredictor(Seconds window);
   [[nodiscard]] ReqRate predict(const LoadTrace& trace, TimePoint now,
                                 Seconds horizon) override;
-  /// Pure function of the trailing window (no internal state), though the
-  /// fit changes almost every second — stable_until keeps the now + 1
-  /// default and the schedulers' decision-level walk does the merging.
-  [[nodiscard]] bool pure() const override { return true; }
+  /// Calls predict(), an O(window) fit per second: the fit has no
+  /// streaming form here.
+  [[nodiscard]] std::unique_ptr<PredictionCursor> cursor(
+      const LoadTrace& trace, Seconds horizon) const override;
   [[nodiscard]] std::string name() const override { return "linear-trend"; }
 
  private:
@@ -163,19 +158,20 @@ class LinearTrendPredictor final : public Predictor {
 /// factor and the day-over-day growth of recent load. History only —
 /// a practical stand-in for the oracle on strongly diurnal workloads like
 /// the World Cup trace. Falls back to the trailing window max while less
-/// than one full period of history exists.
+/// than one full period of history exists. A horizon longer than the
+/// period would reach samples at or after `now`, so predict() and cursor()
+/// reject it.
 class SeasonalPredictor final : public Predictor {
  public:
   explicit SeasonalPredictor(Seconds period = 86'400.0,
                              double headroom = 1.1);
   [[nodiscard]] ReqRate predict(const LoadTrace& trace, TimePoint now,
                                 Seconds horizon) override;
-  /// Pure function of the trace: stable while the three windowed maxima
-  /// the forecast is built from (seasonal window, trailing hour, same hour
-  /// yesterday) are all stable, and never past the warm-up/period switch.
-  [[nodiscard]] TimePoint stable_until(const LoadTrace& trace, TimePoint now,
-                                       Seconds horizon) override;
-  [[nodiscard]] bool pure() const override { return true; }
+  /// Slides the warm-up window and the three windows of the forecast
+  /// (same window one period ago, trailing hour, same hour one period
+  /// ago): O(1) amortised per second.
+  [[nodiscard]] std::unique_ptr<PredictionCursor> cursor(
+      const LoadTrace& trace, Seconds horizon) const override;
   [[nodiscard]] std::string name() const override { return "seasonal"; }
 
  private:
@@ -187,6 +183,7 @@ class SeasonalPredictor final : public Predictor {
 /// error (sigma = relative error stddev) plus optional constant bias.
 /// Results are clamped at 0. Deterministic given the seed. This is the
 /// instrument for the paper's "impact of load prediction errors" question.
+/// Every predict() draws from the generator, so it has no cursor.
 class ErrorInjectingPredictor final : public Predictor {
  public:
   ErrorInjectingPredictor(std::unique_ptr<Predictor> inner, double sigma,

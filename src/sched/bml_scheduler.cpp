@@ -1,6 +1,7 @@
 #include "sched/bml_scheduler.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -28,67 +29,62 @@ Seconds BmlScheduler::default_window(const BmlDesign& design) {
   return std::max(1.0, 2.0 * longest_on);
 }
 
-ReqRate BmlScheduler::target_rate(const LoadTrace& trace, TimePoint now) {
-  const ReqRate predicted = predictor_->predict(trace, now, window_);
-  const ReqRate rate = predicted * headroom_factor(qos_);
+void BmlScheduler::bind(const LoadTrace& trace) {
+  if (&trace == bound_trace_ && trace.size() == bound_size_) return;
+  bound_trace_ = &trace;
+  bound_size_ = trace.size();
+  cursor_ = predictor_->cursor(trace, window_);
+  run_ = DecisionRun{};
+}
+
+ReqRate BmlScheduler::target_rate(ReqRate predicted) const {
   // Never aim below what the design can answer; clamp to table range.
-  return std::min(rate, design_->max_rate());
+  return std::min(predicted * headroom_factor(qos_), design_->max_rate());
+}
+
+ReqRate BmlScheduler::target_rate(const LoadTrace& trace, TimePoint now) {
+  bind(trace);
+  return target_rate(cursor_ ? cursor_->value(now)
+                             : predictor_->predict(trace, now, window_));
+}
+
+ReqRate BmlScheduler::prediction_edge(double grid) const {
+  // ceil(rate) >= grid exactly when rate > grid - 1, and the target rate
+  // is monotone in the prediction: step from the quotient to the exact
+  // edge, a few ulps at most.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (grid == -kInf) return -kInf;
+  const double below = grid - 1.0;
+  if (!(design_->max_rate() > below)) return kInf;
+  double v = std::max(0.0, below / headroom_factor(qos_));
+  while (v > 0.0 && target_rate(v) > below) v = std::nextafter(v, 0.0);
+  while (!(target_rate(v) > below)) v = std::nextafter(v, kInf);
+  return v;
 }
 
 std::optional<Combination> BmlScheduler::decide(
     TimePoint now, const LoadTrace& trace,
     const ClusterSnapshot& /*snapshot*/) {
+  bind(trace);
+  if (now >= run_.begin && now < run_.end) return run_.combination;
   return design_->ideal_combination(target_rate(trace, now));
 }
 
 TimePoint BmlScheduler::decision_stable_until(TimePoint now,
                                               const LoadTrace& trace) {
-  TimePoint t = predictor_->stable_until(trace, now, window_);
-  // Probing predict() at future times is only valid for pure predictors;
-  // stateful ones (EWMA, error injection) would corrupt their state, so
-  // they keep the predictor-level bound (the conservative now + 1).
-  if (!predictor_->pure()) return t;
-  constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
-
+  bind(trace);
   const DecisionThresholds* cuts = design_->decision_thresholds();
-  if (cuts != nullptr) {
-    // Decision-level extension: the decision is the threshold *bucket* of
-    // the prediction, so a changing prediction whose values stay inside
-    // one bucket does not end the stable span — this is what removes the
-    // per-second limiter on noisy traces. Each hop advances one of the
-    // predictor's stability segments (a single second when the predictor
-    // cannot advertise more) and costs one predict() plus one upper_bound;
-    // the hop cap only bounds a single call, and stopping early is sound
-    // because every probed point so far stayed in the current bucket.
-    constexpr int kMaxHops = 4096;
-    const std::size_t current = cuts->index_for(target_rate(trace, now));
-    // Hoist the bucket's grid bounds once: each hop then costs two double
-    // compares instead of an upper_bound over the cut array.
-    const auto [lo, hi] = cuts->bucket_grid_range(current);
-    for (int hop = 0; hop < kMaxHops && t < kNever; ++hop) {
-      const double g = cuts->grid_of(target_rate(trace, t));
-      if (g < lo || g >= hi) return t;
-      const TimePoint next = predictor_->stable_until(trace, t, window_);
-      if (next <= t) break;  // defensive: stability contract violation
-      t = next;
-    }
-    return t;
+  if (cursor_ == nullptr || cuts == nullptr) return now + 1;
+  if (now < run_.begin || now >= run_.end) {
+    const ReqRate rate = target_rate(cursor_->value(now));
+    const auto [grid_lo, grid_hi] =
+        cuts->bucket_grid_range(cuts->index_for(rate));
+    run_ = DecisionRun{now,
+                       cursor_->first_outside(now, prediction_edge(grid_lo),
+                                              prediction_edge(grid_hi)),
+                       design_->ideal_combination(rate)};
   }
-
-  // Designs built without a table fall back to comparing materialised
-  // combinations across advertised stability segments only.
-  if (t <= now + 1) return t;
-  constexpr int kMaxHops = 64;
-  const Combination current =
-      design_->ideal_combination(target_rate(trace, now));
-  for (int hop = 0; hop < kMaxHops && t < kNever; ++hop) {
-    if (design_->ideal_combination(target_rate(trace, t)) != current)
-      return t;
-    const TimePoint next = predictor_->stable_until(trace, t, window_);
-    if (next <= t) break;  // defensive: stability contract violation
-    t = next;
-  }
-  return t;
+  return run_.end;
 }
 
 Combination BmlScheduler::initial_combination(const LoadTrace& trace) {

@@ -11,8 +11,21 @@
 //
 // The optional QoS class applies a capacity headroom factor to the
 // prediction (Section III's critical vs tolerant applications).
+//
+// With a pure predictor (one that offers a PredictionCursor) the decision
+// at t is the threshold bucket of the prediction at t, a function of the
+// trace alone. The scheduler then answers decision_stable_until exactly,
+// by walking the cursor to the first second whose bucket differs, and
+// keeps the run it found: later decide() and decision_stable_until()
+// calls inside it cost O(1), which is what the simulator's repeated
+// consults after faults and other tenants' reconfigurations hit. Only
+// decision_stable_until walks, so the per-second reference loop, which
+// never asks for a bound, evaluates each second once and no second
+// inside a reconfiguration is evaluated. Cursor and run are built on the
+// first query for a trace, so a scheduler holds no per-second state.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "core/bml_design.hpp"
@@ -34,11 +47,10 @@ class BmlScheduler final : public Scheduler {
       TimePoint now, const LoadTrace& trace,
       const ClusterSnapshot& snapshot) override;
 
-  /// The decision is a pure function of the predicted rate, so it is
-  /// stable for as long as the predictor's output is — and longer: when
-  /// the predictor advertises real (multi-second) stability it is pure, so
-  /// consecutive stability segments whose predictions map to the same
-  /// combination table index are merged into one span.
+  /// The first second after `now` whose prediction falls in another
+  /// threshold bucket (max() when none ever does). now + 1 for a stateful
+  /// predictor, which cannot be probed ahead, and for a design built
+  /// without a combination table, which has no buckets.
   [[nodiscard]] TimePoint decision_stable_until(
       TimePoint now, const LoadTrace& trace) override;
 
@@ -54,12 +66,36 @@ class BmlScheduler final : public Scheduler {
   [[nodiscard]] static Seconds default_window(const BmlDesign& design);
 
  private:
+  /// Seconds [begin, end) whose predictions share one threshold bucket,
+  /// and so one combination; `end` is the first second outside it.
+  struct DecisionRun {
+    TimePoint begin = 0;
+    TimePoint end = 0;
+    Combination combination;
+  };
+
+  /// Points the cursor and the run at `trace`, rebuilding both when the
+  /// trace changed.
+  void bind(const LoadTrace& trace);
+  /// A prediction scaled by the QoS headroom and clamped to the table
+  /// range.
+  [[nodiscard]] ReqRate target_rate(ReqRate predicted) const;
+  /// The target rate at `now`.
   [[nodiscard]] ReqRate target_rate(const LoadTrace& trace, TimePoint now);
+  /// The smallest prediction whose target rate reaches grid index `grid`
+  /// (+inf when none does): a bucket edge mapped back to predictions, so
+  /// the walk compares raw predictions.
+  [[nodiscard]] ReqRate prediction_edge(double grid) const;
 
   std::shared_ptr<const BmlDesign> design_;
   std::shared_ptr<Predictor> predictor_;
   Seconds window_;
   QosClass qos_;
+
+  const LoadTrace* bound_trace_ = nullptr;
+  std::size_t bound_size_ = 0;
+  std::unique_ptr<PredictionCursor> cursor_;  // null: stateful predictor
+  DecisionRun run_;
 };
 
 }  // namespace bml

@@ -1,10 +1,10 @@
 // Run-length lookup over piecewise-constant series.
 //
-// Both the load trace and the oracle predictor's window-max cache expose
-// "when does this series next change value?" to the event-driven
-// simulator. They share this helper so the subtle tail rule — beyond the
-// series the value is an implicit 0, which counts as a change only when
-// the last stored value is non-zero — lives in exactly one place.
+// The load trace answers "when does the rate next change?" (the reactive
+// scheduler's stability walk) from its indexed change points. The lookup
+// lives here so the subtle tail rule — beyond the series the value is an
+// implicit 0, which counts as a change only when the last stored value is
+// non-zero — is stated apart from the trace's storage.
 #pragma once
 
 #include <algorithm>
@@ -28,32 +28,6 @@ namespace bml {
   const auto it =
       std::upper_bound(change_points.begin(), change_points.end(), idx);
   if (it != change_points.end()) return static_cast<TimePoint>(*it);
-  if (last_value == 0.0) return std::numeric_limits<TimePoint>::max();
-  return static_cast<TimePoint>(size);
-}
-
-/// next_change_point with a caller-held cursor: `hint` carries the slot
-/// the previous call resolved to, so the monotonically advancing probe
-/// sequences of the schedulers' stability walks cost O(1) amortised
-/// instead of one binary search per probe. Any access pattern stays
-/// correct — when the hint does not bracket `idx` the lookup falls back
-/// to the binary search and re-seats the hint.
-[[nodiscard]] inline TimePoint next_change_point_hinted(
-    const std::vector<std::size_t>& change_points, std::size_t idx,
-    std::size_t size, double last_value, std::size_t& hint) {
-  const std::size_t n = change_points.size();
-  std::size_t j = hint;
-  const bool lower_ok = j <= n && (j == 0 || change_points[j - 1] <= idx);
-  if (lower_ok && j < n && change_points[j] <= idx &&
-      (j + 1 == n || change_points[j + 1] > idx)) {
-    ++j;  // advanced exactly one segment — the stability-walk hot case
-  } else if (!(lower_ok && (j == n || change_points[j] > idx))) {
-    j = static_cast<std::size_t>(
-        std::upper_bound(change_points.begin(), change_points.end(), idx) -
-        change_points.begin());
-  }
-  hint = j;
-  if (j < n) return static_cast<TimePoint>(change_points[j]);
   if (last_value == 0.0) return std::numeric_limits<TimePoint>::max();
   return static_cast<TimePoint>(size);
 }

@@ -50,6 +50,20 @@ class TimeSeries {
   /// the index. Not thread-safe against concurrent max_over calls.
   void build_max_index();
 
+  /// Samples per range-max index block: large enough that the index is
+  /// ~1.6% of the series, small enough that partial-block scans stay in
+  /// one or two cache lines.
+  static constexpr std::size_t kMaxBlock = 64;
+
+  /// The index's per-block maxima — block b covers samples
+  /// [b * kMaxBlock, (b + 1) * kMaxBlock), the last one partial — so a
+  /// scan can skip blocks whose maximum rules them out. Empty without an
+  /// index (series shorter than 4 blocks, or none built).
+  [[nodiscard]] std::span<const double> block_maxima() const {
+    if (max_table_.empty()) return {};
+    return max_table_.front();
+  }
+
   /// Sum of samples times step — the integral. For a power series this is
   /// the energy in Joules.
   [[nodiscard]] double integral() const;
@@ -70,11 +84,6 @@ class TimeSeries {
   [[nodiscard]] double mean() const;
 
  private:
-  /// Samples per range-max index block: large enough that the index is
-  /// ~1.6% of the series, small enough that partial-block scans stay in
-  /// one or two cache lines.
-  static constexpr std::size_t kMaxBlock = 64;
-
   /// Leftmost maximum of the non-empty block range [lo, hi) via the
   /// sparse table (two overlapping power-of-two spans).
   [[nodiscard]] double blocks_max(std::size_t lo, std::size_t hi) const;

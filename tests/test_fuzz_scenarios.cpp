@@ -64,10 +64,16 @@ std::string random_workload(Rng& rng, bool top_level, int shared_domains = 0,
   os << "scheduler = "
      << pick(rng, std::vector<std::string>{"bml", "reactive", "hysteresis"})
      << '\n';
-  os << "predictor = "
-     << pick(rng, std::vector<std::string>{"oracle-max", "last-value",
-                                           "moving-max"})
-     << '\n';
+  const std::string predictor =
+      pick(rng, std::vector<std::string>{"oracle-max", "last-value",
+                                         "moving-max", "linear-trend",
+                                         "seasonal"});
+  os << "predictor = " << predictor << '\n';
+  // A seasonal period no shorter than the 378 s BML window (a shorter one
+  // is a named error) and shorter than the trace, so replays cross the
+  // switch from the warm-up window to the seasonal forecast.
+  if (predictor == "seasonal")
+    os << "predictor.period = " << rng.uniform_int(378, duration - 1) << '\n';
   os << "qos = " << (rng.chance(0.5) ? "tolerant" : "critical") << '\n';
   if (!top_level) {
     if (shared_domains > 0) {

@@ -5,7 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <iterator>
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "trace/synthetic.hpp"
 
@@ -151,21 +158,32 @@ TEST(ErrorInjectingPredictor, Validation) {
                std::invalid_argument);
 }
 
-// Property behind the event-driven fast path: predict() must be constant
-// on [now, stable_until(now)) — verified brute force against per-second
-// queries. Both predictors under test are pure, so probing them at every
-// second is side-effect free.
+// A prediction's stability bound is the first later second whose value
+// differs: the cursor's first_outside() over the one-value band [v, v⁺).
+// predict() must be constant on [now, bound) and differ at the bound —
+// verified brute force against per-second predict() queries.
+TimePoint stable_until(PredictionCursor& cursor, TimePoint now) {
+  const ReqRate v = cursor.value(now);
+  return cursor.first_outside(
+      now, v, std::nextafter(v, std::numeric_limits<ReqRate>::infinity()));
+}
+
 void expect_stability_sound(Predictor& p, const LoadTrace& trace,
                             Seconds horizon) {
+  const std::unique_ptr<PredictionCursor> cursor = p.cursor(trace, horizon);
+  ASSERT_NE(cursor, nullptr);
   const auto n = static_cast<TimePoint>(trace.size());
   for (TimePoint now = 0; now < n;) {
-    const TimePoint stable = p.stable_until(trace, now, horizon);
+    const TimePoint stable = stable_until(*cursor, now);
     ASSERT_GT(stable, now) << "stable_until must advance, t=" << now;
     const double value = p.predict(trace, now, horizon);
     const TimePoint end = std::min(stable, n + 10);
     for (TimePoint t = now + 1; t < end; ++t)
-      ASSERT_DOUBLE_EQ(p.predict(trace, t, horizon), value)
+      ASSERT_EQ(p.predict(trace, t, horizon), value)
           << "span [" << now << ", " << stable << ") broke at t=" << t;
+    if (stable == end)
+      ASSERT_NE(p.predict(trace, stable, horizon), value)
+          << "span [" << now << ", " << stable << ") ends early";
     now = end;
   }
 }
@@ -190,37 +208,9 @@ TEST(MovingMaxPredictor, StableUntilIsSoundOnSpikyTrace) {
   expect_stability_sound(p, LoadTrace(rates), 30.0);
 }
 
-/// `n_alternating` one-second segments (1, 2, 1, 2, ...) followed by a
-/// zero tail — every second in the alternating prefix is its own
-/// run-length segment, which pins the 64-segment walk cap exactly.
-LoadTrace alternating_then_zero(int n_alternating, Seconds tail) {
-  std::vector<StepSegment> segments;
-  for (int i = 0; i < n_alternating; ++i)
-    segments.push_back({i % 2 == 1 ? 2.0 : 1.0, 1.0});
-  segments.push_back({0.0, tail});
-  return step_trace(segments);
-}
-
-TEST(MovingMaxPredictor, SegmentCapBoundaryExactly64SegmentsBatches) {
-  // Window [0, 64) holds exactly 64 segments: the walk completes and the
-  // bound is real — the trailing max stays 2 until the last 2 (t = 63)
-  // slides out of the window at t = 63 + 64 + 1 = 128.
-  MovingMaxPredictor p(64.0);
-  const LoadTrace trace = alternating_then_zero(64, 300.0);
-  EXPECT_EQ(p.stable_until(trace, 64, 1.0), 128);
-}
-
-TEST(MovingMaxPredictor, SegmentCapBoundary65SegmentsDegradesToPerSecond) {
-  // One segment past the cap: the walk bails out and the bound degrades
-  // gracefully to now + 1 (per-second querying).
-  MovingMaxPredictor p(65.0);
-  const LoadTrace trace = alternating_then_zero(65, 300.0);
-  EXPECT_EQ(p.stable_until(trace, 65, 1.0), 66);
-}
-
 TEST(MovingMaxPredictor, StableUntilIsSoundOnNoisyTrace) {
-  // A per-second-varying window (hundreds of segments): the cap forces
-  // now + 1 in the noisy stretches, which must still be sound.
+  // A per-second-varying window (hundreds of segments): the bound moves
+  // by a second at a time in the noisy stretches, and must stay exact.
   DiurnalOptions options;
   options.peak = 400.0;
   options.noise = 0.3;
@@ -251,7 +241,9 @@ TEST(LastValuePredictor, StableUntilTracksTraceChanges) {
   LastValuePredictor p;
   // predict(t) reads at(t - 1): the value observed at t = 3 (10.0) holds
   // until one second after the trace steps at t = 5.
-  EXPECT_EQ(p.stable_until(trace, 3, 1.0), 6);
+  const std::unique_ptr<PredictionCursor> cursor = p.cursor(trace, 1.0);
+  ASSERT_NE(cursor, nullptr);
+  EXPECT_EQ(stable_until(*cursor, 3), 6);
   expect_stability_sound(p, trace, 1.0);
 }
 
@@ -259,7 +251,9 @@ TEST(MovingMaxPredictor, StableForeverOnceTraceDrained) {
   const LoadTrace trace = step_trace({{700.0, 100.0}, {0.0, 100.0}});
   MovingMaxPredictor p(50.0);
   // Far beyond the end the window holds only implicit zeros.
-  EXPECT_EQ(p.stable_until(trace, 1000, 30.0),
+  const std::unique_ptr<PredictionCursor> cursor = p.cursor(trace, 30.0);
+  ASSERT_NE(cursor, nullptr);
+  EXPECT_EQ(stable_until(*cursor, 1000),
             std::numeric_limits<TimePoint>::max());
 }
 
@@ -274,6 +268,157 @@ TEST(SeasonalPredictor, StableUntilIsSoundAcrossPeriods) {
   const LoadTrace trace = step_trace(segments);
   SeasonalPredictor p(/*period=*/600.0, /*headroom=*/1.1);
   expect_stability_sound(p, trace, 50.0);
+}
+
+// Property behind the scheduler's decision walks: every pure predictor's
+// cursor equals predict() bit for bit, at every second up to the trace
+// end plus the predictor's lookback, whether the cursor is queried every
+// second, with jumps (some longer than any window), or restarted at an
+// earlier time; and first_outside() lands on exactly the first later
+// second whose prediction leaves the given band, for bands as narrow as
+// one value and as wide as a half-line, when hopped from band to band as
+// the scheduler does. The BML scheduler reads only the cursor, both in
+// the per-second loop and in the event-driven walk, so predict() is the
+// independent reference here (and the oracle is also held to max_over).
+struct CursorCase {
+  std::string name;
+  std::function<std::unique_ptr<Predictor>()> make;
+  TimePoint lookback;  // how far past the trace end the prediction reads
+};
+
+std::vector<CursorCase> cursor_cases() {
+  return {
+      {"oracle-max", [] { return std::make_unique<OracleMaxPredictor>(); },
+       0},
+      {"last-value", [] { return std::make_unique<LastValuePredictor>(); },
+       1},
+      {"moving-max",
+       [] { return std::make_unique<MovingMaxPredictor>(90.0); }, 90},
+      {"linear-trend",
+       [] { return std::make_unique<LinearTrendPredictor>(60.0); }, 60},
+      {"seasonal",
+       [] { return std::make_unique<SeasonalPredictor>(600.0, 1.1); },
+       3600},
+  };
+}
+
+std::vector<std::pair<std::string, LoadTrace>> cursor_traces() {
+  DiurnalOptions options;
+  options.peak = 400.0;
+  options.noise = 0.3;
+  options.seed = 13;
+  const LoadTrace day = diurnal_trace(options, 1);
+  std::vector<double> noisy;
+  for (TimePoint t = 0; t < 1500; ++t) noisy.push_back(day.at(t + 30'000));
+  // The same noise ending in a stretch of stored zeros, so the stored and
+  // the implicit zeros past the end meet; and a cut too short for the
+  // trace's range-max index, so no index block is skipped.
+  std::vector<double> zero_tail(noisy.begin(), noisy.begin() + 900);
+  zero_tail.resize(1300, 0.0);
+  const std::vector<double> unindexed(noisy.begin(), noisy.begin() + 200);
+  return {
+      {"step", step_trace({{40.0, 300.0},
+                           {900.0, 200.0},
+                           {900.0, 100.0},
+                           {30.0, 400.0},
+                           {0.0, 150.0},
+                           {500.0, 250.0}})},
+      {"noisy", LoadTrace(noisy)},
+      {"zero-tail", LoadTrace(zero_tail)},
+      {"unindexed", LoadTrace(unindexed)},
+  };
+}
+
+/// Query times in [0, end]: every second, jumps of 1 to 700 s, or
+/// restarts at earlier times, a few seconds back and far back.
+std::vector<TimePoint> query_sequence(const std::string& kind,
+                                      TimePoint end) {
+  std::vector<TimePoint> times;
+  if (kind == "contiguous") {
+    for (TimePoint t = 0; t <= end; ++t) times.push_back(t);
+  } else if (kind == "skipping") {
+    const TimePoint steps[] = {1, 2, 3, 7, 1, 1, 40, 5, 700, 1, 13};
+    std::size_t i = 0;
+    for (TimePoint t = 0; t <= end; t += steps[i++ % std::size(steps)])
+      times.push_back(t);
+  } else {
+    for (TimePoint t = 0; t <= end / 2; ++t) times.push_back(t);
+    for (TimePoint t = end / 2 - 3; t <= end; ++t) times.push_back(t);
+    for (TimePoint t = end / 3; t <= end; t += 3) times.push_back(t);
+    for (TimePoint t = 0; t <= end; t += 7) times.push_back(t);
+  }
+  return times;
+}
+
+TEST(PredictionCursor, EqualsPredictForEveryPurePredictor) {
+  constexpr Seconds kHorizon = 50.0;
+  constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
+  for (const auto& [trace_name, trace] : cursor_traces()) {
+    for (const CursorCase& c : cursor_cases()) {
+      const auto n = static_cast<TimePoint>(trace.size());
+      // Past `end` every window the prediction reads lies past the trace
+      // end, so the prediction holds its value at `end` forever.
+      const TimePoint end = n + c.lookback + 10;
+      const std::unique_ptr<Predictor> reference = c.make();
+      std::vector<ReqRate> expected;
+      for (TimePoint t = 0; t <= end; ++t)
+        expected.push_back(reference->predict(trace, t, kHorizon));
+
+      for (const std::string kind : {"contiguous", "skipping", "restarted"}) {
+        SCOPED_TRACE(c.name + " on " + trace_name + ", " + kind);
+        const std::unique_ptr<PredictionCursor> cursor =
+            c.make()->cursor(trace, kHorizon);
+        ASSERT_NE(cursor, nullptr);
+        for (const TimePoint t : query_sequence(kind, end)) {
+          const ReqRate want = expected[static_cast<std::size_t>(t)];
+          ASSERT_EQ(cursor->value(t), want) << "t=" << t;
+          if (c.name == "oracle-max")
+            ASSERT_EQ(want, trace.max_over(t, t + 50)) << "t=" << t;
+        }
+      }
+
+      // Bands around the value at t, from one value wide to a half-line.
+      const auto band = [](int kind, ReqRate v) -> std::pair<ReqRate, ReqRate> {
+        constexpr ReqRate kInf = std::numeric_limits<ReqRate>::infinity();
+        switch (kind) {
+          case 0: return {v, std::nextafter(v, kInf)};
+          case 1: return {v - 20.0, v + 20.0};
+          case 2: return {0.5 * v, 1.5 * v + 1.0};
+          case 3: return {v, kInf};
+          default: return {-kInf, v + 1.0};
+        }
+      };
+      for (int kind = 0; kind < 5; ++kind) {
+        SCOPED_TRACE(c.name + " on " + trace_name + ", band " +
+                     std::to_string(kind));
+        const std::unique_ptr<PredictionCursor> cursor =
+            c.make()->cursor(trace, kHorizon);
+        for (const TimePoint start : {TimePoint{0}, n / 3, TimePoint{5}, n}) {
+          for (TimePoint t = start; t != kNever;) {
+            const ReqRate v = expected[static_cast<std::size_t>(t)];
+            ASSERT_EQ(cursor->value(t), v) << "t=" << t;
+            const auto [lo, hi] = band(kind, v);
+            TimePoint want = kNever;
+            for (TimePoint u = t + 1; u <= end && want == kNever; ++u) {
+              const ReqRate w = expected[static_cast<std::size_t>(u)];
+              if (w < lo || !(w < hi)) want = u;
+            }
+            t = cursor->first_outside(t, lo, hi);
+            ASSERT_EQ(t, want) << "band [" << lo << ", " << hi << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PredictionCursor, StatefulPredictorsHaveNone) {
+  const LoadTrace trace({1.0, 2.0, 3.0});
+  EXPECT_EQ(EwmaPredictor(0.5).cursor(trace, 10.0), nullptr);
+  EXPECT_EQ(ErrorInjectingPredictor(std::make_unique<OracleMaxPredictor>(),
+                                    0.1, 0.0, 1)
+                .cursor(trace, 10.0),
+            nullptr);
 }
 
 // Property: the oracle prediction always covers the true load at every

@@ -636,6 +636,24 @@ TEST(RunScenario, PriorityOnSingleWorkloadSumSpecIsANamedError) {
   EXPECT_NO_THROW((void)run_scenario(spec));
 }
 
+TEST(RunScenario, SeasonalPeriodShorterThanWindowIsANamedError) {
+  // The default BML window (378 s on the real catalog) is longer than the
+  // period, so the seasonal window would read samples at or after `now`:
+  // the run refuses instead of letting a history-only predictor see the
+  // future.
+  const ScenarioSpec spec = parse_scenario(
+      "trace = constant\ntrace.rate = 100\ntrace.duration = 900\n"
+      "predictor = seasonal\npredictor.period = 300\n");
+  try {
+    (void)run_scenario(spec);
+    FAIL() << "expected a validation error";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("SeasonalPredictor"), std::string::npos) << what;
+    EXPECT_NE(what.find("period"), std::string::npos) << what;
+  }
+}
+
 TEST(RunSweep, DegradePriorityColumnsArePinnedAndThreadStable) {
   // The graceful-degradation column groups land in a fixed order after
   // the SLO block: overload_seconds / penalty_lost_req_s (degrade

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "sched/baselines.hpp"
 #include "sched/bml_scheduler.hpp"
@@ -94,15 +97,61 @@ TEST(BmlScheduler, DecisionStableUntilMergesSameCombinationSpans) {
     now = end;
   }
 
-  // Strength: from t = 0 the prediction drops at every plateau start, but
+  // Exactness: from t = 0 the prediction drops at every plateau start, but
   // the decision only changes when the 2800 req/s step enters the oracle
-  // window — the bound must clear several plateaus at once.
+  // window — the bound clears every plateau and lands on that second.
   const TimePoint bound = scheduler.decision_stable_until(0, trace);
-  OracleMaxPredictor oracle;
-  const TimePoint prediction_bound =
-      oracle.stable_until(trace, 0, scheduler.window());
-  EXPECT_GT(bound, prediction_bound);
-  EXPECT_GE(bound, 800);
+  const auto initial = scheduler.decide(0, trace, snapshot);
+  TimePoint first_change = 1;
+  while (first_change < static_cast<TimePoint>(trace.size()) &&
+         scheduler.decide(first_change, trace, snapshot) == initial)
+    ++first_change;
+  EXPECT_EQ(bound, first_change);
+  EXPECT_EQ(bound, 1600 - static_cast<TimePoint>(scheduler.window()) + 1);
+}
+
+TEST(BmlScheduler, DecisionStableUntilIsExactAtBucketEdges) {
+  // Plateaus on, just below and just above each grid cut, in rate and in
+  // rate / 1.1, so the bound must land on the exact second the threshold
+  // bucket changes even where the critical class's 1.1 headroom rounds
+  // a prediction onto a cut. Both walks are checked: last-value steps
+  // its cursor second by second, a one-second moving max (the same
+  // predictions) scans the trace's samples directly.
+  const DecisionThresholds& cuts = *design()->decision_thresholds();
+  std::vector<StepSegment> segments;
+  for (std::size_t i = 3; i < 40; ++i) {
+    const double cut = cuts.bucket_grid_range(i).first;
+    for (const double v : {cut - 1.0, cut, (cut - 1.0) / 1.1, cut / 1.1})
+      for (const double u : {std::nextafter(v, 0.0), v, std::nextafter(v, 1e9)})
+        segments.push_back({u, 3.0});
+  }
+  const LoadTrace trace = step_trace(segments);
+  const auto n = static_cast<TimePoint>(trace.size());
+  for (const QosClass qos : {QosClass::kTolerant, QosClass::kCritical}) {
+    const auto bucket = [&](TimePoint t) {
+      const ReqRate predicted = t == 0 ? 0.0 : trace.at(t - 1);
+      return cuts.index_for(std::min(predicted * headroom_factor(qos),
+                                     design()->max_rate()));
+    };
+    for (const bool moving_max : {false, true}) {
+      std::shared_ptr<Predictor> predictor;
+      if (moving_max)
+        predictor = std::make_shared<MovingMaxPredictor>(1.0);
+      else
+        predictor = std::make_shared<LastValuePredictor>();
+      BmlScheduler scheduler(design(), predictor, 0.0, qos);
+      // From n + 1 on the prediction reads only the implicit zeros.
+      for (TimePoint t = 0; t <= n + 1; ++t) {
+        TimePoint expected = t + 1;
+        while (expected <= n + 1 && bucket(expected) == bucket(t)) ++expected;
+        if (expected > n + 1)
+          expected = std::numeric_limits<TimePoint>::max();
+        ASSERT_EQ(scheduler.decision_stable_until(t, trace), expected)
+            << "t=" << t << (moving_max ? " moving-max" : " last-value")
+            << (qos == QosClass::kCritical ? " critical" : " tolerant");
+      }
+    }
+  }
 }
 
 TEST(BmlScheduler, Validation) {

@@ -71,6 +71,20 @@ TEST(SeasonalPredictor, Validation) {
   EXPECT_EQ(p.name(), "seasonal");
 }
 
+TEST(SeasonalPredictor, RejectsHorizonLongerThanPeriod) {
+  // The window one period ago, [now - period, now - period + horizon),
+  // reaches samples at or after `now` once horizon > period: a
+  // history-only predictor would read the future.
+  SeasonalPredictor p(300.0, 1.0);
+  const LoadTrace trace = constant_trace(10.0, 2000.0);
+  EXPECT_THROW((void)p.predict(trace, 1000, 378.0), std::invalid_argument);
+  EXPECT_THROW((void)p.predict(trace, 10, 301.0), std::invalid_argument);
+  EXPECT_THROW((void)p.cursor(trace, 378.0), std::invalid_argument);
+  // A horizon of exactly one period reads [now - period, now): history.
+  EXPECT_NEAR(p.predict(trace, 1000, 300.0), 10.0, 1e-9);
+  EXPECT_NE(p.cursor(trace, 300.0), nullptr);
+}
+
 TEST(Export, WritesEveryFigureCsv) {
   const auto dir =
       std::filesystem::temp_directory_path() / "bml_export_test";

@@ -66,7 +66,7 @@ TEST(TimeSeries, PushBackGrows) {
 
 // The block + sparse-table range-max index must answer every window
 // query with exactly the value the plain scan returns — it is the hot
-// primitive under predictors and decision_stable_until, and the
+// primitive under predict() of the history-window predictors, and the
 // simulator's byte-identity contract rides on the equality.
 TEST(TimeSeries, MaxIndexMatchesPlainScanOnEveryWindow) {
   std::vector<double> values;
