@@ -196,11 +196,11 @@ BENCHMARK(BM_SimulatorDay)->Unit(benchmark::kMillisecond);
 
 // Three colocated applications (diurnal + worldcup + steady) replayed for
 // one day through the multi-workload layer: the per-app attribution and
-// coordinator-merge overhead on top of BM_SimulatorDay. Traces and
-// schedulers are built once and passed as non-owning views, so the loop
-// times the replay itself: each timed run walks the schedulers'
-// prediction cursors again from t = 0, as in the replay_week benchmarks.
-// items_per_second counts app-trace-seconds (3 x 86400 per iteration).
+// coordinator-merge overhead on top of BM_SimulatorDay. Traces are built
+// once; each timed iteration builds its three schedulers fresh, as
+// BM_SimulatorDay does for its one, so the CI ratio compares like with
+// like. items_per_second counts app-trace-seconds (3 x 86400 per
+// iteration).
 void BM_MultiAppSimulatorDay(benchmark::State& state) {
   auto d = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
   DiurnalOptions diurnal;
@@ -209,24 +209,25 @@ void BM_MultiAppSimulatorDay(benchmark::State& state) {
   WorldCupOptions worldcup;
   worldcup.days = 1;
   worldcup.peak = 3000.0;
-  const LoadTrace traces[] = {diurnal_trace(diurnal, 1),
-                              worldcup_like_trace(worldcup),
-                              constant_trace(400.0, 86'400.0)};
-  const std::string names[] = {"web", "worldcup", "batch"};
+  constexpr std::size_t kApps = 3;
+  const LoadTrace traces[kApps] = {diurnal_trace(diurnal, 1),
+                                   worldcup_like_trace(worldcup),
+                                   constant_trace(400.0, 86'400.0)};
+  const std::string names[kApps] = {"web", "worldcup", "batch"};
   const Simulator simulator(d->candidates());
-  std::vector<std::unique_ptr<BmlScheduler>> schedulers;
-  std::vector<Simulator::WorkloadView> views;
   std::int64_t seconds_per_iter = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    schedulers.push_back(std::make_unique<BmlScheduler>(
-        d, std::make_shared<OracleMaxPredictor>()));
-    views.push_back(Simulator::WorkloadView{&names[i], &traces[i],
-                                            schedulers[i].get(),
-                                            QosClass::kTolerant, 1.0});
-    seconds_per_iter += static_cast<std::int64_t>(traces[i].size());
-  }
-  benchmark::DoNotOptimize(simulator.run(views));  // bind the cursors
+  for (const LoadTrace& trace : traces)
+    seconds_per_iter += static_cast<std::int64_t>(trace.size());
   for (auto _ : state) {
+    std::vector<std::unique_ptr<BmlScheduler>> schedulers;
+    std::vector<Simulator::WorkloadView> views;
+    for (std::size_t i = 0; i < kApps; ++i) {
+      schedulers.push_back(std::make_unique<BmlScheduler>(
+          d, std::make_shared<OracleMaxPredictor>()));
+      views.push_back(Simulator::WorkloadView{&names[i], &traces[i],
+                                              schedulers[i].get(),
+                                              QosClass::kTolerant, 1.0});
+    }
     benchmark::DoNotOptimize(simulator.run(views));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -556,6 +557,9 @@ void BM_SweepSharedBuildThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepSharedBuildThroughput)->Unit(benchmark::kMillisecond);
 
+// Generation plus the LoadTrace indexing it returns through. At 87 days
+// (the default, seed 1998) this is the Fig. 5 trace as shipped in
+// examples/specs/fig5_worldcup.scn: mostly Poisson and normal draws.
 void BM_WorldCupTraceGeneration(benchmark::State& state) {
   WorldCupOptions options;
   options.days = static_cast<std::size_t>(state.range(0));
@@ -565,7 +569,7 @@ void BM_WorldCupTraceGeneration(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(options.days) * 86400);
 }
-BENCHMARK(BM_WorldCupTraceGeneration)->Arg(1)->Arg(7)
+BENCHMARK(BM_WorldCupTraceGeneration)->Arg(1)->Arg(7)->Arg(87)
     ->Unit(benchmark::kMillisecond);
 
 // How *this binary* was compiled. google-benchmark's own

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -96,6 +97,38 @@ LoadTrace worldcup_like_trace(const WorldCupOptions& options) {
   if (options.tournament_end_day < options.tournament_start_day)
     throw std::invalid_argument(
         "worldcup_like_trace: tournament must end after it starts");
+  // Every burst must fit in one day, or its start offset has an empty
+  // range to be drawn from. Written so that NaN fails too.
+  const auto require = [](bool ok, const char* what) {
+    if (!ok)
+      throw std::invalid_argument(std::string("worldcup_like_trace: ") + what);
+  };
+  const double day = static_cast<double>(kSecondsPerDay);
+  require(options.news_burst_min_amplitude <= options.news_burst_max_amplitude,
+          "news_burst_min_amplitude must be <= news_burst_max_amplitude");
+  require(options.news_burst_min_duration >= 0.0 &&
+              options.news_burst_min_duration <=
+                  options.news_burst_max_duration,
+          "news burst durations must satisfy 0 <= news_burst_min_duration "
+          "<= news_burst_max_duration");
+  require(options.news_burst_ramp >= 0.0, "news_burst_ramp must be >= 0");
+  require(options.news_burst_max_duration + 2.0 * options.news_burst_ramp +
+                  1.0 <=
+              day,
+          "news_burst_max_duration + 2 * news_burst_ramp + 1 must fit in a "
+          "day (86400 s)");
+  require(options.micro_bursts_per_day >= 0.0,
+          "micro_bursts_per_day must be >= 0");
+  require(
+      options.micro_burst_min_amplitude <= options.micro_burst_max_amplitude,
+      "micro_burst_min_amplitude must be <= micro_burst_max_amplitude");
+  require(options.micro_burst_min_duration >= 0.0 &&
+              options.micro_burst_min_duration <=
+                  options.micro_burst_max_duration,
+          "micro burst durations must satisfy 0 <= micro_burst_min_duration "
+          "<= micro_burst_max_duration");
+  require(options.micro_burst_max_duration < day,
+          "micro_burst_max_duration must be < a day (86400 s)");
 
   Rng rng(options.seed);
 
@@ -124,32 +157,36 @@ LoadTrace worldcup_like_trace(const WorldCupOptions& options) {
     envelope[d] = e * (weekend ? 1.05 : 1.0);
   }
 
-  const auto total =
-      options.days * static_cast<std::size_t>(kSecondsPerDay);
-  std::vector<double> rates(total, 0.0);
+  // The diurnal shape (peaking in the evening) and each match's surge
+  // depend only on the second of the day: tabulate them once, kick-major
+  // within each second.
+  const auto per_day = static_cast<std::size_t>(kSecondsPerDay);
+  const std::size_t kicks = options.match_hours.size();
+  std::vector<double> diurnal(per_day);
+  std::vector<double> surge(per_day * kicks);
+  const double trough = options.diurnal_trough;
+  const double hours = options.match_duration / 3600.0;
+  for (std::size_t s = 0; s < per_day; ++s) {
+    const double tod = static_cast<double>(s) / 3600.0;
+    diurnal[s] = trough + (1.0 - trough) * 0.5 *
+                              (1.0 + std::cos(kTwoPi * (tod - 18.0) / 24.0));
+    for (std::size_t k = 0; k < kicks; ++k)
+      surge[s * kicks + k] =
+          raised_cosine((tod - options.match_hours[k]) / hours);
+  }
+
+  std::vector<double> rates(options.days * per_day, 0.0);
   double raw_max = 0.0;
   for (std::size_t d = 0; d < options.days; ++d) {
     const bool match_day =
         d >= options.tournament_start_day && d <= options.tournament_end_day;
-    for (TimePoint s = 0; s < kSecondsPerDay; ++s) {
-      const double tod = static_cast<double>(s) / 3600.0;
-      // Diurnal shape peaking in the evening.
-      const double trough = options.diurnal_trough;
-      const double diurnal =
-          trough + (1.0 - trough) * 0.5 *
-                       (1.0 + std::cos(kTwoPi * (tod - 18.0) / 24.0));
-      double value = envelope[d] * diurnal;
-      if (match_day) {
-        const double hours = options.match_duration / 3600.0;
-        for (double kick : options.match_hours) {
-          const double x = (tod - kick) / hours;
-          value += envelope[d] * options.match_boost * raised_cosine(x);
-        }
-      }
-      const auto idx =
-          d * static_cast<std::size_t>(kSecondsPerDay) +
-          static_cast<std::size_t>(s);
-      rates[idx] = value;
+    const double boost = envelope[d] * options.match_boost;
+    for (std::size_t s = 0; s < per_day; ++s) {
+      double value = envelope[d] * diurnal[s];
+      if (match_day)
+        for (std::size_t k = 0; k < kicks; ++k)
+          value += boost * surge[s * kicks + k];
+      rates[d * per_day + s] = value;
       raw_max = std::max(raw_max, value);
     }
   }

@@ -3,55 +3,147 @@
 // Every stochastic component in the library (synthetic traces, wattmeter
 // noise, prediction-error injection) takes an explicit seed so that tests
 // and benchmark runs are reproducible bit-for-bit.
+//
+// The words come from std::mt19937_64, whose output the C++ standard fixes.
+// The standard library's distribution classes are not used: their
+// algorithms are implementation-defined, so the same seed would give other
+// draws under another standard library. Each sampler below is instead the
+// published algorithm written out here, in the exact form that produced the
+// library's historical streams (GCC's libstdc++), so every trace and CSV
+// keeps its bytes:
+//
+//  - canonical: one 64-bit word times 2^-64, clamped below 1 — the
+//    generate_canonical of [rand.util.canonical] for a 64-bit engine and
+//    53-bit doubles. `uniform` and `chance` scale and compare it.
+//  - uniform_int: Lemire's multiply-and-reject over a 128-bit product
+//    ("Fast Random Integer Generation in an Interval", ACM TOMACS 29(1),
+//    2019).
+//  - normal: Marsaglia's polar method (Devroye, "Non-Uniform Random
+//    Variate Generation", 1986, §V.4.4). Each call draws a fresh pair and
+//    returns one member; the other is dropped. The historical streams drew
+//    through a new distribution object per call, which never got to use
+//    its spare, so keeping it would shift every noisy trace.
+//  - poisson: below mean 12, the count of uniforms whose product stays
+//    above e^-mean; from 12 up, Devroye's rejection method (1986, §X.3.3
+//    and §X.3.4 with its errata), whose normal draws do use their polar
+//    spare within one Poisson draw. Its setup depends only on
+//    floor(mean), and its acceptance test takes lgamma of integers, so
+//    both are cached per generator (fixed-size, direct-mapped; see
+//    rng.cpp).
+//
+// The bytes still depend on libm (log, exp, sqrt, lgamma, and cos/pow in
+// the trace generators) and on a target that does not fuse a * b + c into
+// one rounding; x86-64 without -mfma does not.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <stdexcept>
+#include <utility>
 
 namespace bml {
 
-/// Thin wrapper over std::mt19937_64 with convenience draws.
+/// std::mt19937_64 with the library's own samplers over its words. The
+/// engine stays private, so no caller can pass its words to a
+/// standard-library distribution.
 /// Copyable; copies continue independent, identical streams.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed);
+  Rng(const Rng& other);
+  Rng& operator=(const Rng& other);
+  Rng(Rng&&) noexcept;
+  Rng& operator=(Rng&&) noexcept;
+  ~Rng();
 
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
-  }
+  /// Uniform double in [lo, hi): canonical() * (hi - lo) + lo.
+  double uniform(double lo, double hi) { return canonical() * (hi - lo) + lo; }
 
-  /// Uniform integer in [lo, hi] (inclusive).
+  /// Uniform integer in [lo, hi] (inclusive). Throws std::invalid_argument
+  /// when hi < lo.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+    if (hi < lo) throw std::invalid_argument("Rng::uniform_int: hi < lo");
+    const std::uint64_t range =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+    const std::uint64_t offset =
+        range == UINT64_MAX ? engine_() : below(range + 1);
+    return static_cast<std::int64_t>(offset + static_cast<std::uint64_t>(lo));
   }
 
-  /// Normal draw.
+  /// Normal draw: one polar pair, spare dropped (see the file comment).
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return polar_pair().second * stddev + mean;
   }
 
-  /// Poisson draw; mean must be >= 0.
+  /// Poisson draw; 0 when mean <= 0.
   std::int64_t poisson(double mean) {
     if (mean <= 0.0) return 0;
-    return std::poisson_distribution<std::int64_t>(mean)(engine_);
+    if (mean >= 12.0) return poisson_rejection(mean);
+    const double threshold = std::exp(-mean);
+    std::int64_t count = 0;
+    double product = 1.0;
+    do {
+      product *= canonical();
+      count += 1;
+    } while (product > threshold);
+    return count - 1;
   }
 
   /// Bernoulli draw with probability p (clamped to [0,1]).
   bool chance(double p) {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
-    return std::bernoulli_distribution(p)(engine_);
+    return canonical() < p;
   }
 
   /// Derives an independent child stream; used to give each sub-generator
   /// (e.g. each day of a synthetic trace) its own stream.
   Rng split() { return Rng(engine_()); }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
+  struct PoissonCache;
+
+  /// One word scaled into [0, 1) with 53-bit precision.
+  double canonical() {
+    const double u = static_cast<double>(engine_()) * 0x1p-64;
+    return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+  }
+
+  /// Lemire's nearly divisionless draw from [0, n), n > 0.
+  std::uint64_t below(std::uint64_t n) {
+    __extension__ using Wide = unsigned __int128;
+    Wide product = static_cast<Wide>(engine_()) * n;
+    auto low = static_cast<std::uint64_t>(product);
+    if (low < n) {
+      const std::uint64_t threshold = -n % n;
+      while (low < threshold) {
+        product = static_cast<Wide>(engine_()) * n;
+        low = static_cast<std::uint64_t>(product);
+      }
+    }
+    return static_cast<std::uint64_t>(product >> 64);
+  }
+
+  /// Marsaglia's polar method: two independent standard normals.
+  std::pair<double, double> polar_pair() {
+    double x = 0.0, y = 0.0, r2 = 0.0;
+    do {
+      x = 2.0 * canonical() - 1.0;
+      y = 2.0 * canonical() - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+    return {x * mult, y * mult};
+  }
+
+  std::int64_t poisson_rejection(double mean);
+
   std::mt19937_64 engine_;
+  /// Allocated on the first Poisson draw with mean >= 12; never copied
+  /// (its entries are pure functions of their keys).
+  std::unique_ptr<PoissonCache> poisson_cache_;
 };
 
 }  // namespace bml

@@ -654,6 +654,24 @@ TEST(RunScenario, SeasonalPeriodShorterThanWindowIsANamedError) {
   }
 }
 
+TEST(RunScenario, MicroBurstLongerThanADayIsANamedError) {
+  // A micro-burst must start inside its day. One longer than the day has
+  // no start to draw from: the run refuses with the key named instead of
+  // dropping the burst at a garbage offset.
+  const ScenarioSpec spec = parse_scenario(
+      "trace = worldcup_like\ntrace.days = 2\n"
+      "trace.micro_burst_min_duration = 90000\n"
+      "trace.micro_burst_max_duration = 100000\n");
+  try {
+    (void)run_scenario(spec);
+    FAIL() << "expected a validation error";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("micro_burst_max_duration"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(RunSweep, DegradePriorityColumnsArePinnedAndThreadStable) {
   // The graceful-degradation column groups land in a fixed order after
   // the SLO block: overload_seconds / penalty_lost_req_s (degrade

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace bml {
 namespace {
 
@@ -137,6 +140,67 @@ TEST(WorldCupTrace, Validation) {
   bad2.tournament_start_day = 5;
   bad2.tournament_end_day = 2;
   EXPECT_THROW((void)worldcup_like_trace(bad2), std::invalid_argument);
+
+  // Burst ranges: min <= max, durations that fit in a day (a micro-burst
+  // as long as a day used to draw its start from an empty range), and a
+  // non-negative micro-burst rate. NaN fails every check.
+  const auto rejects = [](const auto& edit, const std::string& key) {
+    WorldCupOptions options;
+    options.days = 2;
+    edit(options);
+    try {
+      (void)worldcup_like_trace(options);
+      ADD_FAILURE() << "expected a validation error naming " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects([](WorldCupOptions& o) { o.news_burst_min_amplitude = 0.6; },
+          "news_burst_min_amplitude");
+  rejects([](WorldCupOptions& o) { o.news_burst_min_duration = 3000.0; },
+          "news_burst_min_duration");
+  rejects([](WorldCupOptions& o) { o.news_burst_min_duration = -1.0; },
+          "news_burst_min_duration");
+  rejects([](WorldCupOptions& o) { o.news_burst_ramp = -5.0; },
+          "news_burst_ramp");
+  rejects(
+      [](WorldCupOptions& o) {
+        o.news_burst_min_duration = 80'000.0;
+        o.news_burst_max_duration = 86'200.0;
+      },
+      "news_burst_max_duration");
+  rejects([](WorldCupOptions& o) { o.news_burst_ramp = 43'000.0; },
+          "news_burst_ramp");
+  rejects([](WorldCupOptions& o) { o.micro_bursts_per_day = -1.0; },
+          "micro_bursts_per_day");
+  rejects(
+      [](WorldCupOptions& o) {
+        o.micro_bursts_per_day = std::numeric_limits<double>::quiet_NaN();
+      },
+      "micro_bursts_per_day");
+  rejects([](WorldCupOptions& o) { o.micro_burst_min_amplitude = 0.1; },
+          "micro_burst_min_amplitude");
+  rejects([](WorldCupOptions& o) { o.micro_burst_min_duration = 400.0; },
+          "micro_burst_min_duration");
+  rejects(
+      [](WorldCupOptions& o) {
+        o.micro_burst_min_duration = 90'000.0;
+        o.micro_burst_max_duration = 100'000.0;
+      },
+      "micro_burst_max_duration");
+  rejects([](WorldCupOptions& o) { o.micro_burst_max_duration = 86'400.0; },
+          "micro_burst_max_duration");
+
+  // The longest bursts that fit still generate.
+  WorldCupOptions longest;
+  longest.days = 2;
+  longest.news_burst_prob_per_day = 1.0;
+  longest.news_burst_min_duration = 80'000.0;
+  longest.news_burst_max_duration = 86'400.0 - 2.0 * 120.0 - 1.0;
+  longest.micro_burst_min_duration = 86'000.0;
+  longest.micro_burst_max_duration = 86'399.5;
+  EXPECT_EQ(worldcup_like_trace(longest).size(), 2U * 86'400U);
 }
 
 TEST(WorldCupTrace, MatchDaysShowEveningSurges) {

@@ -1,6 +1,15 @@
-// Tests for util/table (ASCII rendering), util/rng (determinism), and
-// util/logging (threshold behaviour).
+// Tests for util/table (ASCII rendering), util/rng (determinism, known
+// answers and the distribution of each sampler), and util/logging
+// (threshold behaviour).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -69,9 +78,205 @@ TEST(Rng, SplitProducesIndependentStream) {
   Rng child = a.split();
   // The child stream should not replay the parent's next values.
   Rng b(5);
-  (void)b.engine()();  // consume what split() consumed
+  (void)b.split();  // consume the one word split() consumed
   EXPECT_DOUBLE_EQ(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0));
   (void)child;
+}
+
+TEST(Rng, UniformIntRejectsAnEmptyRange) {
+  Rng rng(11);
+  EXPECT_THROW((void)rng.uniform_int(1, 0), std::invalid_argument);
+  EXPECT_THROW((void)rng.uniform_int(0, 86'400 - 90'000 - 1),
+               std::invalid_argument);
+  EXPECT_EQ(rng.uniform_int(4, 4), 4);
+}
+
+TEST(Rng, CopiesAndMovesContinueTheSameStream) {
+  Rng a(13);
+  (void)a.poisson(50.0);  // the copy must not depend on a's Poisson cache
+  Rng b = a;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(a.poisson(40.0 + i), b.poisson(40.0 + i));
+    ASSERT_EQ(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
+  }
+  Rng c = std::move(b);
+  Rng d(1);
+  d = a;
+  for (int i = 0; i < 200; ++i) ASSERT_EQ(c.poisson(5000.5), d.poisson(5000.5));
+}
+
+// FNV-1a over the 64-bit pattern of each of 10^5 draws, least significant
+// byte first. Draw i is draw(r) or, for a parameter sweep, draw(r, i).
+template <class Draw>
+std::uint64_t hash_draws(std::uint64_t seed, Draw draw) {
+  Rng r(seed);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < 100'000; ++i) {
+    const auto value = [&] {
+      if constexpr (std::is_invocable_v<Draw, Rng&, int>)
+        return draw(r, i);
+      else
+        return draw(r);
+    }();
+    std::uint64_t word = 0;
+    if constexpr (std::is_same_v<decltype(value), const double>)
+      word = std::bit_cast<std::uint64_t>(value);
+    else
+      word = static_cast<std::uint64_t>(value);
+    for (int b = 0; b < 64; b += 8)
+      h = (h ^ ((word >> b) & 0xffU)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The samplers' exact streams. The expected hashes were computed through
+// libstdc++'s distributions (GCC 12), the path these samplers replace, so
+// every trace and CSV keeps its bytes on any standard library. A change
+// here changes every synthetic trace: re-pin the goldens with it.
+TEST(Rng, KnownAnswers) {
+  // Poisson: product method below 12, rejection from 12 up (cached per
+  // floor(mean)), and a mean past the caches' key bound of 2^53.
+  EXPECT_EQ(hash_draws(1001, [](Rng& r) { return r.poisson(0.5); }),
+            0x0b923a28e3e9dd86ULL);
+  EXPECT_EQ(hash_draws(1002, [](Rng& r) { return r.poisson(6.0); }),
+            0xe219f869b887a93cULL);
+  EXPECT_EQ(hash_draws(1003, [](Rng& r) { return r.poisson(11.999); }),
+            0x6e5ee091bee9cf9aULL);
+  EXPECT_EQ(hash_draws(1004, [](Rng& r) { return r.poisson(12.0); }),
+            0xeb19631ede4753dfULL);
+  EXPECT_EQ(hash_draws(1005, [](Rng& r) { return r.poisson(12.001); }),
+            0x6301a4eee081a710ULL);
+  EXPECT_EQ(hash_draws(1006, [](Rng& r) { return r.poisson(100.0); }),
+            0x3edab44a6223a706ULL);
+  EXPECT_EQ(hash_draws(1007, [](Rng& r) { return r.poisson(5000.0); }),
+            0x1da6a518f5c56fe4ULL);
+  EXPECT_EQ(hash_draws(1008, [](Rng& r) { return r.poisson(1e16); }),
+            0x06b2cd38b67df2aeULL);
+  // One stream over means 0, 0.25, ..., 5999.75: both methods, integer
+  // and fractional means of each floor in turn, and thousands of floors
+  // sharing cache slots.
+  EXPECT_EQ(hash_draws(1017,
+                       [](Rng& r, int i) {
+                         return r.poisson(0.25 * (i % 24'000));
+                       }),
+            0xb7be72cd901a9fffULL);
+  EXPECT_EQ(hash_draws(1009, [](Rng& r) { return r.uniform_int(3, 3); }),
+            0x92272c409ff35125ULL);
+  EXPECT_EQ(hash_draws(1010, [](Rng& r) { return r.uniform_int(0, 86'399); }),
+            0xc41b521d1002f72fULL);
+  EXPECT_EQ(hash_draws(1011,
+                       [](Rng& r) {
+                         return r.uniform_int(INT64_MIN, INT64_MAX);
+                       }),
+            0x1f6a83a5ecbe4c0eULL);
+  EXPECT_EQ(hash_draws(1012, [](Rng& r) { return r.uniform(0.0, 1.0); }),
+            0x40c1358886c8a027ULL);
+  EXPECT_EQ(hash_draws(1013, [](Rng& r) { return r.uniform(-1e3, 2.5); }),
+            0xf09fa058e7eb72a9ULL);
+  EXPECT_EQ(hash_draws(1014, [](Rng& r) { return r.normal(0.0, 1.0); }),
+            0x93919d50398f0029ULL);
+  EXPECT_EQ(hash_draws(1015, [](Rng& r) { return r.normal(5.0, 0.25); }),
+            0x36bb2927ae8cb0afULL);
+  EXPECT_EQ(hash_draws(1016, [](Rng& r) { return r.chance(0.3); }),
+            0x87367834a9cc4ec5ULL);
+}
+
+struct Moments {
+  double mean = 0.0;
+  double variance = 0.0;  // unbiased
+};
+
+Moments moments(const std::vector<double>& xs) {
+  Moments m;
+  for (const double x : xs) m.mean += x;
+  m.mean /= static_cast<double>(xs.size());
+  for (const double x : xs) m.variance += (x - m.mean) * (x - m.mean);
+  m.variance /= static_cast<double>(xs.size() - 1);
+  return m;
+}
+
+// Upper 1e-6 quantile of chi-square with `df` degrees of freedom
+// (Wilson-Hilferty).
+double chi_square_bound(double df) {
+  const double z = 4.753;
+  const double a = 2.0 / (9.0 * df);
+  return df * std::pow(1.0 - a + z * std::sqrt(a), 3.0);
+}
+
+// Checks each sampler against its distribution, not against the old
+// bytes: sample mean and variance within five standard errors, and for
+// Poisson a chi-square of the counts against the pmf. Seeds are fixed, so
+// the outcome is deterministic.
+TEST(Rng, PoissonMatchesItsDistribution) {
+  constexpr int kDraws = 100'000;
+  const double n = kDraws;
+  for (const double lambda : {0.5, 6.0, 11.999, 12.0, 12.001, 100.0, 5000.0}) {
+    SCOPED_TRACE("mean " + std::to_string(lambda));
+    Rng rng(2024);
+    std::vector<double> draws(kDraws);
+    for (double& x : draws) x = static_cast<double>(rng.poisson(lambda));
+    const Moments m = moments(draws);
+    EXPECT_NEAR(m.mean, lambda, 5.0 * std::sqrt(lambda / n));
+    EXPECT_NEAR(m.variance, lambda,
+                5.0 * std::sqrt((lambda + 2.0 * lambda * lambda) / n));
+
+    // Bins of consecutive counts, each expecting at least 5 draws; the
+    // tails fold into the first and last bins.
+    const auto last = static_cast<std::int64_t>(
+        lambda + 12.0 * std::sqrt(lambda) + 30.0);
+    std::vector<double> expected;
+    std::vector<std::int64_t> bin_end;  // inclusive upper count of each bin
+    double pending = 0.0, cdf = 0.0;
+    for (std::int64_t k = 0; k <= last; ++k) {
+      const double kd = static_cast<double>(k);
+      const double p =
+          std::exp(kd * std::log(lambda) - lambda - std::lgamma(kd + 1.0));
+      cdf += p;
+      pending += n * p;
+      if (pending >= 5.0) {
+        expected.push_back(pending);
+        bin_end.push_back(k);
+        pending = 0.0;
+      }
+    }
+    ASSERT_GE(expected.size(), 2U);
+    expected.back() += pending + n * std::max(0.0, 1.0 - cdf);
+    bin_end.back() = INT64_MAX;
+    std::vector<double> observed(expected.size(), 0.0);
+    for (const double x : draws) {
+      const auto k = static_cast<std::int64_t>(x);
+      const auto bin = static_cast<std::size_t>(
+          std::lower_bound(bin_end.begin(), bin_end.end(), k) -
+          bin_end.begin());
+      observed[bin] += 1.0;
+    }
+    double chi2 = 0.0;
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      chi2 += (observed[i] - expected[i]) * (observed[i] - expected[i]) /
+              expected[i];
+    EXPECT_LT(chi2, chi_square_bound(static_cast<double>(expected.size() - 1)))
+        << expected.size() << " bins";
+  }
+}
+
+TEST(Rng, NormalAndUniformMatchTheirMoments) {
+  constexpr int kDraws = 100'000;
+  const double n = kDraws;
+  Rng rng(2025);
+  std::vector<double> draws(kDraws);
+  for (double& x : draws) x = rng.normal(5.0, 2.0);
+  Moments m = moments(draws);
+  EXPECT_NEAR(m.mean, 5.0, 5.0 * 2.0 / std::sqrt(n));
+  EXPECT_NEAR(m.variance, 4.0, 5.0 * 4.0 * std::sqrt(2.0 / n));
+
+  const double lo = -3.0, hi = 7.0, width = hi - lo;
+  for (double& x : draws) x = rng.uniform(lo, hi);
+  m = moments(draws);
+  EXPECT_NEAR(m.mean, (lo + hi) / 2.0, 5.0 * width / std::sqrt(12.0 * n));
+  EXPECT_NEAR(m.variance, width * width / 12.0,
+              5.0 * width * width / std::sqrt(180.0 * n));
+  EXPECT_GE(*std::min_element(draws.begin(), draws.end()), lo);
+  EXPECT_LT(*std::max_element(draws.begin(), draws.end()), hi);
 }
 
 TEST(Logging, ThresholdFilters) {
