@@ -6,8 +6,10 @@
 // ("<second> <count>") or a single-column `rate` CSV (LoadTrace format);
 // the format is auto-detected. With the real 1998 World Cup trace
 // converted to per-second counts this reproduces the paper's Fig. 5 on the
-// original data instead of the synthetic workload.
+// original data instead of the synthetic workload. An unreadable or
+// malformed file prints `replay_trace: <message>` and exits 2.
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <string>
 
@@ -20,15 +22,13 @@
 #include "sim/simulator.hpp"
 #include "trace/wc98.hpp"
 
-int main(int argc, char** argv) {
-  using namespace bml;
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <trace-file> [catalog.csv]\n", argv[0]);
-    return 2;
-  }
+namespace {
 
-  const LoadTrace trace = load_any(argv[1]);
-  const Catalog catalog = argc > 2 ? load_catalog(argv[2]) : real_catalog();
+int replay(const char* trace_path, const char* catalog_path) {
+  using namespace bml;
+  const LoadTrace trace = load_any(trace_path);
+  const Catalog catalog =
+      catalog_path != nullptr ? load_catalog(catalog_path) : real_catalog();
   std::printf("trace: %zu seconds (%zu days), peak %.1f req/s, mean %.1f "
               "req/s\n",
               trace.size(), trace.days(), trace.peak(), trace.mean());
@@ -58,4 +58,19 @@ int main(int argc, char** argv) {
               static_cast<long long>(bml.qos.violation_seconds),
               bml.reconfigurations);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) {
+    std::fprintf(stderr, "usage: %s <trace-file> [catalog.csv]\n", argv[0]);
+    return 2;
+  }
+  try {
+    return replay(argv[1], argc > 2 ? argv[2] : nullptr);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "replay_trace: %s\n", e.what());
+    return 2;
+  }
 }

@@ -32,11 +32,6 @@ class Combination {
   void set_count(std::size_t arch, int count);
   void add(std::size_t arch, int count = 1);
 
-  /// Replaces the counts wholesale, reusing the existing storage (a plain
-  /// vector copy-assign — no allocation once capacities match). Snapshot
-  /// buffers refreshed once per decision point rely on this staying cheap.
-  void assign(const std::vector<int>& counts) { counts_ = counts; }
-
   /// Grows the vector to `kinds` entries (zero-filled) so combinations built
   /// before/after a catalog extension compare safely.
   void resize(std::size_t kinds);

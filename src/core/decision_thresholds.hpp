@@ -11,7 +11,9 @@
 // Combinations. The reactive scheduler's decision_stable_until walks the
 // trace's run-length segments with index_for; the BML scheduler maps one
 // bucket's grid range back to predictions and hands it to its prediction
-// cursor. Either way a noisy stretch whose values stay inside one bucket
+// cursor. Both walks are exact: each ends at the first second whose
+// bucket differs, and the event-driven simulator asks once per decision
+// run. Either way a noisy stretch whose values stay inside one bucket
 // contributes zero scheduler evaluations to the event-driven simulator.
 //
 // Bucket equality implies combination equality (a bucket is one maximal

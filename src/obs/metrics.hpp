@@ -165,8 +165,9 @@ struct SimMetrics {
   std::uint64_t ticks = 0;
   /// Per-cause span-end counts; sums to `spans` on the event-driven path.
   std::array<std::uint64_t, kSpanEndCauseCount> span_end_causes{};
-  /// Scheduler decide() consultations (one per workload per idle decision
-  /// point).
+  /// Scheduler decide() consultations: one per active workload per idle
+  /// decision point, except those the event-driven path skips while the
+  /// workload's cached stability bound has not expired.
   std::uint64_t scheduler_consults = 0;
   /// Merged decisions that changed the cluster target (== reconfigurations
   /// started).

@@ -28,8 +28,7 @@ int StaticMaxScheduler::machines_for(ReqRate rate) const {
 }
 
 std::optional<Combination> StaticMaxScheduler::decide(
-    TimePoint /*now*/, const LoadTrace& trace,
-    const ClusterSnapshot& /*snapshot*/) {
+    TimePoint /*now*/, const LoadTrace& trace) {
   // Constant fleet: always the globally sized combination.
   if (cached_trace_ != &trace) {
     cached_machines_ = machines_for(trace.peak());
@@ -67,9 +66,8 @@ Combination PerDayScheduler::combination_for_day(const LoadTrace& trace,
   return homogeneous(arch_index_, cached_daily_machines_.at(day));
 }
 
-std::optional<Combination> PerDayScheduler::decide(
-    TimePoint now, const LoadTrace& trace,
-    const ClusterSnapshot& /*snapshot*/) {
+std::optional<Combination> PerDayScheduler::decide(TimePoint now,
+                                                   const LoadTrace& trace) {
   const auto day = static_cast<std::size_t>(now / kSecondsPerDay);
   if (day >= trace.days()) return std::nullopt;
   return combination_for_day(trace, day);
@@ -96,9 +94,8 @@ ReactiveScheduler::ReactiveScheduler(std::shared_ptr<const BmlDesign> design,
     throw std::invalid_argument("ReactiveScheduler: headroom must be >= 1");
 }
 
-std::optional<Combination> ReactiveScheduler::decide(
-    TimePoint now, const LoadTrace& trace,
-    const ClusterSnapshot& /*snapshot*/) {
+std::optional<Combination> ReactiveScheduler::decide(TimePoint now,
+                                                     const LoadTrace& trace) {
   const ReqRate rate =
       std::min(trace.at(now) * headroom_, design_->max_rate());
   return design_->ideal_combination(rate);
@@ -112,19 +109,15 @@ TimePoint ReactiveScheduler::decision_stable_until(TimePoint now,
   // The decision is the threshold bucket of the instantaneous load: walk
   // the trace's run-length segments until one leaves the current bucket.
   // On a noisy trace whose wiggles stay inside one bucket this merges what
-  // used to be per-second spans. Stopping at the hop cap is sound — every
-  // segment walked so far stayed in the bucket.
-  constexpr int kMaxHops = 4096;
+  // used to be per-second spans. The simulator asks once per decision run,
+  // so the walks of one replay cover the trace's segments about once.
   const ReqRate max_rate = design_->max_rate();
   const auto bucket = [&](TimePoint t) {
     return cuts->index_for(std::min(trace.at(t) * headroom_, max_rate));
   };
   const std::size_t current = bucket(now);
   TimePoint t = trace.next_change(now);
-  for (int hop = 0; hop < kMaxHops && t < kNever; ++hop) {
-    if (bucket(t) != current) return t;
-    t = trace.next_change(t);
-  }
+  while (t < kNever && bucket(t) == current) t = trace.next_change(t);
   return t;
 }
 
@@ -146,8 +139,8 @@ HysteresisScheduler::HysteresisScheduler(std::shared_ptr<Scheduler> inner,
 }
 
 std::optional<Combination> HysteresisScheduler::decide(
-    TimePoint now, const LoadTrace& trace, const ClusterSnapshot& snapshot) {
-  std::optional<Combination> wanted = inner_->decide(now, trace, snapshot);
+    TimePoint now, const LoadTrace& trace) {
+  std::optional<Combination> wanted = inner_->decide(now, trace);
   if (!wanted.has_value()) return std::nullopt;
   if (!primed_) {
     current_ = *wanted;

@@ -31,8 +31,7 @@ class StaticMaxScheduler final : public Scheduler {
   StaticMaxScheduler(ArchitectureProfile big, std::size_t arch_index);
 
   [[nodiscard]] std::optional<Combination> decide(
-      TimePoint now, const LoadTrace& trace,
-      const ClusterSnapshot& snapshot) override;
+      TimePoint now, const LoadTrace& trace) override;
   [[nodiscard]] Combination initial_combination(
       const LoadTrace& trace) override;
   /// The fleet never changes: stable for the whole replay.
@@ -60,8 +59,7 @@ class PerDayScheduler final : public Scheduler {
   PerDayScheduler(ArchitectureProfile big, std::size_t arch_index);
 
   [[nodiscard]] std::optional<Combination> decide(
-      TimePoint now, const LoadTrace& trace,
-      const ClusterSnapshot& snapshot) override;
+      TimePoint now, const LoadTrace& trace) override;
   [[nodiscard]] Combination initial_combination(
       const LoadTrace& trace) override;
   /// Decisions change only at midnight boundaries.
@@ -89,8 +87,7 @@ class ReactiveScheduler final : public Scheduler {
                              double headroom = 1.0);
 
   [[nodiscard]] std::optional<Combination> decide(
-      TimePoint now, const LoadTrace& trace,
-      const ClusterSnapshot& snapshot) override;
+      TimePoint now, const LoadTrace& trace) override;
   [[nodiscard]] Combination initial_combination(
       const LoadTrace& trace) override;
   /// Tracks the instantaneous load: stable until the trace value changes.
@@ -112,8 +109,7 @@ class HysteresisScheduler final : public Scheduler {
                       std::shared_ptr<const BmlDesign> design, Seconds hold);
 
   [[nodiscard]] std::optional<Combination> decide(
-      TimePoint now, const LoadTrace& trace,
-      const ClusterSnapshot& snapshot) override;
+      TimePoint now, const LoadTrace& trace) override;
   [[nodiscard]] Combination initial_combination(
       const LoadTrace& trace) override;
   [[nodiscard]] std::string name() const override;

@@ -34,7 +34,6 @@ void BmlScheduler::bind(const LoadTrace& trace) {
   bound_trace_ = &trace;
   bound_size_ = trace.size();
   cursor_ = predictor_->cursor(trace, window_);
-  run_ = DecisionRun{};
 }
 
 ReqRate BmlScheduler::target_rate(ReqRate predicted) const {
@@ -62,11 +61,8 @@ ReqRate BmlScheduler::prediction_edge(double grid) const {
   return v;
 }
 
-std::optional<Combination> BmlScheduler::decide(
-    TimePoint now, const LoadTrace& trace,
-    const ClusterSnapshot& /*snapshot*/) {
-  bind(trace);
-  if (now >= run_.begin && now < run_.end) return run_.combination;
+std::optional<Combination> BmlScheduler::decide(TimePoint now,
+                                                const LoadTrace& trace) {
   return design_->ideal_combination(target_rate(trace, now));
 }
 
@@ -75,16 +71,10 @@ TimePoint BmlScheduler::decision_stable_until(TimePoint now,
   bind(trace);
   const DecisionThresholds* cuts = design_->decision_thresholds();
   if (cursor_ == nullptr || cuts == nullptr) return now + 1;
-  if (now < run_.begin || now >= run_.end) {
-    const ReqRate rate = target_rate(cursor_->value(now));
-    const auto [grid_lo, grid_hi] =
-        cuts->bucket_grid_range(cuts->index_for(rate));
-    run_ = DecisionRun{now,
-                       cursor_->first_outside(now, prediction_edge(grid_lo),
-                                              prediction_edge(grid_hi)),
-                       design_->ideal_combination(rate)};
-  }
-  return run_.end;
+  const auto [grid_lo, grid_hi] = cuts->bucket_grid_range(
+      cuts->index_for(target_rate(cursor_->value(now))));
+  return cursor_->first_outside(now, prediction_edge(grid_lo),
+                                prediction_edge(grid_hi));
 }
 
 Combination BmlScheduler::initial_combination(const LoadTrace& trace) {

@@ -15,13 +15,12 @@
 // With a pure predictor (one that offers a PredictionCursor) the decision
 // at t is the threshold bucket of the prediction at t, a function of the
 // trace alone. The scheduler then answers decision_stable_until exactly,
-// by walking the cursor to the first second whose bucket differs, and
-// keeps the run it found: later decide() and decision_stable_until()
-// calls inside it cost O(1), which is what the simulator's repeated
-// consults after faults and other tenants' reconfigurations hit. Only
+// by walking the cursor to the first second whose bucket differs. The
+// event-driven simulator asks once per decision run and skips the
+// scheduler until the bound, so no second is walked twice. Only
 // decision_stable_until walks, so the per-second reference loop, which
 // never asks for a bound, evaluates each second once and no second
-// inside a reconfiguration is evaluated. Cursor and run are built on the
+// inside a reconfiguration is evaluated. The cursor is built on the
 // first query for a trace, so a scheduler holds no per-second state.
 #pragma once
 
@@ -44,8 +43,7 @@ class BmlScheduler final : public Scheduler {
                QosClass qos = QosClass::kTolerant);
 
   [[nodiscard]] std::optional<Combination> decide(
-      TimePoint now, const LoadTrace& trace,
-      const ClusterSnapshot& snapshot) override;
+      TimePoint now, const LoadTrace& trace) override;
 
   /// The first second after `now` whose prediction falls in another
   /// threshold bucket (max() when none ever does). now + 1 for a stateful
@@ -66,16 +64,7 @@ class BmlScheduler final : public Scheduler {
   [[nodiscard]] static Seconds default_window(const BmlDesign& design);
 
  private:
-  /// Seconds [begin, end) whose predictions share one threshold bucket,
-  /// and so one combination; `end` is the first second outside it.
-  struct DecisionRun {
-    TimePoint begin = 0;
-    TimePoint end = 0;
-    Combination combination;
-  };
-
-  /// Points the cursor and the run at `trace`, rebuilding both when the
-  /// trace changed.
+  /// Points the cursor at `trace`, rebuilding it when the trace changed.
   void bind(const LoadTrace& trace);
   /// A prediction scaled by the QoS headroom and clamped to the table
   /// range.
@@ -95,7 +84,6 @@ class BmlScheduler final : public Scheduler {
   const LoadTrace* bound_trace_ = nullptr;
   std::size_t bound_size_ = 0;
   std::unique_ptr<PredictionCursor> cursor_;  // null: stateful predictor
-  DecisionRun run_;
 };
 
 }  // namespace bml

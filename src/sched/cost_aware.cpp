@@ -45,8 +45,7 @@ Joules CostAwareScheduler::transition_energy(const Combination& from,
 }
 
 std::optional<Combination> CostAwareScheduler::decide(
-    TimePoint now, const LoadTrace& trace,
-    const ClusterSnapshot& /*snapshot*/) {
+    TimePoint now, const LoadTrace& trace) {
   const ReqRate predicted = std::min(
       predictor_->predict(trace, now, window_) * headroom_factor(app_.qos),
       design_->max_rate());

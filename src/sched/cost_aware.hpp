@@ -36,8 +36,7 @@ class CostAwareScheduler final : public Scheduler {
                      Seconds window = 0.0, Seconds payback_window = 0.0);
 
   [[nodiscard]] std::optional<Combination> decide(
-      TimePoint now, const LoadTrace& trace,
-      const ClusterSnapshot& snapshot) override;
+      TimePoint now, const LoadTrace& trace) override;
   [[nodiscard]] Combination initial_combination(
       const LoadTrace& trace) override;
   [[nodiscard]] std::string name() const override;

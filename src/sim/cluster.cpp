@@ -143,17 +143,10 @@ int Cluster::shutting_down_total() const {
   return total;
 }
 
-void Cluster::snapshot_into(ClusterSnapshot& snap) const {
-  snap.on.assign(on_);
-  snap.booting.assign(booting_);
-  snap.shutting_down.assign(shutting_);
-  snap.failed.assign(failed_);
-  snap.on_capacity = capacity(candidates_, snap.on);
-}
-
 ClusterSnapshot Cluster::snapshot() const {
-  ClusterSnapshot snap;
-  snapshot_into(snap);
+  ClusterSnapshot snap{Combination(on_), Combination(booting_),
+                       Combination(shutting_), Combination(failed_)};
+  snap.on_capacity = capacity(candidates_, snap.on);
   return snap;
 }
 

@@ -186,13 +186,8 @@ class Cluster {
   /// Machines currently Failed, all architectures.
   [[nodiscard]] int failed_count() const;
 
-  /// Current counts per state.
+  /// Current counts per state (the per-second loop's timeline samples).
   [[nodiscard]] ClusterSnapshot snapshot() const;
-
-  /// As snapshot(), into a caller-owned buffer (reuses the Combinations'
-  /// storage — the simulator refreshes one snapshot per decision point, so
-  /// fleet-scale runs must not allocate four vectors each time).
-  void snapshot_into(ClusterSnapshot& snap) const;
 
   /// True while any machine is booting or shutting down.
   [[nodiscard]] bool transitioning() const;

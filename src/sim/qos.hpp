@@ -17,13 +17,6 @@
 
 namespace bml {
 
-/// One constant-load run of a piecewise-constant span (see
-/// QosTracker::record_runs).
-struct LoadRun {
-  ReqRate load = 0.0;
-  std::int64_t seconds = 0;
-};
-
 /// Aggregated totals of one span, accumulated by a caller that fused the
 /// per-run QoS arithmetic into its own segment walk (the event-driven
 /// simulator's single-workload fast path). Fields mirror what
@@ -106,56 +99,22 @@ class QosTracker {
     }
   }
 
-  /// Piecewise-constant span kernel: records every run of `runs` against a
-  /// constant `capacity` in one call — the varying-load counterpart of
-  /// record_span for spans where the fleet is fixed but the trace is not.
-  /// Accumulates locally and flushes once (this runs once per event-driven
-  /// span with one entry per trace segment). Integer counters are exact;
-  /// request integrals match per-second recording up to floating-point
-  /// summation order.
+  /// Piecewise-constant span kernel: records every run of `runs`, each
+  /// against its own capacity, in one call — the varying-load counterpart
+  /// of record_span for spans where the fleet is fixed but the trace is
+  /// not. Accumulates locally and flushes once (this runs once per
+  /// event-driven span with one entry per trace segment). Integer counters
+  /// are exact; request integrals match per-second recording up to
+  /// floating-point summation order.
   ///
-  /// `runs` is any range whose elements expose `load` and `seconds`
-  /// members — LoadRun is the canonical element; the simulator passes its
-  /// fused per-segment scratch rows directly so this loop inlines into
-  /// the span walk.
+  /// `runs` is any range whose elements expose `load`, `seconds` and `cap`
+  /// members, `cap` being the run's effective serving capacity: the On
+  /// capacity, or more in a degraded-mode overload, where the spill-over
+  /// absorbed above rated capacity varies with each run's load. The
+  /// simulator passes its fused per-segment scratch rows directly so this
+  /// loop inlines into the span walk.
   template <typename Runs>
-  void record_runs(const Runs& runs, ReqRate capacity) {
-    if (capacity < 0.0)
-      throw std::invalid_argument("QosTracker: negative load or capacity");
-    std::int64_t total = 0;
-    std::int64_t violation = 0;
-    double offered = 0.0;
-    double unserved = 0.0;
-    ReqRate worst = 0.0;
-    for (const auto& run : runs) {
-      if (run.load < 0.0)
-        throw std::invalid_argument("QosTracker: negative load or capacity");
-      if (run.seconds < 0)
-        throw std::invalid_argument("QosTracker: negative span");
-      if (run.seconds == 0) continue;  // a 0 s run must not touch worst_
-      total += run.seconds;
-      offered += run.load * static_cast<double>(run.seconds);
-      const double shortfall = run.load - capacity;
-      if (shortfall > 0.0) {
-        violation += run.seconds;
-        unserved += shortfall * static_cast<double>(run.seconds);
-        if (shortfall > worst) worst = shortfall;
-      }
-    }
-    stats_.total_seconds += total;
-    stats_.violation_seconds += violation;
-    stats_.offered_requests += offered;
-    stats_.unserved_requests += unserved;
-    stats_.worst_shortfall = std::max(stats_.worst_shortfall, worst);
-  }
-
-  /// As record_runs with a *per-run* capacity: elements additionally
-  /// expose a `cap` member — the effective serving capacity of that run.
-  /// Degraded-mode spans go through this kernel, because the spill-over
-  /// absorbed above rated capacity (and hence the capacity QoS is scored
-  /// against) varies with each sub-run's load.
-  template <typename Runs>
-  void record_runs_var(const Runs& runs) {
+  void record_runs(const Runs& runs) {
     std::int64_t total = 0;
     std::int64_t violation = 0;
     double offered = 0.0;

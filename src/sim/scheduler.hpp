@@ -5,13 +5,19 @@
 // reconfiguration, no other decision can be made". It returns the machine
 // combination the data center should converge to; returning the current
 // target (or std::nullopt) means "no change".
+//
+// A decision depends only on the trace, the time and the scheduler's own
+// call history: decide() sees no cluster state, so nothing the fleet does
+// (reconfigurations, transition completions, faults, other tenants) can
+// change what a scheduler answers at a given second. That is what lets the
+// event-driven simulator keep each scheduler's stability bound until it
+// expires.
 #pragma once
 
 #include <optional>
 #include <string>
 
 #include "core/combination.hpp"
-#include "sim/cluster.hpp"
 #include "trace/trace.hpp"
 #include "util/units.hpp"
 
@@ -23,10 +29,9 @@ class Scheduler {
 
   /// Desired combination at time `now`. `trace` carries the workload
   /// (oracle predictors read ahead; reactive ones must only read strictly
-  /// before `now`). `snapshot` is the cluster's current aggregate state.
+  /// before `now`).
   [[nodiscard]] virtual std::optional<Combination> decide(
-      TimePoint now, const LoadTrace& trace,
-      const ClusterSnapshot& snapshot) = 0;
+      TimePoint now, const LoadTrace& trace) = 0;
 
   /// The combination the simulator should pre-warm at t = 0. Default: let
   /// the first decide() call boot everything from cold.
@@ -37,14 +42,14 @@ class Scheduler {
   }
 
   /// First time strictly after `now` at which decide() may return a
-  /// decision different from the one it returned at `now`, assuming the
-  /// cluster state does not change in between (it cannot while no
-  /// reconfiguration is in flight). The event-driven simulator batches
-  /// idle seconds up to (exclusive) this bound instead of consulting every
-  /// second. Schedulers whose decisions depend on per-call internal state
-  /// (hysteresis, error-injected predictions) must keep the conservative
-  /// default of now + 1, which degrades gracefully to per-second
-  /// consultation.
+  /// decision different from the one it returned at `now`. The
+  /// event-driven simulator asks once per decision run, right after
+  /// decide(now), and skips this scheduler's consults until the bound:
+  /// every second in between must decide the same, however often the
+  /// fleet changes meanwhile. Schedulers whose decisions depend on their
+  /// own call history (hysteresis, cost-aware, BML over a stateful
+  /// predictor) must see every consult, so they keep the default of
+  /// now + 1, which degrades gracefully to per-second consultation.
   [[nodiscard]] virtual TimePoint decision_stable_until(
       TimePoint now, const LoadTrace& trace) {
     (void)trace;

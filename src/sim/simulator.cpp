@@ -194,8 +194,9 @@ struct Run {
     ReqRate load;
     Watts compute;
     TimePoint seconds;
-    /// Effective serving capacity of this sub-run (degraded-mode spans
-    /// only — QosTracker::record_runs_var keys off it; otherwise unused).
+    /// Effective serving capacity of this sub-run, which QosTracker::
+    /// record_runs scores against: the On capacity, or more in a
+    /// degraded-mode overload.
     ReqRate cap;
   };
   std::vector<SegmentRun> span_runs;
@@ -203,17 +204,12 @@ struct Run {
   /// run end, parallel to `loads` (which doubles as the frontier's value
   /// array inside advance_span).
   std::vector<TimePoint> run_ends;
-  /// Decision-point snapshot buffer: refreshed via Cluster::snapshot_into
-  /// so fleet-scale runs do not allocate four vectors per consult.
-  ClusterSnapshot snap;
   /// Consult cache: each app's cached decision_stable_until; entries <= now
   /// force a real decide(). Only the event-driven path fills it (after the
   /// merge, while no reconfiguration is in flight), so the per-second
-  /// reference consults every active app every second. Invalidated
-  /// wholesale whenever the cluster changes underneath the schedulers
-  /// (reconfigurations, transition completions, fault events) — the
-  /// Scheduler::decision_stable_until contract only holds while the
-  /// cluster is untouched.
+  /// reference consults every active app every second. decide() sees no
+  /// cluster state (see Scheduler), so nothing the cluster does makes an
+  /// entry stale: each one holds until it expires.
   std::vector<TimePoint> consult_until;
   FleetPowerCurve power_curve;
   /// Runtime crash/repair state; disengaged unless the fault model's
@@ -523,8 +519,6 @@ bool apply_lifecycle_events(const std::vector<WorkloadView>& views,
       Combination c = views[i].scheduler->initial_combination(*views[i].trace);
       c.resize(candidates.size());
       run.proposals[i] = std::move(c);
-      // Force a real consult for the newcomer at the next decision point.
-      run.consult_until[i] = -1;
       ++run.result.arrivals;
       changed = true;
       if (events)
@@ -842,22 +836,19 @@ void apply_decision(Combination decision, TimePoint now,
 ///
 /// Apps whose cached decision_stable_until is still in the future are
 /// skipped entirely: the contract guarantees their decision cannot have
-/// changed while the cluster is untouched, and the cache is invalidated
-/// whenever it is. Only the event-driven path fills the cache, so the
-/// per-second reference consults every active app and stays the oracle
-/// for the cached path.
+/// changed, whatever the cluster did since. Only the event-driven path
+/// fills the cache, so the per-second reference consults every active app
+/// and stays the oracle for the cached path.
 void consult_and_apply(const std::vector<WorkloadView>& views, TimePoint now,
                        const Catalog& candidates, bool graceful_off, Run& run,
                        EventLog* events, SimMetrics* metrics) {
-  run.cluster.snapshot_into(run.snap);
-  const ClusterSnapshot& snap = run.snap;
   bool any_new = false;
   std::uint64_t consults = 0;
   for (std::size_t i = 0; i < views.size(); ++i) {
     if (!run.active[i] || run.consult_until[i] > now) continue;
     ++consults;
     std::optional<Combination> d =
-        views[i].scheduler->decide(now, *views[i].trace, snap);
+        views[i].scheduler->decide(now, *views[i].trace);
     if (d.has_value()) {
       d->resize(candidates.size());
       if (*d != run.proposals[i]) {
@@ -911,7 +902,6 @@ void consult_and_apply(const std::vector<WorkloadView>& views, TimePoint now,
                                              run.contributions_scratch);
   run.contributions.swap(run.contributions_scratch);
   update_transition_shares(candidates, run);
-  const int reconfigs_before = run.result.reconfigurations;
   apply_decision(std::move(merged), now, candidates, graceful_off,
                  run.cluster, run.state, run.result, events, metrics);
   // A consult that re-merged has re-provisioned every app's full
@@ -923,9 +913,6 @@ void consult_and_apply(const std::vector<WorkloadView>& views, TimePoint now,
         c = Combination{};
         c.resize(candidates.size());
       }
-  if (run.result.reconfigurations != reconfigs_before)
-    std::fill(run.consult_until.begin(), run.consult_until.end(),
-              static_cast<TimePoint>(-1));
 }
 
 /// Post-step bookkeeping while a reconfiguration is in flight: once all
@@ -1073,9 +1060,7 @@ void restore_after_failure(TimePoint now, const Catalog& candidates,
 /// first consume a matching deferred switch-off (the surplus machine the
 /// decision was about to power down is simply dead instead), otherwise
 /// the fleet is restored against the merged target.
-/// Returns true when any event landed (the cluster changed), so the
-/// consult cache can be invalidated.
-bool apply_fault_events(TimePoint now, const Catalog& candidates,
+void apply_fault_events(TimePoint now, const Catalog& candidates,
                         const std::vector<WorkloadView>& views, Run& run,
                         EventLog* events) {
   FaultRun& fr = *run.faults;
@@ -1174,7 +1159,6 @@ bool apply_fault_events(TimePoint now, const Catalog& candidates,
   // byte-identical to a preemption-unaware build.
   if (need_restore || (any_event && run.priority_enabled))
     restore_after_failure(now, candidates, views, run, events);
-  return any_event;
 }
 
 /// Integrates the fault-accounting state over a span whose failure set is
@@ -1275,12 +1259,9 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
   // floating-point summation order; day attribution is unaffected (spans
   // never straddle days — the caller clamps them).
   constexpr std::size_t kFlushChunk = 512;
-  const auto flush = [&run, capacity_now, transition, deg] {
+  const auto flush = [&run, transition] {
     if (run.span_runs.empty()) return;
-    if (deg)
-      run.qos.record_runs_var(run.span_runs);
-    else
-      run.qos.record_runs(run.span_runs, capacity_now);
+    run.qos.record_runs(run.span_runs);
     run.meter.add_runs(run.span_runs, transition);
     run.span_runs.clear();
   };
@@ -1572,24 +1553,20 @@ MultiSimulationResult Simulator::run_event_driven(
     //    as in the reference loop. Events can only be due at span starts:
     //    step 2 bounds every span by the timelines' next events, so both
     //    the active set and the failure set are constant inside one.
-    //    Any landed fault event changed the cluster, so cached consults
-    //    die.
     apply_lifecycle_events(views, t, candidates_, run, nullptr);
-    if (run.faults.has_value() &&
-        apply_fault_events(t, candidates_, views, run, nullptr))
-      std::fill(run.consult_until.begin(), run.consult_until.end(),
-                static_cast<TimePoint>(-1));
+    if (run.faults.has_value())
+      apply_fault_events(t, candidates_, views, run, nullptr);
 
     // 1. Scheduler decisions, exactly as in the reference loop, skipping
     //    apps whose cached bound is still in the future. While no
-    //    reconfiguration is in flight the cluster state cannot change, so
-    //    the intersection of the schedulers' stability bounds tells us how
-    //    long the merged decision (and thus the fleet) stays as it is now.
-    //    Only the apps just consulted get a fresh bound, and only once the
-    //    merge started no reconfiguration (one that did would invalidate
-    //    it at once). Reusing an unexpired (conservative) bound only ends
-    //    spans early, which splits integrals without changing any
-    //    per-second value.
+    //    reconfiguration is in flight the intersection of the schedulers'
+    //    stability bounds tells us how long the merged decision (and thus
+    //    the fleet) stays as it is now. Only the apps just consulted get a
+    //    fresh bound, and only once the merge started no reconfiguration:
+    //    an app consulted as one starts is consulted again when it ends,
+    //    so no stability walk covers seconds inside a reconfiguration.
+    //    Reusing an unexpired (conservative) bound only ends spans early,
+    //    which splits integrals without changing any per-second value.
     TimePoint stable_until = t + 1;
     if (!run.state.reconfiguring) {
       consult_and_apply(views, t, candidates_, options_.graceful_off, run,
@@ -1730,20 +1707,10 @@ MultiSimulationResult Simulator::run_event_driven(
 
     // 4. Machine transitions progress; completions land exactly at the
     //    end of the span (Cluster::step is exact for multi-second steps).
-    //    Anything that touched the cluster this span — a completion or an
-    //    in-flight reconfiguration (whose settle below may issue deferred
-    //    offs) — invalidates the consult cache.
-    bool cluster_changed = false;
     if (run.cluster.transitioning())
-      cluster_changed = run.cluster.step(static_cast<Seconds>(span)) > 0;
-
-    if (run.state.reconfiguring) {
+      run.cluster.step(static_cast<Seconds>(span));
+    if (run.state.reconfiguring)
       settle_reconfiguration(span_end - 1, run.cluster, run.state, nullptr);
-      cluster_changed = true;
-    }
-    if (cluster_changed)
-      std::fill(run.consult_until.begin(), run.consult_until.end(),
-                static_cast<TimePoint>(-1));
 
     run.result.peak_machines =
         std::max(run.result.peak_machines, run.cluster.machine_count());

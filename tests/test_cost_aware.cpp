@@ -38,7 +38,7 @@ TEST(CostAwareScheduler, ForcedScaleUpAlwaysPasses) {
   (void)scheduler.initial_combination(trace);
   // At t=5 the window already sees 600 req/s: capacity must grow no matter
   // what the switch costs.
-  const auto target = scheduler.decide(5, trace, ClusterSnapshot{});
+  const auto target = scheduler.decide(5, trace);
   ASSERT_TRUE(target.has_value());
   EXPECT_GE(capacity(design()->candidates(), *target), 600.0);
 }
@@ -57,7 +57,7 @@ TEST(CostAwareScheduler, ShortLullDoesNotPayForBigCycle) {
   (void)scheduler.initial_combination(trace);
   bool ever_left_big = false;
   for (TimePoint t = 390; t < 460; ++t) {
-    const auto target = scheduler.decide(t, trace, ClusterSnapshot{});
+    const auto target = scheduler.decide(t, trace);
     if (target.has_value() && !(*target == big)) ever_left_big = true;
   }
   EXPECT_FALSE(ever_left_big);
@@ -74,7 +74,7 @@ TEST(CostAwareScheduler, LongLullPaysForScaleDown) {
   (void)scheduler.initial_combination(trace);
   // Deep in the lull the savings (~115 W) over an hour dwarf the ~22 kJ
   // switch: the scheduler must scale down.
-  const auto target = scheduler.decide(200, trace, ClusterSnapshot{});
+  const auto target = scheduler.decide(200, trace);
   ASSERT_TRUE(target.has_value());
   EXPECT_EQ(*target, design()->ideal_combination(5.0));
 }

@@ -85,7 +85,7 @@ TEST(Integration, MigrationDowntimeIsSmallForStatelessApp) {
   Combination current = scheduler.initial_combination(trace);
   MigrationCost total;
   for (TimePoint t = 0; t < static_cast<TimePoint>(trace.size()); t += 60) {
-    const auto target = scheduler.decide(t, trace, ClusterSnapshot{});
+    const auto target = scheduler.decide(t, trace);
     if (target.has_value() && !(*target == current)) {
       total += migration.reconfiguration_cost(app, current, *target);
       current = *target;

@@ -191,6 +191,59 @@ void expect_close(double fast, double reference, const char* what) {
       << what;
 }
 
+// Two tenants on their own fault domains: `steady` (static-max, never
+// changes) beside `daily` (per-day, resized at both midnights), while
+// crashes and repairs land on both domains.
+constexpr const char* kNeighboursSpec = R"(name = neighbours
+catalog = illustrative
+seed = 7
+faults.mtbf = 20000
+faults.mttr = 600
+faults.seed = 3
+[app]
+name = steady
+trace = constant
+trace.rate = 300
+trace.duration = 259200
+scheduler = static-max
+fault_domain = a
+[app]
+name = daily
+trace = step
+trace.segments = 200:86400;900:86400;400:86400
+scheduler = per-day
+fault_domain = b
+)";
+
+// The fast path's results equal the per-second reference's: integer
+// counters exactly, integrals within the 1e-9 contract.
+void expect_fast_matches_reference(const ScenarioResult& fast,
+                                   const ScenarioResult& reference) {
+  EXPECT_EQ(fast.sim.reconfigurations, reference.sim.reconfigurations);
+  EXPECT_EQ(fast.sim.peak_machines, reference.sim.peak_machines);
+  EXPECT_EQ(fast.sim.qos.total_seconds, reference.sim.qos.total_seconds);
+  EXPECT_EQ(fast.sim.qos.violation_seconds,
+            reference.sim.qos.violation_seconds);
+  expect_close(fast.sim.compute_energy, reference.sim.compute_energy,
+               "compute_energy");
+  expect_close(fast.sim.reconfiguration_energy,
+               reference.sim.reconfiguration_energy,
+               "reconfiguration_energy");
+  expect_close(fast.sim.qos.unserved_requests,
+               reference.sim.qos.unserved_requests, "unserved_requests");
+  ASSERT_EQ(fast.apps.size(), reference.apps.size());
+  for (std::size_t a = 0; a < fast.apps.size(); ++a) {
+    EXPECT_EQ(fast.apps[a].active_seconds, reference.apps[a].active_seconds);
+    EXPECT_EQ(fast.apps[a].qos_stats.violation_seconds,
+              reference.apps[a].qos_stats.violation_seconds);
+    expect_close(fast.apps[a].compute_energy,
+                 reference.apps[a].compute_energy, "app compute_energy");
+    expect_close(fast.apps[a].reconfiguration_energy,
+                 reference.apps[a].reconfiguration_energy,
+                 "app reconfiguration_energy");
+  }
+}
+
 TEST(SimMetrics, EveryAppCountConsultsOnlyWhenTheCachedBoundExpires) {
   // The event-driven path keeps each app's decision_stable_until across
   // spans at any app count: three day-bounded spans cost one consult per
@@ -208,31 +261,33 @@ TEST(SimMetrics, EveryAppCountConsultsOnlyWhenTheCachedBoundExpires) {
     EXPECT_EQ(fast.sim.metrics.scheduler_consults, k);
     EXPECT_EQ(reference.sim.metrics.ticks, 259'200u);
     EXPECT_EQ(reference.sim.metrics.scheduler_consults, k * 259'200u);
-
-    EXPECT_EQ(fast.sim.reconfigurations, reference.sim.reconfigurations);
-    EXPECT_EQ(fast.sim.peak_machines, reference.sim.peak_machines);
-    EXPECT_EQ(fast.sim.qos.total_seconds, reference.sim.qos.total_seconds);
-    EXPECT_EQ(fast.sim.qos.violation_seconds,
-              reference.sim.qos.violation_seconds);
-    expect_close(fast.sim.compute_energy, reference.sim.compute_energy,
-                 "compute_energy");
-    expect_close(fast.sim.reconfiguration_energy,
-                 reference.sim.reconfiguration_energy,
-                 "reconfiguration_energy");
-    expect_close(fast.sim.qos.unserved_requests,
-                 reference.sim.qos.unserved_requests, "unserved_requests");
-    ASSERT_EQ(fast.apps.size(), reference.apps.size());
-    for (std::size_t a = 0; a < fast.apps.size(); ++a) {
-      EXPECT_EQ(fast.apps[a].active_seconds, reference.apps[a].active_seconds);
-      EXPECT_EQ(fast.apps[a].qos_stats.violation_seconds,
-                reference.apps[a].qos_stats.violation_seconds);
-      expect_close(fast.apps[a].compute_energy,
-                   reference.apps[a].compute_energy, "app compute_energy");
-      expect_close(fast.apps[a].reconfiguration_energy,
-                   reference.apps[a].reconfiguration_energy,
-                   "app reconfiguration_energy");
-    }
+    expect_fast_matches_reference(fast, reference);
   }
+
+  // A cached bound survives a neighbour's reconfigurations and fault
+  // batches: a decision depends on the trace and the time alone.
+  SCOPED_TRACE("neighbours under faults");
+  ScenarioSpec spec = parse_scenario(kNeighboursSpec);
+  spec.obs_metrics = true;
+  const ScenarioResult fast = run_scenario(spec);
+  spec.event_driven = false;
+  const ScenarioResult reference = run_scenario(spec);
+
+  // Faults land on both domains, and their replacement boots are
+  // reconfigurations too.
+  ASSERT_EQ(fast.apps.size(), 2u);
+  EXPECT_GT(fast.apps[0].failures, 0);
+  EXPECT_GT(fast.apps[1].failures, 0);
+  EXPECT_GT(fast.sim.reconfigurations, 2);
+  // `steady` is consulted once: static-max is stable for the whole replay.
+  // `daily` is consulted at t = 0, stable until midnight; at each of the
+  // two midnights the consult starts a resize, and the app is consulted
+  // again when that reconfiguration completes, stable until the next
+  // midnight. No other consult happens: 1 + 1 + 2 * 2.
+  EXPECT_EQ(fast.sim.metrics.decisions_applied, 2u);
+  EXPECT_EQ(fast.sim.metrics.scheduler_consults, 1u + 1u + 2u * 2u);
+  EXPECT_EQ(fast.sim.machine_failures, reference.sim.machine_failures);
+  expect_fast_matches_reference(fast, reference);
 }
 
 // Four effective apps (3 replicas + 1) run the fused k-way merge.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -51,15 +52,26 @@ TEST(QosTracker, RejectsNegativeInputs) {
   EXPECT_THROW((void)tracker.record(1.0, -5.0), std::invalid_argument);
 }
 
+/// One run of the span kernel: a constant load over `seconds` against the
+/// run's own serving capacity.
+struct CapRun {
+  ReqRate load = 0.0;
+  std::int64_t seconds = 0;
+  ReqRate cap = 0.0;
+};
+
 TEST(QosTracker, RecordRunsMatchesPerRunRecordSpan) {
-  const std::vector<LoadRun> runs{
-      {500.0, 120}, {900.0, 37}, {0.0, 60}, {810.5, 1}, {799.99, 9}};
   const ReqRate capacity = 800.0;
+  const std::vector<CapRun> runs{{500.0, 120, capacity},
+                                 {900.0, 37, capacity},
+                                 {0.0, 60, capacity},
+                                 {810.5, 1, capacity},
+                                 {799.99, 9, capacity}};
   QosTracker kernel;
   QosTracker reference;
-  kernel.record_runs(runs, capacity);
-  for (const LoadRun& run : runs)
-    reference.record_span(run.load, capacity, run.seconds);
+  kernel.record_runs(runs);
+  for (const CapRun& run : runs)
+    reference.record_span(run.load, run.cap, run.seconds);
 
   EXPECT_EQ(kernel.stats().total_seconds, reference.stats().total_seconds);
   EXPECT_EQ(kernel.stats().violation_seconds,
@@ -74,14 +86,14 @@ TEST(QosTracker, RecordRunsMatchesPerRunRecordSpan) {
 
 TEST(QosTracker, RecordRunsValidatesInputs) {
   QosTracker tracker;
-  EXPECT_THROW(tracker.record_runs(std::vector<LoadRun>{{-1.0, 5}}, 10.0),
+  EXPECT_THROW(tracker.record_runs(std::vector<CapRun>{{-1.0, 5, 10.0}}),
                std::invalid_argument);
-  EXPECT_THROW(tracker.record_runs(std::vector<LoadRun>{{1.0, -5}}, 10.0),
+  EXPECT_THROW(tracker.record_runs(std::vector<CapRun>{{1.0, -5, 10.0}}),
                std::invalid_argument);
-  EXPECT_THROW(tracker.record_runs(std::vector<LoadRun>{{1.0, 5}}, -1.0),
+  EXPECT_THROW(tracker.record_runs(std::vector<CapRun>{{1.0, 5, -1.0}}),
                std::invalid_argument);
   // A zero-length run must not touch worst_shortfall.
-  tracker.record_runs(std::vector<LoadRun>{{500.0, 0}}, 10.0);
+  tracker.record_runs(std::vector<CapRun>{{500.0, 0, 10.0}});
   EXPECT_EQ(tracker.stats().worst_shortfall, 0.0);
   EXPECT_EQ(tracker.stats().total_seconds, 0);
 }

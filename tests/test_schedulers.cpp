@@ -19,8 +19,6 @@ std::shared_ptr<BmlDesign> design() {
   return d;
 }
 
-ClusterSnapshot empty_snapshot() { return ClusterSnapshot{}; }
-
 TEST(BmlScheduler, DefaultWindowIsTwiceLongestOn) {
   // Paravance has the longest On duration (189 s): window = 378 s, the
   // paper's value.
@@ -33,7 +31,7 @@ TEST(BmlScheduler, DecidesIdealCombinationForWindowMax) {
   BmlScheduler scheduler(design(), std::make_shared<OracleMaxPredictor>());
   const LoadTrace trace = step_trace({{5.0, 100.0}, {600.0, 400.0}});
   // At t=0 the window [0,378) already contains the 600 step.
-  const auto target = scheduler.decide(0, trace, empty_snapshot());
+  const auto target = scheduler.decide(0, trace);
   ASSERT_TRUE(target.has_value());
   EXPECT_EQ(*target, design()->ideal_combination(600.0));
 }
@@ -53,8 +51,8 @@ TEST(BmlScheduler, CriticalQosAddsHeadroom) {
   BmlScheduler critical(design(), std::make_shared<OracleMaxPredictor>(),
                         0.0, QosClass::kCritical);
   const LoadTrace trace = constant_trace(500.0, 1000.0);
-  const auto t = tolerant.decide(0, trace, empty_snapshot());
-  const auto c = critical.decide(0, trace, empty_snapshot());
+  const auto t = tolerant.decide(0, trace);
+  const auto c = critical.decide(0, trace);
   EXPECT_GE(capacity(design()->candidates(), *c),
             capacity(design()->candidates(), *t));
   EXPECT_GE(capacity(design()->candidates(), *c), 550.0);  // 1.1 headroom
@@ -82,17 +80,16 @@ TEST(BmlScheduler, DecisionStableUntilMergesSameCombinationSpans) {
   const LoadTrace trace = step_trace(segments);
 
   BmlScheduler scheduler(design(), std::make_shared<OracleMaxPredictor>());
-  const ClusterSnapshot snapshot;
 
   // Soundness: decide() is constant over every claimed span.
   for (TimePoint now = 0; now < static_cast<TimePoint>(trace.size());) {
     const TimePoint stable = scheduler.decision_stable_until(now, trace);
     ASSERT_GT(stable, now);
-    const auto decision = scheduler.decide(now, trace, snapshot);
+    const auto decision = scheduler.decide(now, trace);
     const TimePoint end =
         std::min(stable, static_cast<TimePoint>(trace.size()));
     for (TimePoint t = now + 1; t < end; ++t)
-      ASSERT_EQ(scheduler.decide(t, trace, snapshot), decision)
+      ASSERT_EQ(scheduler.decide(t, trace), decision)
           << "span [" << now << ", " << stable << ") broke at t=" << t;
     now = end;
   }
@@ -101,10 +98,10 @@ TEST(BmlScheduler, DecisionStableUntilMergesSameCombinationSpans) {
   // the decision only changes when the 2800 req/s step enters the oracle
   // window — the bound clears every plateau and lands on that second.
   const TimePoint bound = scheduler.decision_stable_until(0, trace);
-  const auto initial = scheduler.decide(0, trace, snapshot);
+  const auto initial = scheduler.decide(0, trace);
   TimePoint first_change = 1;
   while (first_change < static_cast<TimePoint>(trace.size()) &&
-         scheduler.decide(first_change, trace, snapshot) == initial)
+         scheduler.decide(first_change, trace) == initial)
     ++first_change;
   EXPECT_EQ(bound, first_change);
   EXPECT_EQ(bound, 1600 - static_cast<TimePoint>(scheduler.window()) + 1);
@@ -171,7 +168,7 @@ TEST(StaticMaxScheduler, SizesForGlobalPeak) {
   EXPECT_THROW((void)scheduler.machines_for(-1.0), std::invalid_argument);
 
   const LoadTrace trace = constant_trace(5200.0, 10.0);
-  const auto combo = scheduler.decide(0, trace, ClusterSnapshot{});
+  const auto combo = scheduler.decide(0, trace);
   ASSERT_TRUE(combo.has_value());
   EXPECT_EQ(combo->count(0), 4);
 }
@@ -179,8 +176,8 @@ TEST(StaticMaxScheduler, SizesForGlobalPeak) {
 TEST(StaticMaxScheduler, ConstantAcrossTime) {
   StaticMaxScheduler scheduler(design()->big(), 0);
   const LoadTrace trace = step_trace({{5000.0, 10.0}, {5.0, 100.0}});
-  const auto early = scheduler.decide(0, trace, ClusterSnapshot{});
-  const auto late = scheduler.decide(50, trace, ClusterSnapshot{});
+  const auto early = scheduler.decide(0, trace);
+  const auto late = scheduler.decide(50, trace);
   EXPECT_EQ(*early, *late);
 }
 
@@ -191,27 +188,58 @@ TEST(PerDayScheduler, ResizesAtMidnight) {
   rates[100] = 2000.0;  // day 0 needs 2 bigs
   // day 1 peak stays 100 -> 1 big
   const LoadTrace trace(std::move(rates));
-  const auto day0 = scheduler.decide(0, trace, ClusterSnapshot{});
-  const auto day1 = scheduler.decide(kSecondsPerDay + 5, trace,
-                                     ClusterSnapshot{});
+  const auto day0 = scheduler.decide(0, trace);
+  const auto day1 = scheduler.decide(kSecondsPerDay + 5, trace);
   EXPECT_EQ(day0->count(0), 2);
   EXPECT_EQ(day1->count(0), 1);
   EXPECT_EQ(scheduler.initial_combination(trace).count(0), 2);
   // Beyond the trace: no opinion.
-  EXPECT_FALSE(
-      scheduler.decide(kSecondsPerDay * 5, trace, ClusterSnapshot{})
-          .has_value());
+  EXPECT_FALSE(scheduler.decide(kSecondsPerDay * 5, trace).has_value());
 }
 
 TEST(ReactiveScheduler, FollowsInstantaneousLoad) {
   ReactiveScheduler scheduler(design());
   const LoadTrace trace = step_trace({{5.0, 10.0}, {600.0, 10.0}});
-  EXPECT_EQ(*scheduler.decide(0, trace, ClusterSnapshot{}),
-            design()->ideal_combination(5.0));
-  EXPECT_EQ(*scheduler.decide(15, trace, ClusterSnapshot{}),
-            design()->ideal_combination(600.0));
+  EXPECT_EQ(*scheduler.decide(0, trace), design()->ideal_combination(5.0));
+  EXPECT_EQ(*scheduler.decide(15, trace), design()->ideal_combination(600.0));
   EXPECT_THROW(ReactiveScheduler(design(), 0.5), std::invalid_argument);
   EXPECT_THROW(ReactiveScheduler(nullptr), std::invalid_argument);
+}
+
+TEST(ReactiveScheduler, DecisionStableUntilIsExact) {
+  // 5,000 one-second plateaus alternating between two rates of one
+  // threshold bucket, then a rate of the next bucket: the decision first
+  // changes when that last plateau starts, however many trace segments
+  // the bound walks to find it.
+  const DecisionThresholds& cuts = *design()->decision_thresholds();
+  std::size_t bucket = 1;
+  while (cuts.bucket_grid_range(bucket).second -
+             cuts.bucket_grid_range(bucket).first <
+         2.0)
+    ++bucket;
+  ASSERT_LT(bucket + 1, cuts.bucket_count());
+  const auto [lo, hi] = cuts.bucket_grid_range(bucket);
+  constexpr TimePoint kPlateaus = 5000;
+  std::vector<double> rates;
+  for (TimePoint i = 0; i < kPlateaus; ++i)
+    rates.push_back(i % 2 == 0 ? lo : lo + 1.0);
+  rates.insert(rates.end(), 10, hi);
+  const LoadTrace trace(std::move(rates));
+  const auto n = static_cast<TimePoint>(trace.size());
+
+  ReactiveScheduler scheduler(design());
+  for (const TimePoint now : {TimePoint{0}, TimePoint{1}, TimePoint{2500},
+                              kPlateaus - 1, kPlateaus, n - 1}) {
+    const auto decision = scheduler.decide(now, trace);
+    TimePoint first_change = now + 1;
+    while (first_change <= n &&
+           scheduler.decide(first_change, trace) == decision)
+      ++first_change;
+    ASSERT_LE(first_change, n);
+    EXPECT_EQ(scheduler.decision_stable_until(now, trace), first_change)
+        << "now=" << now;
+  }
+  EXPECT_EQ(scheduler.decision_stable_until(0, trace), kPlateaus);
 }
 
 TEST(HysteresisScheduler, ScaleUpImmediateScaleDownDelayed) {
@@ -223,22 +251,20 @@ TEST(HysteresisScheduler, ScaleUpImmediateScaleDownDelayed) {
   const Combination big = design()->ideal_combination(600.0);
   const Combination little = design()->ideal_combination(5.0);
 
-  EXPECT_EQ(*scheduler.decide(0, trace, ClusterSnapshot{}), big);
+  EXPECT_EQ(*scheduler.decide(0, trace), big);
   // Scale-down requested at t=15 but held.
-  EXPECT_EQ(*scheduler.decide(15, trace, ClusterSnapshot{}), big);
-  EXPECT_EQ(*scheduler.decide(60, trace, ClusterSnapshot{}), big);
+  EXPECT_EQ(*scheduler.decide(15, trace), big);
+  EXPECT_EQ(*scheduler.decide(60, trace), big);
   // After the hold expires the scale-down goes through.
-  EXPECT_EQ(*scheduler.decide(130, trace, ClusterSnapshot{}), little);
+  EXPECT_EQ(*scheduler.decide(130, trace), little);
 }
 
 TEST(HysteresisScheduler, ScaleUpPassesThrough) {
   auto inner = std::make_shared<ReactiveScheduler>(design());
   HysteresisScheduler scheduler(inner, design(), 100.0);
   const LoadTrace trace = step_trace({{5.0, 10.0}, {600.0, 100.0}});
-  EXPECT_EQ(*scheduler.decide(0, trace, ClusterSnapshot{}),
-            design()->ideal_combination(5.0));
-  EXPECT_EQ(*scheduler.decide(20, trace, ClusterSnapshot{}),
-            design()->ideal_combination(600.0));
+  EXPECT_EQ(*scheduler.decide(0, trace), design()->ideal_combination(5.0));
+  EXPECT_EQ(*scheduler.decide(20, trace), design()->ideal_combination(600.0));
   EXPECT_EQ(scheduler.name(), "reactive+hysteresis");
 }
 
@@ -248,12 +274,12 @@ TEST(HysteresisScheduler, AbortedScaleDownResetsHold) {
   const LoadTrace trace =
       step_trace({{600.0, 10.0}, {5.0, 50.0}, {600.0, 60.0}, {5.0, 60.0}});
   const Combination big = design()->ideal_combination(600.0);
-  EXPECT_EQ(*scheduler.decide(0, trace, ClusterSnapshot{}), big);
-  EXPECT_EQ(*scheduler.decide(15, trace, ClusterSnapshot{}), big);   // held
-  EXPECT_EQ(*scheduler.decide(70, trace, ClusterSnapshot{}), big);   // back up
+  EXPECT_EQ(*scheduler.decide(0, trace), big);
+  EXPECT_EQ(*scheduler.decide(15, trace), big);  // held
+  EXPECT_EQ(*scheduler.decide(70, trace), big);  // back up
   // New scale-down attempt restarts the clock: at t=130 only 10 s elapsed.
-  EXPECT_EQ(*scheduler.decide(125, trace, ClusterSnapshot{}), big);
-  EXPECT_EQ(*scheduler.decide(130, trace, ClusterSnapshot{}), big);
+  EXPECT_EQ(*scheduler.decide(125, trace), big);
+  EXPECT_EQ(*scheduler.decide(130, trace), big);
 }
 
 TEST(HysteresisScheduler, Validation) {
