@@ -4,35 +4,36 @@
 // the paper's summary statistic (BML % over the lower bound: the paper
 // reports avg 32 %, min 6.8 %, max 161.4 % on the real WC98 trace; the
 // synthetic trace reproduces the ordering and the quiet-day/busy-day
-// pattern — see EXPERIMENTS.md).
+// pattern).
 //
 // Pass --quick to replay 7 days instead of 87.
 #include <cstdio>
 #include <cstring>
 
 #include "experiments/experiments.hpp"
+#include "trace/synthetic.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace bml;
-  Fig5Options options;
+  WorldCupOptions options;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
-      options.trace.days = 7;
-      options.trace.tournament_start_day = 3;
-      options.trace.tournament_end_day = 6;
+      options.days = 7;
+      options.tournament_start_day = 3;
+      options.tournament_end_day = 6;
     }
   }
 
   std::printf("=== Fig. 5: per-day energy vs lower and upper bounds (%zu "
               "days, synthetic World-Cup-like trace) ===\n\n",
-              options.trace.days);
+              options.days);
 
-  const Fig5Result result = run_fig5(options);
+  const Fig5Result result = run_fig5(worldcup_like_trace(options));
 
   AsciiTable table({"day", "LowerBound (kWh)", "BML (kWh)", "BML vs LB",
                     "UpperBound PerDay (kWh)", "UpperBound Global (kWh)"});
-  const std::size_t stride = options.trace.days > 20 ? 5 : 1;
+  const std::size_t stride = options.days > 20 ? 5 : 1;
   for (std::size_t d = 0; d < result.lower_bound.size(); d += stride)
     table.add_row({std::to_string(d + 6),  // the paper replays days 6..92
                    AsciiTable::num(joules_to_kwh(result.lower_bound[d]), 3),

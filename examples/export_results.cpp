@@ -6,20 +6,33 @@
 // Writes table1.csv, fig1_profiles.csv ... fig5_per_day.csv into the
 // output directory (default ./bml-results, 7 World-Cup days by default so
 // the example finishes in seconds; pass 87 for paper scale), then prints
-// the trace statistics that govern the Fig. 5 overhead spread.
+// the trace statistics that govern the Fig. 5 overhead spread. A day count
+// that is not an integer >= 1 prints `export_results: <message>` and exits
+// 2 before anything is written; valid counts below 2 replay 2 days.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
+#include <stdexcept>
+#include <string>
 
 #include "experiments/export.hpp"
+#include "trace/synthetic.hpp"
 #include "trace/trace_stats.hpp"
+#include "util/csv.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+std::size_t parse_days(const std::string& text) {
+  const std::int64_t days = bml::parse_int(text);
+  if (days < 1)
+    throw std::invalid_argument("days must be >= 1, got '" + text + "'");
+  return static_cast<std::size_t>(days);
+}
+
+int export_results(const std::filesystem::path& directory,
+                   std::size_t days) {
   using namespace bml;
-  const std::filesystem::path directory =
-      argc > 1 ? argv[1] : "bml-results";
-  const std::size_t days =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 7;
-
   std::printf("exporting to %s (%zu World-Cup days)\n",
               directory.string().c_str(), days);
 
@@ -34,16 +47,28 @@ int main(int argc, char** argv) {
   export_fig4(run_fig4(), directory);
   std::puts("  fig4_curves.csv");
 
-  Fig5Options options;
-  options.trace.days = std::max<std::size_t>(2, days);
-  options.trace.tournament_start_day = options.trace.days / 3;
-  options.trace.tournament_end_day = options.trace.days - 1;
-  export_fig5(run_fig5(options), directory);
+  WorldCupOptions options;
+  options.days = std::max<std::size_t>(2, days);
+  options.tournament_start_day = options.days / 3;
+  options.tournament_end_day = options.days - 1;
+  const LoadTrace trace = worldcup_like_trace(options);
+  export_fig5(run_fig5(trace), directory);
   std::puts("  fig5_per_day.csv");
 
-  std::puts("\nworkload character (see EXPERIMENTS.md for why this governs "
-            "the Fig. 5 overhead):");
-  const LoadTrace trace = worldcup_like_trace(options.trace);
+  std::puts("\nworkload character (these statistics govern the Fig. 5 "
+            "overhead spread):");
   std::fputs(to_string(analyze_trace(trace)).c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return export_results(argc > 1 ? argv[1] : "bml-results",
+                          argc > 2 ? parse_days(argv[2]) : 7);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "export_results: %s\n", e.what());
+    return 2;
+  }
 }

@@ -19,11 +19,4 @@ LoadTrace combined_trace(const std::vector<const LoadTrace*>& traces) {
   return LoadTrace(std::move(rates));
 }
 
-LoadTrace combined_trace(const std::vector<Workload>& workloads) {
-  std::vector<const LoadTrace*> traces;
-  traces.reserve(workloads.size());
-  for (const Workload& w : workloads) traces.push_back(&w.trace);
-  return combined_trace(traces);
-}
-
 }  // namespace bml

@@ -150,14 +150,11 @@ struct WorkloadResult {
   }
 };
 
-/// Element-wise sum of the workloads' traces — the aggregate demand the
-/// shared cluster must be designed for. The result spans the longest
-/// trace; shorter traces contribute 0 beyond their end. A single workload
-/// returns a copy of its trace (no arithmetic), so design sizing on the
-/// sum is bit-identical to single-app sizing.
-[[nodiscard]] LoadTrace combined_trace(const std::vector<Workload>& workloads);
-
-/// As above over non-owning pointers (all non-null).
+/// Element-wise sum of the traces (non-owning, all non-null) — the
+/// aggregate demand the shared cluster must be designed for. The result
+/// spans the longest trace; shorter traces contribute 0 beyond their end.
+/// A single trace returns a copy of it (no arithmetic), so design sizing
+/// on the sum is bit-identical to single-app sizing.
 [[nodiscard]] LoadTrace combined_trace(
     const std::vector<const LoadTrace*>& traces);
 

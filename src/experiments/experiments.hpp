@@ -12,9 +12,13 @@
 //   Fig. 4   — run_fig4     ideal BML combination curve vs Big / BML-linear
 //   Fig. 5   — run_fig5     World-Cup evaluation vs lower & upper bounds
 //
-// Beyond the paper: run_colocation compares two applications sharing one
-// BML pool (the multi-tenant workload layer) against each running on its
-// own dedicated cluster.
+// Fig. 5's three simulated rows are examples/specs/fig5_worldcup.scn;
+// run_fig5 adds the analytic lower bound, which no spec expresses, and
+// Fig5.RunnerMatchesTheShippedSpec pins the two to the same per-day
+// energies, bit for bit. The experiments beyond the paper (colocation, SLO
+// spares under rack strikes, graceful degradation, tenant churn) exist
+// only as the specs in examples/specs/, and tests/test_experiments.cpp
+// checks each one shows what its comment claims.
 #pragma once
 
 #include <string>
@@ -23,7 +27,7 @@
 #include "arch/catalog.hpp"
 #include "core/bml_design.hpp"
 #include "sim/simulator.hpp"
-#include "trace/synthetic.hpp"
+#include "trace/trace.hpp"
 #include "util/units.hpp"
 
 namespace bml {
@@ -103,14 +107,6 @@ struct Fig4Result {
 
 // ----------------------------------------------------------------- Fig. 5
 
-struct Fig5Options {
-  WorldCupOptions trace;
-  /// Skip the first `skip_days` when reporting (the paper replays days
-  /// 6-92, i.e. drops the rampless first days; our synthetic trace starts
-  /// at day 6's character already, so this defaults to 0).
-  std::size_t skip_days = 0;
-};
-
 struct Fig5Result {
   /// Per-day energies (J), one entry per replayed day.
   std::vector<Joules> lower_bound;
@@ -129,148 +125,8 @@ struct Fig5Result {
   [[nodiscard]] double max_overhead_pct() const;
 };
 
-[[nodiscard]] Fig5Result run_fig5(const Fig5Options& options = {});
-
-// ------------------------------------------------------------- Colocation
-
-/// Multi-tenant demonstration: a diurnal web frontend and a steady batch
-/// service, (a) colocated on one shared cluster through the workload
-/// layer (sum coordinator) and (b) each on its own dedicated cluster.
-/// Colocation pools the On machines, so the dispatcher fills the shared
-/// fleet's cheapest slopes with both apps' traffic.
-struct ColocationResult {
-  /// Shared-cluster run with per-app attribution.
-  MultiSimulationResult colocated;
-  /// One dedicated-cluster run per application (same order as
-  /// colocated.apps).
-  std::vector<SimulationResult> isolated;
-
-  [[nodiscard]] Joules colocated_total() const {
-    return colocated.total.total_energy();
-  }
-  [[nodiscard]] Joules isolated_total() const;
-};
-
-[[nodiscard]] ColocationResult run_colocation(std::size_t days = 1,
-                                              std::uint64_t seed = 7);
-
-// --------------------------------------------------------- SLO resilience
-
-/// Availability-SLO feedback under correlated rack strikes: a diurnal web
-/// frontend (carrying an availability SLO) and a steady batch service
-/// share one fault domain that rack-level strikes keep knocking over,
-/// with a single repair crew serialising recovery. The same scenario —
-/// identical fault seed, hence identical strike timeline — runs twice:
-/// once with the SLO feedback loop provisioning spare capacity while the
-/// trailing-window availability is below target, and once without. The
-/// delta quantifies what the feedback buys (QoS violation seconds
-/// recovered, served-fraction gain for the SLO app) and what it costs
-/// (total energy, with the spares' idle-power share reported separately).
-struct SloRackStrikeResult {
-  /// SLO-aware run (web carries `target`).
-  MultiSimulationResult aware;
-  /// Baseline with the identical fault timeline and no SLO feedback.
-  MultiSimulationResult baseline;
-  /// The web app's availability target.
-  double target = 0.0;
-
-  /// QoS violation seconds the feedback loop recovered for the SLO app
-  /// (baseline minus aware; positive = the spares helped).
-  [[nodiscard]] std::int64_t violation_recovered_s() const {
-    return baseline.apps.front().qos_stats.violation_seconds -
-           aware.apps.front().qos_stats.violation_seconds;
-  }
-  /// Extra energy the feedback loop spent (aware minus baseline, J).
-  [[nodiscard]] Joules energy_cost() const {
-    return aware.total.total_energy() - baseline.total.total_energy();
-  }
-};
-
-[[nodiscard]] SloRackStrikeResult run_slo_rackstrikes(std::size_t days = 1,
-                                                      std::uint64_t seed = 7);
-
-// ----------------------------------------------- Graceful degradation
-
-/// Degraded-mode serving + priority classes under correlated rack
-/// strikes: a diurnal web frontend (priority 2) and a steady batch
-/// service (priority 0) share one rack-struck fault domain with a single
-/// repair crew. The same scenario — identical fault seed, hence identical
-/// strike timeline — runs twice: once with the control plane degrading
-/// gracefully (strikes preempt batch capacity for the pool instead of
-/// booting replacements, and the surviving machines absorb the resulting
-/// spill-over at a contention penalty) and once with the classic brittle
-/// behaviour (replacement boot-storms, spill-over dropped, no
-/// priorities). The delta quantifies the frugal direction of the
-/// robustness trade — the opposite of the SLO spare loop, which spends
-/// energy to buy service: graceful degradation skips the replacement
-/// churn (energy saved) and holds the web app's served fraction nearly
-/// flat through the outages via spill-over absorption, while the batch
-/// service bears the preempted seconds and every tenant logs
-/// contention-degraded overload seconds.
-struct DegradedPriorityResult {
-  /// Degrade model + priority classes active (web = 2, batch = 0).
-  MultiSimulationResult aware;
-  /// Identical fault timeline, spill-over dropped, every priority 0.
-  MultiSimulationResult baseline;
-  /// The aware run's degrade knobs.
-  double overload_factor = 0.0;
-  double penalty = 0.0;
-
-  /// Energy graceful degradation saved (baseline minus aware, J;
-  /// positive = the lean fleet was cheaper): preemption sheds
-  /// low-priority capacity instead of booting replacements.
-  [[nodiscard]] Joules energy_saved() const {
-    return baseline.total.total_energy() - aware.total.total_energy();
-  }
-  /// Served-fraction delta of the high-priority web app (aware minus
-  /// baseline). Spill-over absorption claws back most of the capacity
-  /// the preemption path declines to re-boot, so this hovers near zero
-  /// while the energy saving is real.
-  [[nodiscard]] double served_delta() const {
-    return aware.apps.front().qos_stats.served_fraction() -
-           baseline.apps.front().qos_stats.served_fraction();
-  }
-};
-
-[[nodiscard]] DegradedPriorityResult run_degraded_priority(
-    std::size_t days = 1, std::uint64_t seed = 7);
-
-// ----------------------------------------------- Tenant lifecycle
-
-/// Tenant churn vs static over-provisioning: a diurnal web frontend runs
-/// all day while a batch tenant is only resident for the middle half of
-/// the horizon. The same pool — designed for the combined peak — runs
-/// twice: once lifecycle-aware (the visitor arrives and departs mid-run,
-/// the coordinator re-partitions capacity shares at each churn event and
-/// the departed tenant's machines drain through the normal transition
-/// path) and once statically over-provisioned (the visitor is treated as
-/// permanent, holding its capacity for the full horizon). The delta
-/// quantifies what tenancy-awareness buys: the energy of the absent
-/// tenant's idle window, at an unchanged served fraction for the
-/// always-on frontend.
-struct TenantChurnResult {
-  /// Lifecycle-aware run: the visitor is active on [arrive, depart).
-  MultiSimulationResult aware;
-  /// Static over-provisioning: identical workloads, visitor always on.
-  MultiSimulationResult baseline;
-  /// The visitor's residency window (s since trace start).
-  TimePoint arrive = 0;
-  TimePoint depart = 0;
-
-  /// Energy tenancy-awareness saved (baseline minus aware, J; positive =
-  /// draining the absent tenant's machines was cheaper).
-  [[nodiscard]] Joules energy_saved() const {
-    return baseline.total.total_energy() - aware.total.total_energy();
-  }
-  /// Served-fraction delta of the always-on frontend (aware minus
-  /// baseline) — near zero: churn must not degrade resident tenants.
-  [[nodiscard]] double frontend_served_delta() const {
-    return aware.apps.front().qos_stats.served_fraction() -
-           baseline.apps.front().qos_stats.served_fraction();
-  }
-};
-
-[[nodiscard]] TenantChurnResult run_tenant_churn(std::size_t days = 1,
-                                                 std::uint64_t seed = 7);
+/// Fig. 5 over `trace`: the analytic lower bound per day, and the three
+/// rows of examples/specs/fig5_worldcup.scn replayed on `trace`.
+[[nodiscard]] Fig5Result run_fig5(const LoadTrace& trace);
 
 }  // namespace bml

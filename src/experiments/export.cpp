@@ -99,20 +99,9 @@ void export_fig5(const Fig5Result& result,
     w.add_row(std::vector<double>{
         static_cast<double>(d), result.lower_bound[d], result.bml[d],
         result.per_day_bound[d], result.global_bound[d],
-        d < result.bml_overhead_pct.size() ? result.bml_overhead_pct[d]
-                                           : 0.0});
+        result.bml_overhead_pct[d]});
   }
   w.write_file(directory / "fig5_per_day.csv");
-}
-
-int export_all(const std::filesystem::path& directory) {
-  export_table1(run_table1(), directory);
-  export_fig1(run_fig1(), directory);
-  export_fig2(run_fig2(), directory);
-  export_fig3(run_fig3(), directory);
-  export_fig4(run_fig4(), directory);
-  export_fig5(run_fig5(), directory);
-  return 6;
 }
 
 }  // namespace bml

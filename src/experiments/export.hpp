@@ -1,10 +1,11 @@
 // CSV export of experiment results — one file per figure/table series so
 // the paper's plots can be regenerated with any plotting tool.
 //
-//   bml::export_all("out/");   // writes fig1..fig5, table1, metrics CSVs
+//   bml::export_fig4(bml::run_fig4(), "out/");   // writes out/fig4_curves.csv
 //
 // Each bench binary prints human-readable tables; these exports carry the
-// same data in machine-readable form.
+// same data in machine-readable form (examples/export_results writes all
+// six).
 #pragma once
 
 #include <filesystem>
@@ -37,9 +38,5 @@ void export_fig4(const Fig4Result& result,
 /// bml_overhead_pct.
 void export_fig5(const Fig5Result& result,
                  const std::filesystem::path& directory);
-
-/// Runs every experiment at paper scale and writes every CSV into
-/// `directory` (created if missing). Returns the number of files written.
-int export_all(const std::filesystem::path& directory);
 
 }  // namespace bml

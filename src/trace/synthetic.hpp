@@ -5,8 +5,7 @@
 // same structure: ~3 months at 1 Hz, strong diurnal cycles, a tournament
 // envelope that grows towards the finals, match-time flash crowds, and
 // request-level noise. The evaluation only depends on this *shape* (peak /
-// trough ratio, daily variability, growth trend); see DESIGN.md's
-// substitution table.
+// trough ratio, daily variability, growth trend).
 //
 // Additional generators cover tests and examples: constant, step, diurnal,
 // and flash-crowd workloads.

@@ -4,8 +4,8 @@
 // traces (or any two traces): peak-to-mean ratio, burstiness (index of
 // dispersion), second-to-second jitter, diurnal strength (autocorrelation
 // at the 24 h lag), and day-level summaries. These are the quantities that
-// determine the Fig. 5 overhead spread — see EXPERIMENTS.md's discussion
-// of the synthetic-vs-real gap.
+// determine the Fig. 5 overhead spread, and so the gap between the
+// synthetic trace's overheads and the paper's on the real one.
 #pragma once
 
 #include <string>

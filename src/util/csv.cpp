@@ -22,6 +22,21 @@ std::string trim(const std::string& s) {
   return std::string(begin, end);
 }
 
+/// RFC 4180: a cell holding a comma, a quote or a line break is written
+/// quoted, with each inner quote doubled; any other cell is written as is.
+void write_cell(std::ostream& os, const std::string& cell) {
+  if (cell.find_first_of(",\"\r\n") == std::string::npos) {
+    os << cell;
+    return;
+  }
+  os << '"';
+  for (const char c : cell) {
+    if (c == '"') os << '"';
+    os << c;
+  }
+  os << '"';
+}
+
 }  // namespace
 
 std::size_t CsvTable::column(const std::string& name) const {
@@ -120,7 +135,7 @@ std::string CsvWriter::to_string() const {
   auto emit = [&os](const std::vector<std::string>& cells) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       if (i) os << ',';
-      os << cells[i];
+      write_cell(os, cells[i]);
     }
     os << '\n';
   };

@@ -1,7 +1,10 @@
 // Minimal CSV reading/writing for traces, profiles, and experiment dumps.
 //
-// Deliberately small: comma separator, optional '#' comment lines, no
-// quoting (none of our data contains commas). Parsing is strict — malformed
+// Deliberately small: comma separator and optional '#' comment lines. The
+// writer quotes a cell that contains a comma, a quote or a line break (RFC
+// 4180; a multi-axis sweep names its rows `base[k1=v1,k2=v2]`). The reader
+// splits on every comma and does not unquote: it reads traces, catalogs and
+// profiles, whose cells never need quotes. Parsing is strict — malformed
 // numeric fields raise std::runtime_error with line context, because silent
 // trace corruption would invalidate experiments.
 #pragma once
@@ -47,6 +50,7 @@ class CsvWriter {
   /// Numeric convenience: formats with enough precision to round-trip.
   void add_row(const std::vector<double>& cells);
 
+  /// The header and rows, one line each, cells quoted as RFC 4180 asks.
   [[nodiscard]] std::string to_string() const;
   void write_file(const std::filesystem::path& path) const;
 

@@ -72,6 +72,23 @@ TEST(CsvWriter, RoundTripsThroughParser) {
   EXPECT_DOUBLE_EQ(parse_double(t.rows[1][1]), 3.5);
 }
 
+TEST(CsvWriter, QuotesCellsWithCommasQuotesAndLineBreaks) {
+  // RFC 4180: such a cell is quoted and its inner quotes doubled; numbers
+  // and plain names are written as they are.
+  CsvWriter w;
+  w.set_header({"scenario", "value"});
+  w.add_row(std::vector<std::string>{"grid[a=1,b=2]", "1"});
+  w.add_row(std::vector<std::string>{"say \"hi\"", "2"});
+  w.add_row(std::vector<std::string>{"two\nlines", "3"});
+  w.add_row(std::vector<double>{2.5, 3.5});
+  EXPECT_EQ(w.to_string(),
+            "scenario,value\n"
+            "\"grid[a=1,b=2]\",1\n"
+            "\"say \"\"hi\"\"\",2\n"
+            "\"two\nlines\",3\n"
+            "2.5,3.5\n");
+}
+
 TEST(CsvWriter, FileRoundTrip) {
   CsvWriter w;
   w.set_header({"rate"});

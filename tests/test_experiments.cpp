@@ -1,11 +1,40 @@
 // Tests for experiments/: every table/figure runner reproduces the paper's
-// qualitative claims on reduced-size configurations.
+// qualitative claims on reduced-size configurations, and the shipped specs
+// in examples/specs/ show what their comments claim.
 #include "experiments/experiments.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "scenario/sweep.hpp"
+#include "trace/synthetic.hpp"
+
 namespace bml {
 namespace {
+
+/// A spec as shipped in examples/specs/ (BML_SPECS_DIR is set by the
+/// build).
+ScenarioSpec shipped_spec(const std::string& name) {
+  return load_scenario(std::filesystem::path(BML_SPECS_DIR) / (name + ".scn"));
+}
+
+SweepReport sweep(const ScenarioSpec& spec) {
+  return run_sweep(spec, SweepOptions{.threads = 1});
+}
+
+/// Fig. 5 at test size: 3 World-Cup days, tournament on days 1-2.
+WorldCupOptions quick_fig5_trace() {
+  WorldCupOptions options;
+  options.days = 3;
+  options.tournament_start_day = 1;
+  options.tournament_end_day = 2;
+  options.peak = 4000.0;
+  options.seed = 23;
+  return options;
+}
 
 TEST(Table1, ProfilesAllFiveMachinesWithinNoise) {
   const Table1Result r = run_table1(/*seed=*/7);
@@ -83,13 +112,7 @@ TEST(Fig4, BmlCurveDominatesBigOnlyAndTracksLinear) {
 }
 
 TEST(Fig5, QuickRunReproducesOrderingAndQos) {
-  Fig5Options options;
-  options.trace.days = 3;
-  options.trace.tournament_start_day = 1;
-  options.trace.tournament_end_day = 2;
-  options.trace.peak = 4000.0;
-  options.trace.seed = 23;
-  const Fig5Result r = run_fig5(options);
+  const Fig5Result r = run_fig5(worldcup_like_trace(quick_fig5_trace()));
 
   ASSERT_EQ(r.lower_bound.size(), 3u);
   ASSERT_EQ(r.bml.size(), 3u);
@@ -115,121 +138,246 @@ TEST(Fig5, QuickRunReproducesOrderingAndQos) {
   EXPECT_GE(r.max_overhead_pct(), r.mean_overhead_pct());
 }
 
+TEST(Fig5, RunnerMatchesTheShippedSpec) {
+  // fig5_worldcup.scn at the quick run's size (the shipped 87 days are too
+  // slow for the sanitizer job) gives run_fig5's three rows bit for bit.
+  ScenarioSpec spec = shipped_spec("fig5_worldcup");
+  spec.set("trace.days", "3");
+  spec.set("trace.tournament_start_day", "1");
+  spec.set("trace.tournament_end_day", "2");
+  spec.set("trace.peak", "4000");
+  spec.set("trace.seed", "23");
+  const SweepReport report = sweep(spec);
+  const Fig5Result r = run_fig5(worldcup_like_trace(quick_fig5_trace()));
+
+  ASSERT_EQ(report.rows.size(), 3u);
+  const SimulationResult* runner[] = {&r.bml_sim, &r.per_day_sim,
+                                      &r.global_sim};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const SimulationResult& row = report.rows[i].sim;
+    EXPECT_EQ(row.per_day_total(), runner[i]->per_day_total())
+        << report.rows[i].spec.name;
+    EXPECT_EQ(row.qos.violation_seconds, runner[i]->qos.violation_seconds)
+        << report.rows[i].spec.name;
+  }
+}
+
 TEST(Colocation, SharedPoolAttributesBothAppsAndSavesEnergy) {
-  const ColocationResult r = run_colocation(1, 7);
-  ASSERT_EQ(r.colocated.apps.size(), 2u);
-  ASSERT_EQ(r.isolated.size(), 2u);
-  EXPECT_EQ(r.colocated.apps[0].name, "frontend");
-  EXPECT_EQ(r.colocated.apps[1].name, "batch");
-  EXPECT_GT(r.colocated.apps[0].compute_energy, 0.0);
-  EXPECT_GT(r.colocated.apps[1].compute_energy, 0.0);
-  EXPECT_GT(r.colocated_total(), 0.0);
-  EXPECT_GT(r.isolated_total(), 0.0);
-  // Per-app shares sum back to the shared cluster's totals.
-  EXPECT_NEAR(
-      r.colocated.apps[0].compute_energy + r.colocated.apps[1].compute_energy,
-      r.colocated.total.compute_energy,
-      1e-9 * r.colocated.total.compute_energy);
-  // Pooling the fleet cannot do much worse than dedicated clusters (the
-  // dispatcher fills the shared machines' cheapest slopes with both apps'
-  // traffic); allow a small tolerance for reconfiguration timing.
-  EXPECT_LT(r.colocated_total(), 1.10 * r.isolated_total());
+  // multiapp_demo.scn's sum rows (app0.trace.peak = 1000, 2000). Its
+  // partitioned rows show the clamp defect tracked in ROADMAP.md and are
+  // not pinned here.
+  ScenarioSpec spec = shipped_spec("multiapp_demo");
+  ASSERT_EQ(spec.sweeps.front().key, "coordinator");
+  spec.sweeps.erase(spec.sweeps.begin());
+  spec.set("coordinator", "sum");
+  const SweepReport report = sweep(spec);
+  ASSERT_EQ(report.rows.size(), 2u);
+
+  for (const SweepRow& row : report.rows) {
+    SCOPED_TRACE(row.spec.name);
+    ASSERT_EQ(row.apps.size(), 3u);
+    EXPECT_EQ(row.apps[0].name, "frontend");
+    EXPECT_EQ(row.apps[1].name, "api");
+    EXPECT_EQ(row.apps[2].name, "batch");
+    Joules app_compute = 0.0;
+    for (const WorkloadResult& app : row.apps) {
+      EXPECT_GT(app.compute_energy, 0.0) << app.name;
+      app_compute += app.compute_energy;
+    }
+    // Per-app shares sum back to the shared cluster's totals.
+    EXPECT_NEAR(app_compute, row.sim.compute_energy,
+                1e-9 * row.sim.compute_energy);
+
+    // Each [app] section alone, on a dedicated cluster sized for its own
+    // peak.
+    Joules isolated = 0.0;
+    for (const AppSpec& app : row.spec.apps) {
+      ScenarioSpec alone = row.spec;
+      alone.apps = {app};
+      isolated += run_scenario(alone).sim.total_energy();
+    }
+    EXPECT_GT(row.sim.total_energy(), 0.0);
+    EXPECT_GT(isolated, 0.0);
+    // Pooling the fleet cannot do much worse than dedicated clusters (the
+    // dispatcher fills the shared machines' cheapest slopes with every
+    // app's traffic); allow a small tolerance for reconfiguration timing.
+    EXPECT_LT(row.sim.total_energy(), 1.10 * isolated);
+  }
 }
 
 TEST(SloRackStrikes, FeedbackRecoversServiceAtQuantifiedEnergyCost) {
-  const SloRackStrikeResult r = run_slo_rackstrikes(1, 7);
-  ASSERT_EQ(r.aware.apps.size(), 2u);
-  ASSERT_EQ(r.baseline.apps.size(), 2u);
+  // rack_strikes.scn sweeps web's SLO target 0 -> 0.999 under one strike
+  // timeline: row 0 is the baseline, row 1 SLO-aware.
+  const SweepReport report = sweep(shipped_spec("rack_strikes"));
+  ASSERT_EQ(report.rows.size(), 2u);
+  const SweepRow& baseline = report.rows[0];
+  const SweepRow& aware = report.rows[1];
+  EXPECT_EQ(aware.axis_values, std::vector<std::string>{"0.999"});
+  ASSERT_EQ(aware.apps.size(), 2u);
+  ASSERT_EQ(baseline.apps.size(), 2u);
+  const auto violation_recovered_s = [](const SweepReport& r) {
+    return r.rows[0].apps[0].qos_stats.violation_seconds -
+           r.rows[1].apps[0].qos_stats.violation_seconds;
+  };
+  const auto energy_cost = [](const SweepReport& r) {
+    return r.rows[1].sim.total_energy() - r.rows[0].sim.total_energy();
+  };
   // Rack strikes landed, and the aware run actually provisioned spares.
-  EXPECT_GT(r.baseline.total.group_strikes, 0);
-  EXPECT_GT(r.aware.total.spare_seconds, 0);
-  EXPECT_GT(r.aware.total.spare_energy, 0.0);
-  EXPECT_EQ(r.baseline.total.spare_seconds, 0);
-  EXPECT_DOUBLE_EQ(r.baseline.total.spare_energy, 0.0);
+  EXPECT_GT(baseline.sim.group_strikes, 0);
+  EXPECT_GT(aware.sim.spare_seconds, 0);
+  EXPECT_GT(aware.sim.spare_energy, 0.0);
+  EXPECT_EQ(baseline.sim.spare_seconds, 0);
+  EXPECT_DOUBLE_EQ(baseline.sim.spare_energy, 0.0);
   // The feedback loop bridges replacement-boot windows: the SLO app loses
   // fewer seconds of service than under the non-aware coordinator.
-  EXPECT_GT(r.violation_recovered_s(), 0);
-  EXPECT_GE(r.aware.apps[0].qos_stats.served_fraction(),
-            r.baseline.apps[0].qos_stats.served_fraction());
+  EXPECT_GT(violation_recovered_s(report), 0);
+  EXPECT_GE(aware.apps[0].qos_stats.served_fraction(),
+            baseline.apps[0].qos_stats.served_fraction());
   // ...at a real, quantified energy cost (the spares idle).
-  EXPECT_GT(r.energy_cost(), 0.0);
+  EXPECT_GT(energy_cost(report), 0.0);
   // The spare overlay is attribution, not double counting.
-  EXPECT_LT(r.aware.total.spare_energy, r.aware.total.compute_energy);
-  EXPECT_EQ(r.aware.apps[0].spare_seconds, r.aware.total.spare_seconds);
-  // Determinism: same seed, same deltas.
-  const SloRackStrikeResult again = run_slo_rackstrikes(1, 7);
-  EXPECT_EQ(again.violation_recovered_s(), r.violation_recovered_s());
-  EXPECT_EQ(again.energy_cost(), r.energy_cost());
+  EXPECT_LT(aware.sim.spare_energy, aware.sim.compute_energy);
+  EXPECT_EQ(aware.apps[0].spare_seconds, aware.sim.spare_seconds);
+  // Determinism: same spec, same deltas.
+  const SweepReport again = sweep(shipped_spec("rack_strikes"));
+  EXPECT_EQ(violation_recovered_s(again), violation_recovered_s(report));
+  EXPECT_EQ(energy_cost(again), energy_cost(report));
+}
+
+TEST(DegradedPriority, ShippedSpecAbsorbsSpillOverAndPreemptsOnlyBatch) {
+  // degraded_priority.scn as shipped: web has priority 2 in both rows, and
+  // degrade.overload_factor goes 0 -> 0.5 under one strike timeline.
+  const SweepReport report = sweep(shipped_spec("degraded_priority"));
+  ASSERT_EQ(report.rows.size(), 2u);
+  const SweepRow& brittle = report.rows[0];
+  const SweepRow& graceful = report.rows[1];
+  EXPECT_EQ(graceful.axis_values, std::vector<std::string>{"0.5"});
+  ASSERT_EQ(brittle.apps.size(), 2u);
+  ASSERT_EQ(graceful.apps.size(), 2u);
+  // Identical strike timeline in both rows.
+  EXPECT_GT(graceful.sim.group_strikes, 0);
+  EXPECT_EQ(graceful.sim.group_strikes, brittle.sim.group_strikes);
+  // Only the 0.5 row absorbs spill-over; it accounts every contended
+  // second and the capacity the penalty burned, split exactly per app.
+  EXPECT_GT(graceful.sim.overload_seconds, 0);
+  EXPECT_GT(graceful.sim.penalty_lost_capacity, 0.0);
+  EXPECT_EQ(brittle.sim.overload_seconds, 0);
+  EXPECT_DOUBLE_EQ(brittle.sim.penalty_lost_capacity, 0.0);
+  EXPECT_NEAR(graceful.apps[0].penalty_lost_capacity +
+                  graceful.apps[1].penalty_lost_capacity,
+              graceful.sim.penalty_lost_capacity,
+              1e-9 * graceful.sim.penalty_lost_capacity);
+  // Strikes preempt batch (priority 0) for the pool; web never pays.
+  for (const SweepRow* row : {&brittle, &graceful}) {
+    EXPECT_GT(row->sim.preemptions, 0) << row->spec.name;
+    EXPECT_GT(row->apps[1].preempted_seconds, 0) << row->spec.name;
+    EXPECT_EQ(row->apps[0].preempted_seconds, 0) << row->spec.name;
+  }
+  // Absorbing the spill-over serves more of web's load.
+  EXPECT_GT(graceful.apps[0].qos_stats.served_fraction(),
+            brittle.apps[0].qos_stats.served_fraction());
 }
 
 TEST(DegradedPriority, LeanFleetTradesContentionForBootStorms) {
-  const DegradedPriorityResult r = run_degraded_priority(1, 7);
-  ASSERT_EQ(r.aware.apps.size(), 2u);
-  ASSERT_EQ(r.baseline.apps.size(), 2u);
+  // degraded_priority.scn under the sum coordinator with penalty 0.5 and
+  // web's priority swept as well. The (0.5, 2) row degrades gracefully
+  // (spill-over absorbed, batch preempted); the (0, 0) row is the brittle
+  // baseline (replacement boots, spill-over dropped, no priorities).
+  const auto run = [] {
+    ScenarioSpec spec = shipped_spec("degraded_priority");
+    spec.set("coordinator", "sum");
+    spec.set("degrade.penalty", "0.5");
+    spec.sweeps.push_back(SweepAxis{"app0.priority", {"0", "2"}});
+    return sweep(spec);
+  };
+  const SweepReport report = run();
+  ASSERT_EQ(report.rows.size(), 4u);
+  const SweepRow& baseline = report.rows[0];
+  const SweepRow& aware = report.rows[3];
+  EXPECT_EQ(baseline.axis_values, (std::vector<std::string>{"0", "0"}));
+  EXPECT_EQ(aware.axis_values, (std::vector<std::string>{"0.5", "2"}));
+  ASSERT_EQ(aware.apps.size(), 2u);
+  ASSERT_EQ(baseline.apps.size(), 2u);
+  const auto energy_saved = [](const SweepReport& r) {
+    return r.rows[0].sim.total_energy() - r.rows[3].sim.total_energy();
+  };
   // Identical strike timeline in both runs.
-  EXPECT_GT(r.aware.total.group_strikes, 0);
-  EXPECT_EQ(r.aware.total.group_strikes, r.baseline.total.group_strikes);
+  EXPECT_GT(aware.sim.group_strikes, 0);
+  EXPECT_EQ(aware.sim.group_strikes, baseline.sim.group_strikes);
   // Strikes preempted low-priority capacity, and only the batch service
   // (priority 0) bears the preempted seconds.
-  EXPECT_GT(r.aware.total.preemptions, 0);
-  EXPECT_EQ(r.baseline.total.preemptions, 0);
-  EXPECT_GT(r.aware.apps[1].preempted_seconds, 0);
-  EXPECT_EQ(r.aware.apps[0].preempted_seconds, 0);
+  EXPECT_GT(aware.sim.preemptions, 0);
+  EXPECT_EQ(baseline.sim.preemptions, 0);
+  EXPECT_GT(aware.apps[1].preempted_seconds, 0);
+  EXPECT_EQ(aware.apps[0].preempted_seconds, 0);
   // The lean fleet runs overloaded while repairs queue; the degrade model
   // accounts every contended second and the capacity the penalty burned.
-  EXPECT_GT(r.aware.total.overload_seconds, 0);
-  EXPECT_GT(r.aware.total.penalty_lost_capacity, 0.0);
-  EXPECT_EQ(r.baseline.total.overload_seconds, 0);
-  EXPECT_DOUBLE_EQ(r.baseline.total.penalty_lost_capacity, 0.0);
+  EXPECT_GT(aware.sim.overload_seconds, 0);
+  EXPECT_GT(aware.sim.penalty_lost_capacity, 0.0);
+  EXPECT_EQ(baseline.sim.overload_seconds, 0);
+  EXPECT_DOUBLE_EQ(baseline.sim.penalty_lost_capacity, 0.0);
   // Per-app penalty shares are an exact decomposition of the cluster loss.
-  EXPECT_NEAR(r.aware.apps[0].penalty_lost_capacity +
-                  r.aware.apps[1].penalty_lost_capacity,
-              r.aware.total.penalty_lost_capacity,
-              1e-9 * r.aware.total.penalty_lost_capacity);
+  EXPECT_NEAR(aware.apps[0].penalty_lost_capacity +
+                  aware.apps[1].penalty_lost_capacity,
+              aware.sim.penalty_lost_capacity,
+              1e-9 * aware.sim.penalty_lost_capacity);
   // The frugal direction of the robustness trade: replacement boot-storms
   // skipped (energy saved) while spill-over absorption holds the web
   // app's service nearly flat.
-  EXPECT_GT(r.energy_saved(), 0.0);
-  EXPECT_GT(r.served_delta(), -0.002);
-  // Determinism: same seed, same deltas.
-  const DegradedPriorityResult again = run_degraded_priority(1, 7);
-  EXPECT_EQ(again.energy_saved(), r.energy_saved());
-  EXPECT_EQ(again.aware.total.preemptions, r.aware.total.preemptions);
-  EXPECT_EQ(again.aware.total.overload_seconds,
-            r.aware.total.overload_seconds);
+  EXPECT_GT(energy_saved(report), 0.0);
+  EXPECT_GT(aware.apps[0].qos_stats.served_fraction() -
+                baseline.apps[0].qos_stats.served_fraction(),
+            -0.002);
+  // Determinism: same spec, same deltas.
+  const SweepReport again = run();
+  EXPECT_EQ(energy_saved(again), energy_saved(report));
+  EXPECT_EQ(again.rows[3].sim.preemptions, aware.sim.preemptions);
+  EXPECT_EQ(again.rows[3].sim.overload_seconds, aware.sim.overload_seconds);
 }
 
 TEST(TenantChurn, AwareCoordinatorBeatsStaticOverProvisioning) {
-  const TenantChurnResult r = run_tenant_churn(1, 7);
-  ASSERT_EQ(r.aware.apps.size(), 2u);
-  ASSERT_EQ(r.baseline.apps.size(), 2u);
-  // The aware run logs the visitor's residency; the static run has no
-  // lifecycle at all.
-  EXPECT_EQ(r.aware.total.arrivals, 1);
-  EXPECT_EQ(r.aware.total.departures, 1);
-  EXPECT_EQ(r.baseline.total.arrivals, 0);
-  EXPECT_EQ(r.baseline.total.departures, 0);
+  // tenant_churn.scn: the batch visitor arrives at 21,600 s; row 0's
+  // departs at 64,800 s, row 1's window runs to the end of the day, so it
+  // never departs. Both rows carry the same churn clones.
+  const SweepReport report = sweep(shipped_spec("tenant_churn"));
+  ASSERT_EQ(report.rows.size(), 2u);
+  const SweepRow& aware = report.rows[0];
+  const SweepRow& baseline = report.rows[1];
+  ASSERT_GE(aware.apps.size(), 2u);
+  ASSERT_EQ(baseline.apps.size(), aware.apps.size());
+  const AppSpec& visitor = aware.spec.apps[1];
+  EXPECT_EQ(visitor.depart, 64'800);
+  EXPECT_EQ(baseline.spec.apps[1].depart, 86'400);
+  const auto energy_saved = [](const SweepReport& r) {
+    return r.rows[1].sim.total_energy() - r.rows[0].sim.total_energy();
+  };
+  // Same arrivals in both rows, and exactly one more departure in the
+  // aware row: its visitor's.
+  EXPECT_GT(aware.sim.arrivals, 0);
+  EXPECT_EQ(aware.sim.arrivals, baseline.sim.arrivals);
+  EXPECT_EQ(aware.sim.departures, baseline.sim.departures + 1);
   // Attribution integrates over the residency window only.
-  EXPECT_EQ(r.aware.apps[1].active_seconds, r.depart - r.arrive);
-  EXPECT_EQ(r.aware.apps[0].active_seconds, 86'400);
-  EXPECT_EQ(r.baseline.apps[1].active_seconds, 86'400);
-  // Draining the absent tenant's machines beats holding them all day,
-  // without degrading the always-on frontend.
-  EXPECT_GT(r.energy_saved(), 0.0);
-  EXPECT_GT(r.frontend_served_delta(), -0.002);
-  EXPECT_LT(r.aware.apps[1].compute_energy, r.baseline.apps[1].compute_energy);
-  // Determinism: same seed, same deltas.
-  const TenantChurnResult again = run_tenant_churn(1, 7);
-  EXPECT_EQ(again.energy_saved(), r.energy_saved());
-  EXPECT_EQ(again.aware.total.reconfigurations,
-            r.aware.total.reconfigurations);
+  EXPECT_EQ(aware.apps[1].active_seconds, visitor.depart - visitor.arrive);
+  EXPECT_EQ(aware.apps[0].active_seconds, 86'400);
+  EXPECT_EQ(baseline.apps[1].active_seconds, 86'400 - visitor.arrive);
+  // Draining the absent tenant's machines beats holding them to the end
+  // of the day, without degrading the always-on frontend.
+  EXPECT_GT(energy_saved(report), 0.0);
+  EXPECT_GT(aware.apps[0].qos_stats.served_fraction() -
+                baseline.apps[0].qos_stats.served_fraction(),
+            -0.002);
+  EXPECT_LT(aware.apps[1].compute_energy, baseline.apps[1].compute_energy);
+  // Determinism: same spec, same deltas.
+  const SweepReport again = sweep(shipped_spec("tenant_churn"));
+  EXPECT_EQ(energy_saved(again), energy_saved(report));
+  EXPECT_EQ(again.rows[0].sim.reconfigurations, aware.sim.reconfigurations);
 }
 
 TEST(Fig5, StaticFleetNeverReconfigures) {
-  Fig5Options options;
-  options.trace.days = 1;
-  options.trace.peak = 3000.0;
-  const Fig5Result r = run_fig5(options);
+  WorldCupOptions options;
+  options.days = 1;
+  options.peak = 3000.0;
+  const Fig5Result r = run_fig5(worldcup_like_trace(options));
   EXPECT_EQ(r.global_sim.reconfigurations, 0);
   EXPECT_DOUBLE_EQ(r.global_sim.reconfiguration_energy, 0.0);
   // Global bound: 3 bigs always on for a 3000 req/s peak.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -915,8 +916,8 @@ trace.duration = 1200
   EXPECT_EQ(plain.to_csv(), same.to_csv());
 }
 
-/// A CSV split into lines of comma-separated cells (no quoting: the
-/// names in these specs contain no commas).
+/// A CSV split into lines of comma-separated cells. It does not unquote:
+/// the specs it reads sweep at most one axis, so no cell needs quotes.
 std::vector<std::vector<std::string>> csv_cells(const std::string& csv) {
   std::vector<std::vector<std::string>> lines;
   std::istringstream in(csv);
@@ -1330,6 +1331,29 @@ TEST(RunSweep, RowsCarryAxisValuesAndMetrics) {
   const std::string table = report.summary_table();
   EXPECT_NE(table.find("mini[scheduler=bml]"), std::string::npos);
   EXPECT_NE(table.find("mini[scheduler=static-max]"), std::string::npos);
+}
+
+TEST(RunSweep, MultiAxisRowNamesAreQuotedInTheCsv) {
+  // A two-axis row is named `base[k1=v1,k2=v2]`: the comma inside the name
+  // must not split it into two cells.
+  ScenarioSpec spec;
+  spec.name = "grid";
+  spec.trace = "constant";
+  spec.trace_params["rate"] = "400";
+  spec.trace_params["duration"] = "1200";
+  spec.sweeps.push_back(SweepAxis{"scheduler", {"bml", "reactive"}});
+  spec.sweeps.push_back(SweepAxis{"predictor", {"oracle-max", "moving-max"}});
+  std::istringstream csv(run_sweep(spec, SweepOptions{.threads = 1}).to_csv());
+  std::string header, row;
+  std::getline(csv, header);
+  std::getline(csv, row);
+  const std::string name = "\"grid[scheduler=bml,predictor=oracle-max]\",";
+  ASSERT_EQ(row.substr(0, name.size()), name);
+  // Past the quoted name, one cell per remaining header column.
+  const auto commas = [](const std::string& line) {
+    return std::count(line.begin(), line.end(), ',');
+  };
+  EXPECT_EQ(commas(row.substr(name.size())) + 1, commas(header));
 }
 
 TEST(RunSweep, SharedTraceMatchesPerScenarioGeneration) {

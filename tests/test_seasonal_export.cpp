@@ -120,10 +120,10 @@ TEST(Export, Fig1AndFig5QuickRoundTrip) {
   std::filesystem::remove_all(dir);
 
   export_fig1(run_fig1(), dir);
-  Fig5Options options;
-  options.trace.days = 1;
-  options.trace.peak = 2000.0;
-  export_fig5(run_fig5(options), dir);
+  WorldCupOptions options;
+  options.days = 1;
+  options.peak = 2000.0;
+  export_fig5(run_fig5(worldcup_like_trace(options)), dir);
 
   const CsvTable fig1 = read_csv_file(dir / "fig1_profiles.csv", true);
   EXPECT_EQ(fig1.header.size(), 5u);  // rate + 4 architectures
