@@ -425,11 +425,12 @@ void BM_SimulatorWeekNoisyReference(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorWeekNoisyReference)->Unit(benchmark::kMillisecond);
 
-// The event-driven noisy week under BML with each sliding-window
-// predictor, building a fresh scheduler (and so a fresh prediction
-// cursor) every iteration: the exact decision walks over the whole week
-// are timed along with the replay. CI holds seasonal, which slides four
-// windows, to <= 8x oracle-max.
+// The event-driven noisy week under BML with each pure predictor,
+// building a fresh scheduler (and so a fresh prediction cursor) every
+// iteration: the exact decision walks over the whole week are timed along
+// with the replay. CI holds seasonal, which slides four windows, to <= 8x
+// oracle-max, and linear-trend, which slides its least-squares sums and
+// refits its 600 s window at every consult, to <= 20x.
 void BM_SimulatorWeekNoisyPredictor(benchmark::State& state,
                                     const std::string& predictor) {
   auto d = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
@@ -454,6 +455,12 @@ BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyPredictor, moving-max,
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyPredictor, seasonal,
                   std::string("seasonal"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyPredictor, last-value,
+                  std::string("last-value"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyPredictor, linear-trend,
+                  std::string("linear-trend"))
     ->Unit(benchmark::kMillisecond);
 
 // The steady week with an active runtime fault model (machine crashes

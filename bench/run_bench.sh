@@ -64,6 +64,7 @@ GATED = [
     "BM_SimulatorWeekNoisyPredictor/oracle-max",
     "BM_SimulatorWeekNoisyPredictor/moving-max",
     "BM_SimulatorWeekNoisyPredictor/seasonal",
+    "BM_SimulatorWeekNoisyPredictor/linear-trend",
     "BM_SimulatorWeekCorrelatedFaultsEventDriven",
     "BM_SimulatorWeekCorrelatedFaultsReference",
 ]

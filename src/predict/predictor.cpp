@@ -5,11 +5,30 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace bml {
 
 namespace {
+
+/// Whole seconds of a window, period or horizon. A value no TimePoint
+/// holds (non-finite, or beyond 2^53 s) is a named error, not an
+/// overflowing cast.
+TimePoint whole_seconds(Seconds s, const char* what) {
+  if (!(std::abs(s) <= 0x1p53))
+    throw std::invalid_argument(std::string(what) +
+                                " must be finite and at most 2^53 s");
+  return static_cast<TimePoint>(s);
+}
+
+/// The rate at second t, 0 outside the trace: LoadTrace::at without the
+/// call, for the per-second and per-sample loops below.
+double rate_at(std::span<const double> rates, TimePoint t) {
+  return t >= 0 && t < static_cast<TimePoint>(rates.size())
+             ? rates[static_cast<std::size_t>(t)]
+             : 0.0;
+}
 
 /// Maximum of the trace over the window [t + begin, t + end), equal to
 /// LoadTrace::max_over on that window: samples outside the trace count as
@@ -51,9 +70,7 @@ class SlidingMax {
 
  private:
   [[nodiscard]] double sample(TimePoint i) const {
-    return i >= 0 && i < static_cast<TimePoint>(trace_.size())
-               ? trace_.series()[static_cast<std::size_t>(i)]
-               : 0.0;
+    return rate_at(trace_.series().values(), i);
   }
 
   /// Makes the block holding `start` current: its suffix maxima, and an
@@ -184,52 +201,36 @@ class WindowMaxCursor final : public PredictionCursor {
   SlidingMax window_;
 };
 
-/// Cursor of a predictor whose predict() is cheap or has no streaming
-/// form: evaluate() calls predict() on a copy of the predictor, once per
-/// second — the latest reading is kept, because the scheduler reads the
-/// second first_outside() stopped at again.
-template <typename P>
-class CallingCursor final : public SteppingCursor<CallingCursor<P>> {
+/// Cursor of the last-value predictor: predict(t) reads at(t - 1), which
+/// is 0 from t = size + 1 on.
+class LastValueCursor final : public SteppingCursor<LastValueCursor> {
  public:
-  CallingCursor(const P& predictor, const LoadTrace& trace, Seconds horizon,
-                TimePoint settled_from)
-      : SteppingCursor<CallingCursor<P>>(settled_from),
-        predictor_(predictor),
-        trace_(trace),
-        horizon_(horizon) {}
+  explicit LastValueCursor(const LoadTrace& trace)
+      : SteppingCursor(static_cast<TimePoint>(trace.size()) + 1),
+        rates_(trace.series().values()) {}
 
-  [[nodiscard]] ReqRate evaluate(TimePoint t) {
-    if (t != latest_time_) {
-      latest_time_ = t;
-      latest_ = predictor_.predict(trace_, t, horizon_);
-    }
-    return latest_;
+  [[nodiscard]] ReqRate evaluate(TimePoint t) const {
+    return rate_at(rates_, t - 1);
   }
 
  private:
-  P predictor_;
-  const LoadTrace& trace_;
-  Seconds horizon_;
-  TimePoint latest_time_ = -1;
-  ReqRate latest_ = 0.0;
+  std::span<const double> rates_;
 };
 
 /// Trailing window of the seasonal predictor's day-over-day growth ratio.
 constexpr TimePoint kGrowthWindow = 3600;
 
-/// Whole seconds of the seasonal period and horizon; rejects a horizon
-/// whose window one period ago would reach samples at or after `now`.
-std::pair<TimePoint, TimePoint> seasonal_windows(Seconds period,
-                                                 Seconds horizon) {
+/// Whole seconds of the seasonal horizon; rejects a horizon whose window
+/// one period ago would reach samples at or after `now`.
+TimePoint seasonal_horizon(TimePoint period, Seconds horizon) {
   if (horizon <= 0.0)
     throw std::invalid_argument("SeasonalPredictor: horizon must be > 0");
-  const auto p = static_cast<TimePoint>(period);
-  const auto h = static_cast<TimePoint>(horizon);
-  if (h > p)
+  const TimePoint h = whole_seconds(horizon, "SeasonalPredictor: horizon");
+  if (h > period)
     throw std::invalid_argument(
         "SeasonalPredictor: horizon must not exceed the period (the window "
         "one period ago would read samples at or after now)");
-  return {p, h};
+  return h;
 }
 
 /// The seasonal window's max scaled by the headroom and the recent
@@ -274,17 +275,227 @@ class SeasonalCursor final : public SteppingCursor<SeasonalCursor> {
   SlidingMax recent_yesterday_;
 };
 
-void check_oracle_horizon(Seconds horizon) {
+TimePoint oracle_horizon(Seconds horizon) {
   if (horizon <= 0.0)
     throw std::invalid_argument("OracleMaxPredictor: horizon must be > 0");
+  return whole_seconds(horizon, "OracleMaxPredictor: horizon");
 }
+
+/// Least-squares sums of rates against x = t - begin over a window of the
+/// trace. LinearTrendPredictor::predict() and its cursor build them with
+/// the same add() and read them with the same extrapolate(), so the two
+/// cannot drift apart.
+struct TrendSums {
+  double sx = 0.0;
+  double sy = 0.0;
+  double sxx = 0.0;
+  double sxy = 0.0;
+
+  /// Adds the samples of [from, to) at x = t - begin, in time order.
+  void add(const LoadTrace& trace, TimePoint begin, TimePoint from,
+           TimePoint to) {
+    const std::span<const double> rates = trace.series().values();
+    for (TimePoint t = from; t < to; ++t) {
+      const double x = static_cast<double>(t - begin);
+      const double y = rate_at(rates, t);
+      sx += x;
+      sy += y;
+      sxx += x * x;
+      sxy += x * y;
+    }
+  }
+
+  /// The fit over n samples at x = 0 .. n - 1, extrapolated to the end of
+  /// the horizon.
+  [[nodiscard]] double extrapolate(double n, Seconds horizon) const {
+    const double denom = n * sxx - sx * sx;
+    const double slope = denom != 0.0 ? (n * sxy - sx * sy) / denom : 0.0;
+    const double intercept = (sy - slope * sx) / n;
+    const double x_end = n - 1.0 + horizon;
+    return intercept + slope * x_end;
+  }
+};
+
+/// The linear-trend prediction at `now` from the sums over its window, the
+/// last `n` seconds: the extrapolation, where a rising trend predicts
+/// higher and a falling one never predicts below the most recent
+/// observation.
+ReqRate trend_prediction(const LoadTrace& trace, TimePoint now, TimePoint n,
+                         const TrendSums& sums, Seconds horizon) {
+  if (now <= 1) return now == 1 ? trace.at(0) : 0.0;
+  return std::max({0.0, sums.extrapolate(static_cast<double>(n), horizon),
+                   trace.at(now - 1)});
+}
+
+/// Cursor of the linear-trend predictor. It holds predict()'s sums for one
+/// time p and moves them a second at a time, so first_outside() costs O(1)
+/// per second:
+/// - while the window grows (p <= window, begin = 0), by adding sample
+///   p - 1 as predict()'s loop does: the sums, and every value read from
+///   them, are predict()'s bit for bit;
+/// - once it slides, by dropping the oldest sample and adding the newest,
+///   Y' = (Y - y_out) + y_in and Z' = (Z + n y_in) - Y' for Y = sum y and
+///   Z = sum x y. sx and sxx depend on n alone and keep predict()'s
+///   values. Rounding parts Y and Z from predict()'s by a bounded amount,
+///   so first_outside() steps on only where an enclosure of the
+///   prediction lies wholly inside [lo, hi), returns where it lies wholly
+///   outside, and refits otherwise.
+/// A refit computes the sums afresh with predict()'s loop: after `window`
+/// slides, at a time out of sequence, and wherever value() reads slid
+/// sums, so value() always answers from predict()'s sums.
+class LinearTrendCursor final : public PredictionCursor {
+ public:
+  LinearTrendCursor(const LoadTrace& trace, TimePoint window, Seconds horizon)
+      : trace_(trace),
+        rates_(trace.series().values()),
+        window_(window),
+        horizon_(horizon),
+        enclosure_(kEnclosureK * 0x1p-53 *
+                   (1.0 + std::abs(static_cast<double>(window) - 1.0 +
+                                   horizon) /
+                              static_cast<double>(window))),
+        // Past size + window the window holds only the implicit zeros.
+        settled_from_(static_cast<TimePoint>(trace.size()) + window) {}
+
+  [[nodiscard]] ReqRate value(TimePoint t) override {
+    if (t != latest_time_) {
+      move_to(t);
+      if (!exact_) refit(t);
+      latest_time_ = t;
+      latest_ = prediction();
+    }
+    return latest_;
+  }
+
+  [[nodiscard]] TimePoint first_outside(TimePoint t, ReqRate lo,
+                                        ReqRate hi) override {
+    while (t < settled_from_) {
+      move_to(++t);
+      if (!exact_) {
+        const double ext =
+            sums_.extrapolate(static_cast<double>(window_), horizon_);
+        const double r = enclosure_ * y_bound_;
+        if (std::isfinite(ext + r)) {
+          // max(0, ext, last) is monotone in ext, so these bound predict().
+          const ReqRate last = rate_at(rates_, t - 1);
+          const ReqRate below = std::max({0.0, ext - r, last});
+          const ReqRate above = std::max({0.0, ext + r, last});
+          if (above < lo || !(below < hi)) return t;
+          if (below >= lo && above < hi) continue;
+        }
+        refit(t);
+      }
+      const ReqRate v = prediction();
+      if (v < lo || !(v < hi)) {
+        latest_time_ = t;
+        latest_ = v;
+        return t;
+      }
+    }
+    return std::numeric_limits<TimePoint>::max();
+  }
+
+ private:
+  // The enclosure's half-width is r = K u Yb (1 + |x_end| / n): a bound on
+  // |ext - e| for the extrapolation ext read from slid sums and the e
+  // predict() computes at the same second, with u = 2^-53 and Yb the
+  // largest window sum since the last exact sums. Samples are >= 0, so
+  // every |sum y| <= Yb and |sum x y| <= n Yb. First order in u throughout
+  // (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.: one
+  // relative error <= u per operation, §2.2; gamma_k ~ k u, §3.1). The
+  // dropped (1 + O(n u)) factors, Yb's own rounding among them, stay
+  // below 1.05 while n <= 2^43; a sliding window that wide is never
+  // reached (that takes 2^43 steps, or a fit of 2^43 samples).
+  // - Shared terms. n, sx = X, sxx, denom = D and x_end depend on n and
+  //   the horizon alone, and both sides compute them with the same loop
+  //   and tail: the same doubles. Their rounding (denom stops being an
+  //   exact integer near n = 1.3e4, sxx near 3e5) enters only through
+  //   X <= n^2 / 2 and D >= n^4 / 16 (D = n^2 (n^2 - 1) / 12 exactly, and
+  //   the computed one is within a relative 14 n u of it).
+  // - predict()'s sums, by recursive summation (§4.2) and one rounding
+  //   per product x y (§3.1): |sy - Y| <= gamma_{n-1} Y <= n u Yb and
+  //   |sxy - Z| <= gamma_n Z <= n^2 u Yb for the exact sums Y and Z.
+  // - The slid sums start from a refit, with predict()'s bounds. A slide
+  //   adds at most u |Y - y_out| + u |Y'| <= 2 u Yb to Y's error, and to
+  //   Z's the error of Y' plus u (n y_in + |Z + n y_in| + |Z'|)
+  //   <= 4 n u Yb. After k <= n slides, |dY| <= n u Yb + 2 k u Yb
+  //   <= 3 n u Yb and |dZ| <= n^2 u Yb + sum_{i <= k} (n u Yb + 2 i u Yb
+  //   + 4 n u Yb) <= 7.5 n^2 u Yb (n >= 2). So the slid sums and
+  //   predict()'s differ by at most 4 n u Yb in Y and 8.5 n^2 u Yb in Z.
+  // - The fit, as a real function of (Y, Z) over the shared terms, is
+  //   linear: ext = Y / n + (n Z - X Y) (x_end - X / n) / D. The sums'
+  //   difference moves it by at most 4 u Yb + 16 (8.5 + 2) n^3 u Yb
+  //   (|x_end| + n / 2) / n^4 = 88 u Yb + 168 u Yb |x_end| / n.
+  // - extrapolate()'s own nine roundings, on each side, with
+  //   |n Z - X Y| <= 1.5 n^2 Yb and |slope| <= 24 Yb / n^2, add at most
+  //   (87 + 120 |x_end| / n) u Yb / n <= (44 + 60 |x_end| / n) u Yb.
+  // In all |ext - e| <= 176 u Yb + 288 u Yb |x_end| / n, so K = 288
+  // would do; K = 2048 leaves 7x slack, which costs only refits.
+  static constexpr double kEnclosureK = 2048.0;
+
+  /// Brings the sums to time t: exact appends while the window grows, one
+  /// slide for the next second, a refit otherwise.
+  void move_to(TimePoint t) {
+    if (t == p_) return;
+    if (t > p_ && t <= window_) {
+      sums_.add(trace_, 0, p_, t);
+      p_ = t;
+    } else if (t == p_ + 1 && p_ >= window_ && slides_ < window_) {
+      slide();
+    } else {
+      refit(t);
+    }
+  }
+
+  void slide() {
+    if (exact_) y_bound_ = sums_.sy;
+    const double out = rate_at(rates_, p_ - window_);
+    const double in = rate_at(rates_, p_);
+    sums_.sy = (sums_.sy - out) + in;
+    sums_.sxy = (sums_.sxy + static_cast<double>(window_) * in) - sums_.sy;
+    y_bound_ = std::max(y_bound_, sums_.sy);
+    ++slides_;
+    ++p_;
+    exact_ = false;
+  }
+
+  /// predict()'s sums at t, from its own loop.
+  void refit(TimePoint t) {
+    const TimePoint begin = std::max<TimePoint>(0, t - window_);
+    sums_ = TrendSums{};
+    sums_.add(trace_, begin, begin, t);
+    p_ = t;
+    slides_ = 0;
+    exact_ = true;
+  }
+
+  /// predict()'s value at p_; the sums must be exact.
+  [[nodiscard]] ReqRate prediction() const {
+    return trend_prediction(trace_, p_, std::min(p_, window_), sums_,
+                            horizon_);
+  }
+
+  const LoadTrace& trace_;
+  std::span<const double> rates_;
+  TimePoint window_;
+  Seconds horizon_;
+  double enclosure_;  // r / Yb
+  TimePoint settled_from_;
+  TrendSums sums_;       // over the window of p_
+  TimePoint p_ = 0;
+  bool exact_ = true;    // sums_ are predict()'s at p_, bit for bit
+  TimePoint slides_ = 0;  // since the sums were last exact
+  double y_bound_ = 0.0;  // Yb: the largest sum y since then
+  TimePoint latest_time_ = -1;
+  ReqRate latest_ = 0.0;
+};
 
 }  // namespace
 
 void OracleMaxPredictor::rebuild_cache(const LoadTrace& trace,
                                        Seconds horizon) {
   const std::size_t n = trace.size();
-  SlidingMax window(trace, 0, static_cast<TimePoint>(horizon));
+  SlidingMax window(trace, 0, oracle_horizon(horizon));
   window_max_.resize(n);
   for (std::size_t t = 0; t < n; ++t)
     window_max_[t] = window.value(static_cast<TimePoint>(t));
@@ -295,7 +506,7 @@ void OracleMaxPredictor::rebuild_cache(const LoadTrace& trace,
 
 ReqRate OracleMaxPredictor::predict(const LoadTrace& trace, TimePoint now,
                                     Seconds horizon) {
-  check_oracle_horizon(horizon);
+  (void)oracle_horizon(horizon);
   if (now < 0) throw std::invalid_argument("OracleMaxPredictor: now < 0");
   if (cached_trace_ != &trace || cached_size_ != trace.size() ||
       cached_horizon_ != horizon)
@@ -307,9 +518,7 @@ ReqRate OracleMaxPredictor::predict(const LoadTrace& trace, TimePoint now,
 
 std::unique_ptr<PredictionCursor> OracleMaxPredictor::cursor(
     const LoadTrace& trace, Seconds horizon) const {
-  check_oracle_horizon(horizon);
-  return std::make_unique<WindowMaxCursor>(trace, 0,
-                                            static_cast<TimePoint>(horizon));
+  return std::make_unique<WindowMaxCursor>(trace, 0, oracle_horizon(horizon));
 }
 
 ReqRate LastValuePredictor::predict(const LoadTrace& trace, TimePoint now,
@@ -319,27 +528,24 @@ ReqRate LastValuePredictor::predict(const LoadTrace& trace, TimePoint now,
 }
 
 std::unique_ptr<PredictionCursor> LastValuePredictor::cursor(
-    const LoadTrace& trace, Seconds horizon) const {
-  // predict(t) reads at(t - 1), which is 0 from t = size + 1 on.
-  return std::make_unique<CallingCursor<LastValuePredictor>>(
-      *this, trace, horizon, static_cast<TimePoint>(trace.size()) + 1);
+    const LoadTrace& trace, Seconds /*horizon*/) const {
+  return std::make_unique<LastValueCursor>(trace);
 }
 
-MovingMaxPredictor::MovingMaxPredictor(Seconds window) : window_(window) {
-  if (window_ <= 0.0)
+MovingMaxPredictor::MovingMaxPredictor(Seconds window) {
+  if (window <= 0.0)
     throw std::invalid_argument("MovingMaxPredictor: window must be > 0");
+  window_ = whole_seconds(window, "MovingMaxPredictor: window");
 }
 
 ReqRate MovingMaxPredictor::predict(const LoadTrace& trace, TimePoint now,
                                     Seconds /*horizon*/) {
-  const TimePoint begin = now - static_cast<TimePoint>(window_);
-  return trace.max_over(begin, now);
+  return trace.max_over(now - window_, now);
 }
 
 std::unique_ptr<PredictionCursor> MovingMaxPredictor::cursor(
     const LoadTrace& trace, Seconds /*horizon*/) const {
-  return std::make_unique<WindowMaxCursor>(
-      trace, -static_cast<TimePoint>(window_), 0);
+  return std::make_unique<WindowMaxCursor>(trace, -window_, 0);
 }
 
 EwmaPredictor::EwmaPredictor(double alpha, double headroom)
@@ -369,74 +575,54 @@ ReqRate EwmaPredictor::predict(const LoadTrace& trace, TimePoint now,
   return headroom_ * state_;
 }
 
-LinearTrendPredictor::LinearTrendPredictor(Seconds window) : window_(window) {
-  if (window_ < 2.0)
+LinearTrendPredictor::LinearTrendPredictor(Seconds window) {
+  if (window < 2.0)
     throw std::invalid_argument(
         "LinearTrendPredictor: window must cover >= 2 samples");
+  window_ = whole_seconds(window, "LinearTrendPredictor: window");
 }
 
 ReqRate LinearTrendPredictor::predict(const LoadTrace& trace, TimePoint now,
                                       Seconds horizon) {
-  if (now <= 1) return now == 1 ? trace.at(0) : 0.0;
-  const TimePoint begin =
-      std::max<TimePoint>(0, now - static_cast<TimePoint>(window_));
-  const auto n = static_cast<double>(now - begin);
-  if (n < 2.0) return trace.at(now - 1);
-
   // Least squares of rate against time over [begin, now).
-  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
-  for (TimePoint t = begin; t < now; ++t) {
-    const double x = static_cast<double>(t - begin);
-    const double y = trace.at(t);
-    sx += x;
-    sy += y;
-    sxx += x * x;
-    sxy += x * y;
-  }
-  const double denom = n * sxx - sx * sx;
-  const double slope = denom != 0.0 ? (n * sxy - sx * sy) / denom : 0.0;
-  const double intercept = (sy - slope * sx) / n;
-  // Extrapolate to the end of the horizon; a rising trend predicts higher,
-  // a falling one never predicts below the most recent observation.
-  const double x_end = n - 1.0 + horizon;
-  const double extrapolated = intercept + slope * x_end;
-  return std::max({0.0, extrapolated, trace.at(now - 1)});
+  const TimePoint begin = std::max<TimePoint>(0, now - window_);
+  TrendSums sums;
+  sums.add(trace, begin, begin, now);
+  return trend_prediction(trace, now, now - begin, sums, horizon);
 }
 
 std::unique_ptr<PredictionCursor> LinearTrendPredictor::cursor(
     const LoadTrace& trace, Seconds horizon) const {
-  // Past size + window the trailing window holds only the implicit zeros.
-  return std::make_unique<CallingCursor<LinearTrendPredictor>>(
-      *this, trace, horizon,
-      static_cast<TimePoint>(trace.size()) + static_cast<TimePoint>(window_));
+  return std::make_unique<LinearTrendCursor>(trace, window_, horizon);
 }
 
 SeasonalPredictor::SeasonalPredictor(Seconds period, double headroom)
-    : period_(period), headroom_(headroom) {
-  if (period_ <= 0.0)
+    : headroom_(headroom) {
+  if (period <= 0.0)
     throw std::invalid_argument("SeasonalPredictor: period must be > 0");
+  period_ = whole_seconds(period, "SeasonalPredictor: period");
   if (headroom_ <= 0.0)
     throw std::invalid_argument("SeasonalPredictor: headroom must be > 0");
 }
 
 ReqRate SeasonalPredictor::predict(const LoadTrace& trace, TimePoint now,
                                    Seconds horizon) {
-  const auto [period, h] = seasonal_windows(period_, horizon);
-  if (now < period) {
+  const TimePoint h = seasonal_horizon(period_, horizon);
+  if (now < period_) {
     // Not a full period of history yet: trailing max is the safest guess.
     return headroom_ * trace.max_over(now - h, now);
   }
   // Same window one period ago, scaled by the recent growth.
   return seasonal_forecast(
-      headroom_, trace.max_over(now - period, now - period + h),
+      headroom_, trace.max_over(now - period_, now - period_ + h),
       trace.max_over(now - kGrowthWindow, now),
-      trace.max_over(now - period - kGrowthWindow, now - period));
+      trace.max_over(now - period_ - kGrowthWindow, now - period_));
 }
 
 std::unique_ptr<PredictionCursor> SeasonalPredictor::cursor(
     const LoadTrace& trace, Seconds horizon) const {
-  const auto [period, h] = seasonal_windows(period_, horizon);
-  return std::make_unique<SeasonalCursor>(trace, period, h, headroom_);
+  return std::make_unique<SeasonalCursor>(
+      trace, period_, seasonal_horizon(period_, horizon), headroom_);
 }
 
 ErrorInjectingPredictor::ErrorInjectingPredictor(

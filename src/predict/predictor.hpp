@@ -24,9 +24,10 @@ namespace bml {
 /// horizon: value(t) == predict(trace, t, horizon), bit for bit, for every
 /// t >= 0 in any order. It is built for the scheduler's decision walks,
 /// which query non-decreasing times: stepping a second costs the
-/// sliding-window predictors O(1) amortised with no per-second arrays,
-/// and any other query one range-max lookup per window. The cursor reads
-/// the trace it was built on, which must outlive it.
+/// sliding-window and linear-trend predictors O(1) amortised with no
+/// per-second arrays, and any other query one range-max lookup per window
+/// (linear-trend: one least-squares fit). The cursor reads the trace it
+/// was built on, which must outlive it.
 class PredictionCursor {
  public:
   virtual ~PredictionCursor() = default;
@@ -95,7 +96,7 @@ class LastValuePredictor final : public Predictor {
  public:
   [[nodiscard]] ReqRate predict(const LoadTrace& trace, TimePoint now,
                                 Seconds horizon) override;
-  /// Calls predict(): one trace read per second.
+  /// One trace read per second.
   [[nodiscard]] std::unique_ptr<PredictionCursor> cursor(
       const LoadTrace& trace, Seconds horizon) const override;
   [[nodiscard]] std::string name() const override { return "last-value"; }
@@ -114,7 +115,7 @@ class MovingMaxPredictor final : public Predictor {
   [[nodiscard]] std::string name() const override { return "moving-max"; }
 
  private:
-  Seconds window_;
+  TimePoint window_;
 };
 
 /// Exponentially weighted moving average of history with a safety factor:
@@ -143,14 +144,17 @@ class LinearTrendPredictor final : public Predictor {
   explicit LinearTrendPredictor(Seconds window);
   [[nodiscard]] ReqRate predict(const LoadTrace& trace, TimePoint now,
                                 Seconds horizon) override;
-  /// Calls predict(), an O(window) fit per second: the fit has no
-  /// streaming form here.
+  /// Keeps predict()'s least-squares sums and moves them a second at a
+  /// time: exact appends while the window grows, O(1) slides checked
+  /// against a rounding-error enclosure once it is full, and an O(window)
+  /// refit where the enclosure cannot decide and wherever value() is read
+  /// after slides.
   [[nodiscard]] std::unique_ptr<PredictionCursor> cursor(
       const LoadTrace& trace, Seconds horizon) const override;
   [[nodiscard]] std::string name() const override { return "linear-trend"; }
 
  private:
-  Seconds window_;
+  TimePoint window_;
 };
 
 /// Seasonal (diurnal) predictor: the maximum observed over the same
@@ -175,7 +179,7 @@ class SeasonalPredictor final : public Predictor {
   [[nodiscard]] std::string name() const override { return "seasonal"; }
 
  private:
-  Seconds period_;
+  TimePoint period_;
   double headroom_;
 };
 

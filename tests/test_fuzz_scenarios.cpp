@@ -11,7 +11,9 @@
 // kIterations locally to fuzz harder. Half the specs are biased to fleet
 // scale (8-32 effective apps via `replicas`, fault domains shared across
 // apps) so the wide fused merge gets fuzzed as hard as the 1-3 app specs;
-// every spec, at any app count, runs the consult cache.
+// every spec, at any app count, runs the consult cache. The small specs
+// may replay a noisy diurnal day, where linear-trend's cursor slides and
+// falls back to exact fits.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -36,15 +38,24 @@ const T& pick(Rng& rng, const std::vector<T>& options) {
 
 /// One random `[app]` section (or the top-level workload block when
 /// `top_level`). Trace durations stay short: the per-second reference
-/// loop replays every generated spec too.
+/// loop replays every generated spec too. The one noisy trace, a diurnal
+/// day, is drawn only where `allow_noisy` (specs of at most three apps).
 std::string random_workload(Rng& rng, bool top_level, int shared_domains = 0,
-                            bool allow_priority = false) {
+                            bool allow_priority = false,
+                            bool allow_noisy = false) {
   std::ostringstream os;
-  const int duration = static_cast<int>(rng.uniform_int(1800, 7200));
-  const std::string trace =
-      pick(rng, std::vector<std::string>{"constant", "step", "flash_crowd"});
+  std::vector<std::string> traces{"constant", "step", "flash_crowd"};
+  if (allow_noisy) traces.push_back("diurnal");
+  const std::string trace = pick(rng, traces);
+  const int duration = trace == "diurnal"
+                           ? 86'400
+                           : static_cast<int>(rng.uniform_int(1800, 7200));
   os << "trace = " << trace << '\n';
-  if (trace == "constant") {
+  if (trace == "diurnal") {
+    os << "trace.peak = " << rng.uniform_int(300, 2500) << '\n';
+    os << "trace.noise = " << static_cast<double>(rng.uniform_int(5, 30)) / 100
+       << '\n';
+  } else if (trace == "constant") {
     os << "trace.rate = " << rng.uniform_int(100, 2500) << '\n';
     os << "trace.duration = " << duration << '\n';
   } else if (trace == "step") {
@@ -64,11 +75,30 @@ std::string random_workload(Rng& rng, bool top_level, int shared_domains = 0,
   os << "scheduler = "
      << pick(rng, std::vector<std::string>{"bml", "reactive", "hysteresis"})
      << '\n';
+  // Half the noisy days replay linear-trend, whose cursor the noise
+  // drives through its slid sums and their exact fallback.
   const std::string predictor =
-      pick(rng, std::vector<std::string>{"oracle-max", "last-value",
-                                         "moving-max", "linear-trend",
-                                         "seasonal"});
+      trace == "diurnal" && rng.chance(0.5)
+          ? "linear-trend"
+          : pick(rng, std::vector<std::string>{"oracle-max", "last-value",
+                                               "moving-max", "linear-trend",
+                                               "seasonal"});
   os << "predictor = " << predictor << '\n';
+  // Trailing windows from 2 s to past the trace end, sometimes
+  // fractional, so the linear-trend cursor runs while its window grows,
+  // while it slides, and where it falls back to exact fits. Below the
+  // trace length they are log-uniform and, on the noisy day, under
+  // 1200 s: the per-second reference refits the linear-trend window every
+  // second. A quarter of the smooth traces get a window past their end.
+  if (predictor == "linear-trend" || predictor == "moving-max") {
+    const double longest = trace == "diurnal" ? 1200.0 : duration;
+    const double window =
+        trace != "diurnal" && rng.chance(0.25)
+            ? rng.uniform(duration, 1.5 * duration)
+            : 2.0 * std::pow(longest / 2.0, rng.uniform(0.0, 1.0));
+    os << "predictor.window = "
+       << (rng.chance(0.5) ? std::floor(window) : window) << '\n';
+  }
   // A seasonal period no shorter than the 378 s BML window (a shorter one
   // is a named error) and shorter than the trace, so replays cross the
   // switch from the warm-up window to the seasonal forecast.
@@ -174,7 +204,8 @@ std::string random_spec_text(Rng& rng, int iteration) {
   const int apps = static_cast<int>(rng.uniform_int(0, 3));
   if (apps == 0) {
     if (rng.chance(0.3)) os << random_churn(rng, 1);
-    os << random_workload(rng, /*top_level=*/true);
+    os << random_workload(rng, /*top_level=*/true, /*shared_domains=*/0,
+                          /*allow_priority=*/false, /*allow_noisy=*/true);
     if (rng.chance(0.4)) os << "slo.availability = 0.999\n";
   } else {
     if (rng.chance(0.4)) {
@@ -185,7 +216,8 @@ std::string random_spec_text(Rng& rng, int iteration) {
     for (int a = 0; a < apps; ++a) {
       os << "[app]\nname = app" << a << '\n';
       os << random_workload(rng, /*top_level=*/false, /*shared_domains=*/0,
-                            /*allow_priority=*/apps >= 2);
+                            /*allow_priority=*/apps >= 2,
+                            /*allow_noisy=*/true);
     }
   }
   return os.str();

@@ -58,6 +58,13 @@ TEST(OracleMaxPredictor, Validation) {
   OracleMaxPredictor oracle;
   EXPECT_THROW((void)oracle.predict(trace, 0, 0.0), std::invalid_argument);
   EXPECT_THROW((void)oracle.predict(trace, -1, 1.0), std::invalid_argument);
+  // A horizon no TimePoint holds is a named error, not a cast overflow.
+  for (const double horizon : {1e300, std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)oracle.predict(trace, 0, horizon),
+                 std::invalid_argument);
+    EXPECT_THROW((void)oracle.cursor(trace, horizon), std::invalid_argument);
+  }
 }
 
 TEST(LastValuePredictor, ReadsOnlyHistory) {
@@ -75,6 +82,9 @@ TEST(MovingMaxPredictor, TrailingWindow) {
   EXPECT_DOUBLE_EQ(p.predict(trace, 1, 60.0), 9.0);
   EXPECT_DOUBLE_EQ(p.predict(trace, 3, 60.0), 2.0);  // window {1,2}
   EXPECT_THROW(MovingMaxPredictor(0.0), std::invalid_argument);
+  for (const double window : {1e300, std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(MovingMaxPredictor{window}, std::invalid_argument);
 }
 
 TEST(EwmaPredictor, ConvergesToConstantLoad) {
@@ -115,6 +125,9 @@ TEST(LinearTrendPredictor, FallingLoadNeverBelowLastValue) {
   LinearTrendPredictor p(50.0);
   EXPECT_GE(p.predict(trace, 100, 60.0), 1.0);
   EXPECT_THROW(LinearTrendPredictor(1.0), std::invalid_argument);
+  for (const double window : {1e300, std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(LinearTrendPredictor{window}, std::invalid_argument);
 }
 
 TEST(ErrorInjectingPredictor, ZeroSigmaZeroBiasIsIdentity) {
@@ -277,13 +290,17 @@ TEST(SeasonalPredictor, StableUntilIsSoundAcrossPeriods) {
 // earlier time; and first_outside() lands on exactly the first later
 // second whose prediction leaves the given band, for bands as narrow as
 // one value and as wide as a half-line, when hopped from band to band as
-// the scheduler does. The BML scheduler reads only the cursor, both in
-// the per-second loop and in the event-driven walk, so predict() is the
+// the scheduler does, and for bands with an edge exactly on a later
+// prediction. The BML scheduler reads only the cursor, both in the
+// per-second loop and in the event-driven walk, so predict() is the
 // independent reference here (and the oracle is also held to max_over).
 struct CursorCase {
   std::string name;
   std::function<std::unique_ptr<Predictor>()> make;
   TimePoint lookback;  // how far past the trace end the prediction reads
+  // Longest trace the case runs on: a window longer than that keeps
+  // growing to the trace end.
+  std::size_t longest_trace = std::numeric_limits<std::size_t>::max();
 };
 
 std::vector<CursorCase> cursor_cases() {
@@ -296,6 +313,15 @@ std::vector<CursorCase> cursor_cases() {
        [] { return std::make_unique<MovingMaxPredictor>(90.0); }, 90},
       {"linear-trend",
        [] { return std::make_unique<LinearTrendPredictor>(60.0); }, 60},
+      // The production window, a fractional one, and one longer than
+      // every trace it runs on, which slides only over the implicit zeros.
+      {"linear-trend-600",
+       [] { return std::make_unique<LinearTrendPredictor>(600.0); }, 600},
+      {"linear-trend-37.5",
+       [] { return std::make_unique<LinearTrendPredictor>(37.5); }, 37},
+      {"linear-trend-2000",
+       [] { return std::make_unique<LinearTrendPredictor>(2000.0); }, 2000,
+       1999},
       {"seasonal",
        [] { return std::make_unique<SeasonalPredictor>(600.0, 1.1); },
        3600},
@@ -316,6 +342,11 @@ std::vector<std::pair<std::string, LoadTrace>> cursor_traces() {
   std::vector<double> zero_tail(noisy.begin(), noisy.begin() + 900);
   zero_tail.resize(1300, 0.0);
   const std::vector<double> unindexed(noisy.begin(), noisy.begin() + 200);
+  // Values near 1 around one 1e12 spike: once the spike leaves a sliding
+  // sum, that sum's rounding error dwarfs the values left in it.
+  std::vector<double> spike;
+  for (const double v : noisy) spike.push_back(1.0 + 1e-3 * v);
+  spike[400] = 1e12;
   return {
       {"step", step_trace({{40.0, 300.0},
                            {900.0, 200.0},
@@ -326,6 +357,8 @@ std::vector<std::pair<std::string, LoadTrace>> cursor_traces() {
       {"noisy", LoadTrace(noisy)},
       {"zero-tail", LoadTrace(zero_tail)},
       {"unindexed", LoadTrace(unindexed)},
+      {"spike", LoadTrace(spike)},
+      {"two-day", diurnal_trace(options, 2)},
   };
 }
 
@@ -355,6 +388,7 @@ TEST(PredictionCursor, EqualsPredictForEveryPurePredictor) {
   constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
   for (const auto& [trace_name, trace] : cursor_traces()) {
     for (const CursorCase& c : cursor_cases()) {
+      if (trace.size() > c.longest_trace) continue;
       const auto n = static_cast<TimePoint>(trace.size());
       // Past `end` every window the prediction reads lies past the trace
       // end, so the prediction holds its value at `end` forever.
@@ -363,8 +397,13 @@ TEST(PredictionCursor, EqualsPredictForEveryPurePredictor) {
       std::vector<ReqRate> expected;
       for (TimePoint t = 0; t <= end; ++t)
         expected.push_back(reference->predict(trace, t, kHorizon));
+      // On the two-day trace only the sparse queries and the wide bands
+      // run: queries at nearly every second would refit linear-trend's
+      // window each time, which the short traces cover.
+      const bool sparse = n > 100'000;
 
       for (const std::string kind : {"contiguous", "skipping", "restarted"}) {
+        if (sparse && kind != "skipping") continue;
         SCOPED_TRACE(c.name + " on " + trace_name + ", " + kind);
         const std::unique_ptr<PredictionCursor> cursor =
             c.make()->cursor(trace, kHorizon);
@@ -388,7 +427,7 @@ TEST(PredictionCursor, EqualsPredictForEveryPurePredictor) {
           default: return {-kInf, v + 1.0};
         }
       };
-      for (int kind = 0; kind < 5; ++kind) {
+      for (int kind = sparse ? 2 : 0; kind < 5; ++kind) {
         SCOPED_TRACE(c.name + " on " + trace_name + ", band " +
                      std::to_string(kind));
         const std::unique_ptr<PredictionCursor> cursor =
@@ -406,6 +445,35 @@ TEST(PredictionCursor, EqualsPredictForEveryPurePredictor) {
             t = cursor->first_outside(t, lo, hi);
             ASSERT_EQ(t, want) << "band [" << lo << ", " << hi << ")";
           }
+        }
+      }
+
+      // Bands with an edge on the prediction at a later second u: hi is
+      // that prediction, or lo the next double above it. The walk stops
+      // at u at the latest, so a walk that misjudges a prediction by one
+      // ulp returns the wrong time.
+      SCOPED_TRACE(c.name + " on " + trace_name + ", edge bands");
+      const std::unique_ptr<PredictionCursor> cursor =
+          c.make()->cursor(trace, kHorizon);
+      for (TimePoint u = 1; u <= end; u += 1 + end / 1000) {
+        constexpr ReqRate kInf = std::numeric_limits<ReqRate>::infinity();
+        const ReqRate edge = expected[static_cast<std::size_t>(u)];
+        for (const TimePoint back : {1, 9, 60, 333}) {
+          const TimePoint t = u - back;
+          if (t < 0) continue;
+          const ReqRate v = cursor->value(t);
+          if (v == edge) continue;
+          const auto [lo, hi] = v < edge
+                                    ? std::pair{-kInf, edge}
+                                    : std::pair{std::nextafter(edge, kInf),
+                                                kInf};
+          TimePoint want = t + 1;
+          for (; want < u; ++want) {
+            const ReqRate w = expected[static_cast<std::size_t>(want)];
+            if (w < lo || !(w < hi)) break;
+          }
+          ASSERT_EQ(cursor->first_outside(t, lo, hi), want)
+              << "t=" << t << " u=" << u;
         }
       }
     }

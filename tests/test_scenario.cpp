@@ -12,7 +12,9 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "predict/predictor.hpp"
@@ -1145,6 +1147,35 @@ TEST(Registry, BadParameterValueThrows) {
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("rate"), std::string::npos);
+  }
+  // Windows, periods and horizons longer than 2^53 s are named errors,
+  // not casts that overflow a TimePoint: predictor.window and
+  // predictor.period when the predictor is built, scheduler.window (the
+  // predictor's horizon) when the scheduler first reads a trace.
+  for (const auto& [predictor, key] :
+       {std::pair{"moving-max", "window"}, std::pair{"linear-trend", "window"},
+        std::pair{"seasonal", "period"}}) {
+    try {
+      (void)make_predictor(predictor, {{key, "1e300"}}, 1);
+      FAIL() << "expected std::invalid_argument for " << predictor;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  auto design = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
+  const LoadTrace trace({100.0, 100.0});
+  for (const char* predictor : {"oracle-max", "seasonal"}) {
+    const std::unique_ptr<Scheduler> scheduler =
+        make_scheduler("bml", {{"window", "1e300"}}, design,
+                       make_predictor(predictor, {}, 1), QosClass::kTolerant);
+    try {
+      (void)scheduler->decide(0, trace);
+      FAIL() << "expected std::invalid_argument for " << predictor;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("horizon"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -188,6 +188,18 @@ TEST(SimulatorFastPath, NoisyWorldCupMovingMaxPredictor) {
       noisy_worldcup_trace());
 }
 
+TEST(SimulatorFastPath, NoisyWorldCupLinearTrendPredictor) {
+  // The production window over two noisy days: the event-driven walk
+  // runs on the cursor's slid sums and their exact fallback, while the
+  // per-second loop reads the cursor's exact value every second.
+  expect_equivalent(
+      [] {
+        return std::make_unique<BmlScheduler>(
+            design(), std::make_shared<LinearTrendPredictor>(600.0));
+      },
+      noisy_worldcup_trace());
+}
+
 TEST(SimulatorFastPath, NoisyDiurnalSeasonalPredictor) {
   DiurnalOptions diurnal;
   diurnal.peak = 2000.0;
