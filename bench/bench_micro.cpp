@@ -414,7 +414,7 @@ BENCHMARK(BM_SimulatorWeekSteadyReference)->Unit(benchmark::kMillisecond);
 
 // The same pair on the noisy 7-day WC98-style replay — the benchmark that
 // tracks the decision-granular batching this library optimises for (CI
-// fails when the event-driven path drops below 10x the reference here).
+// fails when the event-driven path drops below 6x the reference here).
 void BM_SimulatorWeekNoisyEventDriven(benchmark::State& state) {
   replay_week(state, noisy_week_trace(), /*event_driven=*/true);
 }
@@ -424,6 +424,18 @@ void BM_SimulatorWeekNoisyReference(benchmark::State& state) {
   replay_week(state, noisy_week_trace(), /*event_driven=*/false);
 }
 BENCHMARK(BM_SimulatorWeekNoisyReference)->Unit(benchmark::kMillisecond);
+
+// The event-driven noisy week with its event log and timeline recorded, as
+// `bmlsim run --trace-out` records them: the fast path replays each second
+// of a span for its events and samples, so observing costs a constant
+// factor (CI holds it to <= 4x BM_SimulatorWeekNoisyEventDriven).
+void BM_SimulatorWeekNoisyObserved(benchmark::State& state) {
+  SimulatorOptions options;
+  options.record_timeline = true;
+  options.event_log_capacity = std::size_t{1} << 16;
+  replay_week(state, noisy_week_trace(), /*event_driven=*/true, options);
+}
+BENCHMARK(BM_SimulatorWeekNoisyObserved)->Unit(benchmark::kMillisecond);
 
 // The event-driven noisy week under BML with each pure predictor,
 // building a fresh scheduler (and so a fresh prediction cursor) every

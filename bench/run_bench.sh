@@ -61,6 +61,7 @@ GATED = [
     "BM_SimulatorWeekSteadyEventDriven",
     "BM_SimulatorWeekNoisyEventDriven",
     "BM_SimulatorWeekNoisyReference",
+    "BM_SimulatorWeekNoisyObserved",
     "BM_SimulatorWeekNoisyPredictor/oracle-max",
     "BM_SimulatorWeekNoisyPredictor/moving-max",
     "BM_SimulatorWeekNoisyPredictor/seasonal",

@@ -11,18 +11,19 @@
 //     offered vs served load, provisioned SLO spare machines;
 //   * duration slices ("X" events): each reconfiguration from its start
 //     to its completion;
-//   * instant events ("i"): machine failures/repairs, rack strikes,
-//     QoS violations, spare provision/release.
+//   * instant events ("i"): every other event — completed transition
+//     batches, machine failures/repairs, rack strikes, QoS violations,
+//     overload entry/exit, preemptions, tenant arrivals/departures, spare
+//     provision/release.
 //
 // Simulated seconds map to trace microseconds (1 s -> 1e6 "us"), so the
 // viewer's time axis reads directly in simulated time. The rendering is
 // byte-deterministic: fixed field order, integer timestamps, fixed-
 // precision values — the golden test in tests/test_obs.cpp pins it.
 //
-// Recording rides the per-second reference path (SimulatorOptions::
-// record_timeline forces it, exactly like record_events), so results
-// obey the usual fast-path equivalence contract rather than being
-// byte-identical to an event-driven run of the same scenario.
+// Recording (SimulatorOptions::record_timeline) is a pure read of the
+// run: either execution strategy records the same timeline, and the
+// run's results are bit-identical with recording on or off.
 #pragma once
 
 #include <string>

@@ -103,9 +103,9 @@
 //   obs.metrics(false)           collect simulator self-metrics (span-end
 //                                causes, span lengths, scheduler consults;
 //                                results are bit-identical on or off)
-//   obs.trace(false)             record the Chrome trace-event timeline
-//                                (forces the per-second reference path,
-//                                like event logging)
+//   obs.trace(false)             record the event log and the Chrome
+//                                trace-event timeline (results are
+//                                bit-identical on or off)
 //   obs.sample(60)               timeline counter-sample period (s, >= 1)
 // None of these alter the CSV schema or any CSV value.
 //

@@ -1,6 +1,7 @@
 #include "scenario/scenario_spec.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -71,6 +72,11 @@ int parse_count(const std::string& key, const std::string& value) {
   }
   if (v < 0)
     throw std::runtime_error("scenario: " + key + " must be >= 0");
+  if (v > std::numeric_limits<int>::max())
+    throw std::runtime_error(
+        "scenario: " + key + " must be <= " +
+        std::to_string(std::numeric_limits<int>::max()) + ", got '" + value +
+        "'");
   return static_cast<int>(v);
 }
 

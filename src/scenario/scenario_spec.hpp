@@ -219,10 +219,10 @@ struct ScenarioSpec {
   /// Observability (`obs.*` keys; all runtime-only, so sweeping them keeps
   /// the shared build): `obs.metrics` collects the simulator self-metrics
   /// (SimulationResult::metrics — results are bit-identical with it on or
-  /// off), `obs.trace` records the Chrome trace-event timeline
-  /// (SimulationResult::timeline; forces the per-second reference path,
-  /// like event logging), and `obs.sample` is the timeline counter-sample
-  /// period in seconds (>= 1).
+  /// off), `obs.trace` records the event log and the Chrome trace-event
+  /// timeline (SimulationResult::events / timeline; results are
+  /// bit-identical with it on or off too), and `obs.sample` is the
+  /// timeline counter-sample period in seconds (>= 1).
   bool obs_metrics = false;
   bool obs_trace = false;
   int obs_sample = 60;

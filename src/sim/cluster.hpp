@@ -186,7 +186,7 @@ class Cluster {
   /// Machines currently Failed, all architectures.
   [[nodiscard]] int failed_count() const;
 
-  /// Current counts per state (the per-second loop's timeline samples).
+  /// Current counts per state (the timeline samples of observed runs).
   [[nodiscard]] ClusterSnapshot snapshot() const;
 
   /// True while any machine is booting or shutting down.

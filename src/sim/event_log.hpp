@@ -48,7 +48,10 @@ enum class EventKind {
 /// One logged event. `detail` is event-specific:
 ///   reconfiguration start    — target combination rendering
 ///   reconfiguration complete — seconds it took
-///   boot/shutdown complete   — architecture name
+///   boot complete            — "<n> transitions": the boots and shutdowns
+///                              that completed that second (shutdown
+///                              complete is never recorded; the batch
+///                              counts them)
 ///   QoS violation            — shortfall in req/s
 ///   machine failure / repair — architecture name
 ///   group strike             — machines felled by the rack-level strike

@@ -82,12 +82,8 @@ MultiSimulationResult Simulator::run(
 
 MultiSimulationResult Simulator::run_views(
     const std::vector<WorkloadView>& views) const {
-  // Event logs and timeline recordings are inherently per-second
-  // artifacts; everything else goes through the event-driven path.
-  if (options_.event_driven && !options_.record_events &&
-      !options_.record_timeline)
-    return run_event_driven(views);
-  return run_per_second(views);
+  return options_.event_driven ? run_event_driven(views)
+                               : run_per_second(views);
 }
 
 namespace {
@@ -250,8 +246,8 @@ struct Run {
   /// Scratch: per-domain "accrued this sub-run" flags for the overload
   /// accounting (sized with the fault domains).
   std::vector<char> domain_hit;
-  /// Per-second path only: last second's overload state, for the
-  /// enter/exit events.
+  /// Observed runs only: the last observed second's overload state, for
+  /// the enter/exit events.
   bool overloaded_now = false;
   /// Priority/preemption state (any two view priorities differ): victim
   /// order for the preemption pass (ascending priority, descending
@@ -285,6 +281,15 @@ struct Run {
   std::size_t next_lifecycle = 0;
   bool lifecycle_dirty = false;
   std::vector<std::int64_t> app_active_seconds;
+
+  /// The event log of an observed run (SimulatorOptions::record_timeline),
+  /// null otherwise; the self-metrics when collected, null otherwise.
+  EventLog* events() {
+    return result.timeline.enabled ? &result.events : nullptr;
+  }
+  SimMetrics* metrics() {
+    return result.metrics.enabled ? &result.metrics : nullptr;
+  }
 };
 
 using WorkloadView = Simulator::WorkloadView;
@@ -716,6 +721,23 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
     }
     run.faults.emplace(std::move(faults));
   }
+  if (options.collect_metrics) {
+    run.result.metrics.enable();
+    run.result.metrics.apps_active_max =
+        static_cast<std::uint64_t>(run.active_count);
+  }
+  if (options.record_timeline) {
+    if (options.timeline_sample_every == 0)
+      throw std::invalid_argument(
+          "Simulator: timeline_sample_every must be >= 1");
+    run.result.events = EventLog(options.event_log_capacity);
+    TraceRecording& timeline = run.result.timeline;
+    timeline.enabled = true;
+    timeline.sample_every =
+        static_cast<TimePoint>(options.timeline_sample_every);
+    for (std::size_t a = 0; a < kinds; ++a)
+      timeline.arch_names.push_back(candidates[a].name());
+  }
   return run;
 }
 
@@ -748,6 +770,9 @@ void finalize_run(Run& run, const std::vector<WorkloadView>& views,
     r.overload_seconds = run.overload_seconds;
     r.penalty_lost_capacity = run.penalty_lost;
   }
+  if (r.timeline.enabled)
+    r.timeline.events.assign(r.events.events().begin(),
+                             r.events.events().end());
   out.total = std::move(run.result);
   out.apps.resize(views.size());
   for (std::size_t i = 0; i < views.size(); ++i) {
@@ -1215,6 +1240,88 @@ void attribute_span(const std::vector<WorkloadView>& views, Run& run,
   }
 }
 
+/// Opens the span starting at `t` (one second in the reference loop):
+/// tenant arrivals and departures land first, then fault events, so the
+/// schedulers and the dispatcher see the post-churn tenant set and the
+/// post-failure fleet; then, while idle, the consult and merged decision.
+void begin_span(const std::vector<WorkloadView>& views, TimePoint t,
+                const Catalog& candidates, bool graceful_off, Run& run) {
+  EventLog* events = run.events();
+  apply_lifecycle_events(views, t, candidates, run, events);
+  if (run.faults.has_value())
+    apply_fault_events(t, candidates, views, run, events);
+  if (!run.state.reconfiguring)
+    consult_and_apply(views, t, candidates, graceful_off, run, events,
+                      run.metrics());
+}
+
+/// Closes the span [t, t + span): integrates the failure set, spares,
+/// preemptions and tenant set (all fixed inside a span), then steps the
+/// machine transitions, whose completions land at the span's last second
+/// (the fast path bounds spans by the next one), and settles there.
+void end_span(TimePoint t, TimePoint span, Run& run) {
+  if (run.faults.has_value()) account_fault_span(*run.faults, span);
+  if (run.slo_enabled) account_spare_span(run, span);
+  if (run.priority_enabled) account_preemption_span(run, span);
+  account_lifecycle_span(run, span);
+  if (run.state.reconfiguring) run.result.reconfiguring_seconds += span;
+
+  const TimePoint last = t + span - 1;
+  EventLog* events = run.events();
+  const int completed = run.cluster.step(static_cast<Seconds>(span));
+  if (events && completed > 0)
+    events->record(last, EventKind::kBootComplete,
+                   std::to_string(completed) + " transitions");
+  if (run.state.reconfiguring)
+    settle_reconfiguration(last, run.cluster, run.state, events);
+
+  run.result.peak_machines =
+      std::max(run.result.peak_machines, run.cluster.machine_count());
+}
+
+/// Records second `s` of an observed run, given its offered `load` and
+/// the On `capacity`: its overload entry or exit, its QoS violation and,
+/// every sample_every seconds, its timeline sample. Writes nothing the
+/// simulation reads.
+void observe_second(Run& run, TimePoint s, ReqRate load, ReqRate capacity) {
+  EventLog& events = run.result.events;
+  ReqRate cap_eff = capacity;
+  if (run.degrade.enabled()) {
+    const DegradedCap dc = degraded_capacity(run.degrade, load, capacity);
+    cap_eff = dc.effective;
+    if (dc.overloaded != run.overloaded_now)
+      events.record(s,
+                    dc.overloaded ? EventKind::kOverloadEnter
+                                  : EventKind::kOverloadExit,
+                    dc.overloaded
+                        ? std::to_string(load - capacity) + " req/s over"
+                        : "");
+    run.overloaded_now = dc.overloaded;
+  }
+  if (load > cap_eff)
+    events.record(s, EventKind::kQosViolation, std::to_string(load - cap_eff));
+
+  TraceRecording& timeline = run.result.timeline;
+  if (s % timeline.sample_every != 0) return;
+  const ClusterSnapshot snap = run.cluster.snapshot();
+  const std::size_t kinds = timeline.arch_names.size();
+  TimelineSample sample;
+  sample.time = s;
+  sample.on.reserve(kinds);
+  for (std::size_t a = 0; a < kinds; ++a) {
+    sample.on.push_back(snap.on.count(a));
+    sample.booting.push_back(snap.booting.count(a));
+    sample.shutting_down.push_back(snap.shutting_down.count(a));
+    sample.failed.push_back(snap.failed.count(a));
+  }
+  sample.offered = load;
+  sample.served = load < cap_eff ? load : cap_eff;
+  if (run.slo_enabled)
+    for (const Combination& c : run.spares)
+      sample.spare_machines += static_cast<int>(c.total_machines());
+  timeline.samples.push_back(std::move(sample));
+}
+
 std::size_t longest_trace(const std::vector<WorkloadView>& views) {
   std::size_t n = 0;
   for (const WorkloadView& v : views) n = std::max(n, v.trace->size());
@@ -1398,53 +1505,11 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
 MultiSimulationResult Simulator::run_per_second(
     const std::vector<WorkloadView>& views) const {
   Run run = make_run(candidates_, options_, plan_, views);
-  // The timeline recorder consumes the event stream too, so recording a
-  // timeline turns event logging on even when the caller did not ask for
-  // the log itself.
-  EventLog events(options_.event_log_capacity);
-  const bool log_events = options_.record_events || options_.record_timeline;
-  EventLog* events_ptr = log_events ? &events : nullptr;
-
-  SimMetrics* metrics = nullptr;
-  if (options_.collect_metrics) {
-    run.result.metrics.enable();
-    metrics = &run.result.metrics;
-    metrics->apps_active_max = static_cast<std::uint64_t>(run.active_count);
-  }
-  TraceRecording* timeline = nullptr;
-  if (options_.record_timeline) {
-    if (options_.timeline_sample_every == 0)
-      throw std::invalid_argument(
-          "Simulator: timeline_sample_every must be >= 1");
-    run.result.timeline.enabled = true;
-    run.result.timeline.sample_every =
-        static_cast<TimePoint>(options_.timeline_sample_every);
-    for (std::size_t a = 0; a < candidates_.size(); ++a)
-      run.result.timeline.arch_names.push_back(candidates_[a].name());
-    timeline = &run.result.timeline;
-  }
-
+  SimMetrics* metrics = run.metrics();
   const std::size_t n = longest_trace(views);
   for (std::size_t t = 0; t < n; ++t) {
     const auto now = static_cast<TimePoint>(t);
-
-    // Tenant arrivals and departures land first: the fault engine, the
-    // schedulers and the dispatcher all see the post-churn tenant set.
-    apply_lifecycle_events(views, now, candidates_, run, events_ptr);
-
-    // Fault events land at the start of the second, before any decision:
-    // the scheduler and the dispatcher see the post-failure fleet.
-    if (run.faults.has_value()) {
-      apply_fault_events(now, candidates_, views, run, events_ptr);
-      account_fault_span(*run.faults, 1);
-    }
-
-    if (!run.state.reconfiguring)
-      consult_and_apply(views, now, candidates_, options_.graceful_off, run,
-                        events_ptr, metrics);
-    if (run.slo_enabled) account_spare_span(run, 1);
-    if (run.priority_enabled) account_preemption_span(run, 1);
-    account_lifecycle_span(run, 1);
+    begin_span(views, now, candidates_, options_.graceful_off, run);
     if (metrics) ++metrics->ticks;
 
     const ReqRate load = gather_loads(views, now, run);
@@ -1459,61 +1524,19 @@ MultiSimulationResult Simulator::run_per_second(
           degraded_capacity(run.degrade, load, capacity_now);
       cap_eff = dc.effective;
       if (dc.overloaded) account_overload(views, run, load, dc.lost_rate, 1);
-      if (log_events && dc.overloaded != run.overloaded_now)
-        events.record(now,
-                      dc.overloaded ? EventKind::kOverloadEnter
-                                    : EventKind::kOverloadExit,
-                      dc.overloaded
-                          ? std::to_string(load - capacity_now) + " req/s over"
-                          : "");
-      run.overloaded_now = dc.overloaded;
     }
     run.qos.record(load, cap_eff);
-    if (log_events && load > cap_eff)
-      events.record(now, EventKind::kQosViolation,
-                    std::to_string(load - cap_eff));
-
-    if (timeline && now % timeline->sample_every == 0) {
-      const ClusterSnapshot snap = run.cluster.snapshot();
-      TimelineSample sample;
-      sample.time = now;
-      sample.on.reserve(candidates_.size());
-      for (std::size_t a = 0; a < candidates_.size(); ++a) {
-        sample.on.push_back(snap.on.count(a));
-        sample.booting.push_back(snap.booting.count(a));
-        sample.shutting_down.push_back(snap.shutting_down.count(a));
-        sample.failed.push_back(snap.failed.count(a));
-      }
-      sample.offered = load;
-      sample.served = load < cap_eff ? load : cap_eff;
-      if (run.slo_enabled)
-        for (const Combination& c : run.spares)
-          sample.spare_machines += static_cast<int>(c.total_machines());
-      timeline->samples.push_back(std::move(sample));
-    }
+    if (run.result.timeline.enabled)
+      observe_second(run, now, load, capacity_now);
     run.meter.add_compute_sample(power.compute);
     if (power.transition > 0.0)
       run.meter.add_reconfiguration_energy(power.transition * 1.0);
     run.meter.tick();
     attribute_span(views, run, load, power, 1, cap_eff);
-    if (run.state.reconfiguring) ++run.result.reconfiguring_seconds;
-
-    const int completed = run.cluster.step(1.0);
-    if (log_events && completed > 0)
-      events.record(now, EventKind::kBootComplete,
-                    std::to_string(completed) + " transitions");
-
-    if (run.state.reconfiguring)
-      settle_reconfiguration(now, run.cluster, run.state, events_ptr);
-
-    run.result.peak_machines =
-        std::max(run.result.peak_machines, run.cluster.machine_count());
+    end_span(now, 1, run);
   }
-  if (timeline)
-    timeline->events.assign(events.events().begin(), events.events().end());
   MultiSimulationResult out;
   finalize_run(run, views, out);
-  if (log_events) out.total.events = std::move(events);
   return out;
 }
 
@@ -1523,12 +1546,7 @@ MultiSimulationResult Simulator::run_event_driven(
   // Self-metrics ride a nullable pointer: with metrics off the span loop
   // pays one branch per span and the classification work below is
   // skipped entirely.
-  SimMetrics* metrics = nullptr;
-  if (options_.collect_metrics) {
-    run.result.metrics.enable();
-    metrics = &run.result.metrics;
-    metrics->apps_active_max = static_cast<std::uint64_t>(run.active_count);
-  }
+  SimMetrics* metrics = run.metrics();
 
   // Compiled (RLE) form of every trace: supplied by the caller (sweeps
   // share one compilation across all scenarios and worker threads) or
@@ -1549,59 +1567,38 @@ MultiSimulationResult Simulator::run_event_driven(
   const auto n = static_cast<TimePoint>(longest_trace(views));
   TimePoint t = 0;
   while (t < n) {
-    // 0. Tenant arrivals/departures due now, then fault events — exactly
-    //    as in the reference loop. Events can only be due at span starts:
-    //    step 2 bounds every span by the timelines' next events, so both
-    //    the active set and the failure set are constant inside one.
-    apply_lifecycle_events(views, t, candidates_, run, nullptr);
-    if (run.faults.has_value())
-      apply_fault_events(t, candidates_, views, run, nullptr);
+    // 0. Churn and fault events due now, then the consult (skipping apps
+    //    whose cached bound is still in the future) — exactly as in the
+    //    reference loop. Events can only be due at span starts: step 1
+    //    bounds every span by the timelines' next events, so both the
+    //    active set and the failure set are constant inside one.
+    begin_span(views, t, candidates_, options_.graceful_off, run);
 
-    // 1. Scheduler decisions, exactly as in the reference loop, skipping
-    //    apps whose cached bound is still in the future. While no
-    //    reconfiguration is in flight the intersection of the schedulers'
-    //    stability bounds tells us how long the merged decision (and thus
-    //    the fleet) stays as it is now. Only the apps just consulted get a
-    //    fresh bound, and only once the merge started no reconfiguration:
-    //    an app consulted as one starts is consulted again when it ends,
-    //    so no stability walk covers seconds inside a reconfiguration.
-    //    Reusing an unexpired (conservative) bound only ends spans early,
-    //    which splits integrals without changing any per-second value.
-    TimePoint stable_until = t + 1;
-    if (!run.state.reconfiguring) {
-      consult_and_apply(views, t, candidates_, options_.graceful_off, run,
-                        nullptr, metrics);
-      if (!run.state.reconfiguring) {
-        // Only active tenants constrain the bound (inactive schedulers
-        // are never consulted); with nobody active the span runs to the
-        // next churn event or the trace end.
-        stable_until = std::numeric_limits<TimePoint>::max();
-        for (std::size_t i = 0; i < views.size(); ++i) {
-          if (!run.active[i]) continue;
-          if (run.consult_until[i] <= t)
-            run.consult_until[i] =
-                views[i].scheduler->decision_stable_until(t, *views[i].trace);
-          stable_until = std::min(stable_until, run.consult_until[i]);
-        }
-        if (stable_until == std::numeric_limits<TimePoint>::max())
-          stable_until = n;
-      }
-    }
-
-    // 2. Find the next event boundary: any scheduler's decision change, or
-    //    a machine transition completion (completions land at the end of
-    //    second t + ceil(remaining) - 1). While a reconfiguration with no
-    //    transitions left is draining (the one extra second before the
-    //    flag clears), tick one second. Trace value changes do NOT bound
-    //    the span — the simulator advances at decision granularity and the
+    // 1. Find the next event boundary. While idle, the intersection of the
+    //    schedulers' stability bounds is how long the merged decision (and
+    //    thus the fleet) stays as it is now. Only the apps just consulted
+    //    get a fresh bound, and only once the merge started no
+    //    reconfiguration, so no stability walk covers seconds inside one;
+    //    reusing an unexpired bound only ends spans early. While
+    //    reconfiguring, the next transition completion bounds the span (at
+    //    the end of second t + ceil(remaining) - 1), or one drain second
+    //    when none is left. Trace value changes do NOT bound the span: its
     //    varying load is integrated run-by-run below.
-    // Each bound is applied with a strict compare so `cause` names the
-    // binding one (ties keep the earlier-applied cause); the resulting
-    // span_end values are exactly the min-chain they replace.
     TimePoint span_end;
     SpanEndCause cause;
     if (!run.state.reconfiguring) {
-      span_end = stable_until;
+      // Only active tenants constrain the bound (inactive schedulers are
+      // never consulted); with nobody active the span runs to the next
+      // churn event or the trace end.
+      span_end = std::numeric_limits<TimePoint>::max();
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        if (!run.active[i]) continue;
+        if (run.consult_until[i] <= t)
+          run.consult_until[i] =
+              views[i].scheduler->decision_stable_until(t, *views[i].trace);
+        span_end = std::min(span_end, run.consult_until[i]);
+      }
+      if (span_end == std::numeric_limits<TimePoint>::max()) span_end = n;
       cause = SpanEndCause::kSchedulerStable;
     } else {
       const Seconds remaining = run.cluster.next_transition_remaining();
@@ -1611,6 +1608,14 @@ MultiSimulationResult Simulator::run_event_driven(
               : t + 1;
       cause = SpanEndCause::kTransitionComplete;
     }
+    // Each further bound applies with a strict compare, so `cause` names
+    // the binding one and ties keep the earlier-applied cause.
+    const auto bound = [&span_end, &cause](TimePoint at, SpanEndCause why) {
+      if (at < span_end) {
+        span_end = at;
+        cause = why;
+      }
+    };
     // The next scheduled failure strike or repair completion bounds the
     // span exactly like a machine transition: inside a span the failure
     // set (and hence capacity, power, and the availability integrand) is
@@ -1618,45 +1623,29 @@ MultiSimulationResult Simulator::run_event_driven(
     // drain in step 0, so this never shrinks the span below t + 1.
     if (run.faults.has_value()) {
       const TimePoint fault_at = run.faults->timeline.next_event();
-      if (fault_at < span_end) {
-        span_end = fault_at;
-        cause = run.faults->timeline.next_repair() == fault_at
-                    ? SpanEndCause::kCrewCompletion
-                    : SpanEndCause::kFault;
-      }
+      bound(fault_at, run.faults->timeline.next_repair() == fault_at
+                          ? SpanEndCause::kCrewCompletion
+                          : SpanEndCause::kFault);
     }
     // The next tenant arrival or departure bounds the span exactly like a
     // fault strike: the active set (and with it the gather, attribution
     // and coordinator partition) is constant inside one. Step 0 consumed
     // every event due at or before t, so this is strictly in the future.
-    if (run.next_lifecycle < run.lifecycle_events.size()) {
-      const TimePoint churn_at =
-          run.lifecycle_events[run.next_lifecycle].time;
-      if (churn_at < span_end) {
-        span_end = churn_at;
-        cause = SpanEndCause::kChurn;
-      }
-    }
+    if (run.next_lifecycle < run.lifecycle_events.size())
+      bound(run.lifecycle_events[run.next_lifecycle].time,
+            SpanEndCause::kChurn);
     // Clamping spans at day boundaries costs at most one extra span per
     // simulated day and lets EnergyMeter::add_runs fuse every sub-run of
     // a span into one day bucket instead of chunk-splitting per run.
-    const TimePoint day_end = (t / kSecondsPerDay + 1) * kSecondsPerDay;
-    if (day_end < span_end) {
-      span_end = day_end;
-      cause = SpanEndCause::kDayBoundary;
-    }
+    bound((t / kSecondsPerDay + 1) * kSecondsPerDay,
+          SpanEndCause::kDayBoundary);
     // A spare flag flipping is a decision change: the reference loop
     // re-evaluates the SLO flags every idle second, so an idle span must
     // end at the first second a trailing window crosses an app's error
     // budget (exact — the downtime integrand is fixed inside the span).
     if (run.slo_enabled && run.faults.has_value() &&
-        !run.state.reconfiguring) {
-      const TimePoint crossing = next_slo_crossing(run, t, span_end);
-      if (crossing < span_end) {
-        span_end = crossing;
-        cause = SpanEndCause::kSloCrossing;
-      }
-    }
+        !run.state.reconfiguring)
+      bound(next_slo_crossing(run, t, span_end), SpanEndCause::kSloCrossing);
     if (span_end >= n) {
       // A span reaching n ran out of trace whichever bound got it there —
       // classify it as trace-end so every run counts exactly one.
@@ -1665,20 +1654,13 @@ MultiSimulationResult Simulator::run_event_driven(
     }
     if (span_end < t + 1) span_end = t + 1;
 
-    // 3. Advance the span in closed form: the fleet is constant, so each
-    //    constant-load sub-run has constant power and QoS margins. With
-    //    the degrade model on, an overload entry/exit inside the span
-    //    stops the walk at the crossing and the span ends there — the
-    //    per-span accounting below then integrates a constant overload
-    //    state, exactly like the per-second reference. (All of that
-    //    accounting sits after the advance for this reason; its
-    //    integrands are constant in-span either way.)
+    // 2. Advance the span in closed form: the fleet is constant, so each
+    //    constant-load sub-run has constant power and QoS margins. An
+    //    overload entry/exit (degrade model) stops the walk and ends the
+    //    span there, so end_span integrates a constant overload state.
     const TimePoint advanced =
         advance_span(views, run, compiled, cursors, t, span_end, metrics);
-    if (advanced < span_end) {
-      span_end = advanced;
-      cause = SpanEndCause::kOverloadCrossing;
-    }
+    bound(advanced, SpanEndCause::kOverloadCrossing);
     const TimePoint span = span_end - t;
     if (metrics) {
       // A scheduler-stable bound that lands exactly on a trace run
@@ -1699,21 +1681,17 @@ MultiSimulationResult Simulator::run_event_driven(
       ++metrics->span_end_causes[static_cast<std::size_t>(cause)];
       metrics->span_seconds.observe(static_cast<double>(span));
     }
-    if (run.faults.has_value()) account_fault_span(*run.faults, span);
-    if (run.slo_enabled) account_spare_span(run, span);
-    if (run.priority_enabled) account_preemption_span(run, span);
-    account_lifecycle_span(run, span);
-    if (run.state.reconfiguring) run.result.reconfiguring_seconds += span;
+    // 3. An observed run replays each second of the span for its events
+    //    and timeline samples; the fleet is fixed inside the span.
+    if (run.result.timeline.enabled) {
+      const ReqRate capacity = run.cluster.on_capacity();
+      for (TimePoint s = t; s < span_end; ++s)
+        observe_second(run, s, gather_loads(views, s, run), capacity);
+    }
 
-    // 4. Machine transitions progress; completions land exactly at the
-    //    end of the span (Cluster::step is exact for multi-second steps).
-    if (run.cluster.transitioning())
-      run.cluster.step(static_cast<Seconds>(span));
-    if (run.state.reconfiguring)
-      settle_reconfiguration(span_end - 1, run.cluster, run.state, nullptr);
-
-    run.result.peak_machines =
-        std::max(run.result.peak_machines, run.cluster.machine_count());
+    // 4. Per-span accounting, then transitions complete exactly at the
+    //    end of the span.
+    end_span(t, span, run);
     t = span_end;
   }
   // Single-workload runs: the per-app streams are exactly the cluster-wide

@@ -38,8 +38,7 @@
 //
 // Two execution strategies produce the same results:
 //   * the per-second reference loop — one tick per simulated second, the
-//     direct transcription of the paper's simulator, and the only mode
-//     that can record per-second event logs;
+//     direct transcription of the paper's simulator;
 //   * the event-driven fast path (default) — the simulator advances at
 //     *decision* granularity: a span lasts until some scheduler's decision
 //     may change or a machine transition completes. Trace value changes do
@@ -54,6 +53,9 @@
 //     noisy traces replay orders of magnitude faster; see bench_micro's
 //     BM_SimulatorWeek* benchmarks, tests/test_simulator_fastpath.cpp and
 //     tests/test_multi_workload.cpp for the equivalence guarantee.
+// Both strategies share one span step (the reference loop's spans last one
+// second) and one observation helper, so observing a run is a pure read:
+// its results are bit-identical with recording on or off.
 #pragma once
 
 #include <memory>
@@ -86,8 +88,7 @@ struct SimulatorOptions {
   /// changes, machine transition completions, trace value changes) the
   /// simulation advances in closed form instead of per-second ticks.
   /// Results match the per-second reference up to floating-point summation
-  /// order (see tests/test_simulator_fastpath.cpp). Event logging always
-  /// falls back to the per-second reference path.
+  /// order (see tests/test_simulator_fastpath.cpp).
   bool event_driven = true;
   /// How per-workload proposals merge into the cluster target
   /// (multi-workload runs; irrelevant at N = 1 where both modes are the
@@ -123,22 +124,20 @@ struct SimulatorOptions {
   /// the window recovers. Whole seconds; must be >= 1 when any app sets
   /// an SLO target.
   Seconds slo_window = 86400.0;
-  /// Record a structured event log (reconfigurations, transition batches,
-  /// QoS violations). Bounded memory; see sim/event_log.hpp.
-  bool record_events = false;
-  std::size_t event_log_capacity = 4096;
   /// Collect the simulator's self-metrics (SimulationResult::metrics):
   /// span/tick counts, span-end causes, span-length histogram, scheduler
   /// consults. Near-zero overhead — the hot loops test one pointer per
   /// span — and never feeds back into the simulation, so results are
   /// bit-identical with it on or off.
   bool collect_metrics = false;
-  /// Record a timeline (SimulationResult::timeline) for the Chrome
-  /// trace-event exporter: sampled fleet/load counter tracks plus the
-  /// full event stream. Forces the per-second reference path, exactly
-  /// like record_events (results obey the equivalence contract rather
-  /// than matching the fast path byte-for-byte).
+  /// Record the structured event log (SimulationResult::events) and a
+  /// timeline (SimulationResult::timeline: sampled fleet/load counter
+  /// tracks plus the event stream) for the Chrome trace-event exporter.
+  /// Both strategies record the same bytes, and results are bit-identical
+  /// with recording on or off.
   bool record_timeline = false;
+  /// Most recent events the log retains (see sim/event_log.hpp).
+  std::size_t event_log_capacity = 4096;
   /// Seconds between timeline counter samples (>= 1).
   std::size_t timeline_sample_every = 60;
 };
@@ -192,7 +191,7 @@ struct SimulationResult {
   /// classic fixed-tenant model.
   int arrivals = 0;
   int departures = 0;
-  /// Optional structured event log, see record_events.
+  /// Optional structured event log, see SimulatorOptions::record_timeline.
   EventLog events{1};
   /// Self-metrics, see SimulatorOptions::collect_metrics (disabled and
   /// empty unless requested).
@@ -284,7 +283,7 @@ class Simulator {
  private:
   [[nodiscard]] MultiSimulationResult run_views(
       const std::vector<WorkloadView>& views) const;
-  /// The 1 Hz reference loop (also the event-logging mode).
+  /// The 1 Hz reference loop (the shared span step, one second long).
   [[nodiscard]] MultiSimulationResult run_per_second(
       const std::vector<WorkloadView>& views) const;
   /// Run-length batching between events.

@@ -51,7 +51,7 @@ TEST(EventLog, Validation) {
 TEST(EventLog, SimulatorIntegrationRecordsReconfigurations) {
   auto design = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
   SimulatorOptions options;
-  options.record_events = true;
+  options.record_timeline = true;
   const Simulator simulator(design->candidates(), options);
   BmlScheduler scheduler(design, std::make_shared<OracleMaxPredictor>());
   const LoadTrace trace = step_trace({{5.0, 600.0}, {600.0, 600.0}});

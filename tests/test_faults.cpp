@@ -365,7 +365,7 @@ TEST(RuntimeFaults, EventLogRecordsFailuresAndRepairs) {
   options.faults.mtbf = 1800.0;
   options.faults.mttr = 600.0;
   options.faults.seed = 3;
-  options.record_events = true;
+  options.record_timeline = true;
   const Simulator simulator(design->candidates(), options);
   BmlScheduler scheduler(design, std::make_shared<OracleMaxPredictor>());
   const SimulationResult r = simulator.run(scheduler, trace);
@@ -384,7 +384,7 @@ TEST(RuntimeFaults, GroupStrikesFellMachinesAndAreLogged) {
   options.faults.group_mtbf = 7200.0;
   options.faults.group_mttr = 900.0;
   options.faults.seed = 5;
-  options.record_events = true;
+  options.record_timeline = true;
   const Simulator simulator(design->candidates(), options);
   BmlScheduler scheduler(design, std::make_shared<OracleMaxPredictor>());
   const SimulationResult r = simulator.run(scheduler, trace);
@@ -413,7 +413,7 @@ TEST(RuntimeFaults, SloFeedbackRecordsSpareEventsAndEnergy) {
   options.faults.group_mttr = 1800.0;
   options.faults.seed = 19;
   options.slo_window = 7200.0;
-  options.record_events = true;
+  options.record_timeline = true;
   const Simulator simulator(design->candidates(), options);
   BmlScheduler scheduler(design, std::make_shared<OracleMaxPredictor>());
   Workload app;

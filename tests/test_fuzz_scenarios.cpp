@@ -5,15 +5,17 @@
 // both execution strategies. The property
 // under test is the engine-wide equivalence contract: integer counters
 // bit-exact, floating-point integrals within 1e-9, for *any* valid spec —
-// not just the hand-picked ones in test_simulator_fastpath.cpp. The run
-// is seeded and bounded (fixed iteration count, short traces) so it is a
-// deterministic part of the normal test suite, not a soak job; bump
-// kIterations locally to fuzz harder. Half the specs are biased to fleet
-// scale (8-32 effective apps via `replicas`, fault domains shared across
-// apps) so the wide fused merge gets fuzzed as hard as the 1-3 app specs;
-// every spec, at any app count, runs the consult cache. The small specs
-// may replay a noisy diurnal day, where linear-trend's cursor slides and
-// falls back to exact fits.
+// not just the hand-picked ones in test_simulator_fastpath.cpp. Every
+// other spec is also observed: both strategies must record the same event
+// log and timeline, and the observed fast run must equal the unobserved
+// one bit for bit. The run is seeded and bounded (fixed iteration count,
+// short traces) so it is a deterministic part of the normal test suite,
+// not a soak job; bump kIterations locally to fuzz harder. Half the specs
+// are biased to fleet scale (8-32 effective apps via `replicas`, fault
+// domains shared across apps) so the wide fused merge gets fuzzed as hard
+// as the 1-3 app specs; every spec, at any app count, runs the consult
+// cache. The small specs may replay a noisy diurnal day, where
+// linear-trend's cursor slides and falls back to exact fits.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace_export.hpp"
 #include "scenario/scenario_spec.hpp"
 #include "scenario/sweep.hpp"
 #include "util/rng.hpp"
@@ -228,16 +231,73 @@ void expect_close(double fast, double reference, const char* what) {
   EXPECT_NEAR(fast, reference, tolerance) << what;
 }
 
+/// Every result field of `r` with its exact bits (floats in hexfloat), so
+/// two runs compare bit for bit with one string compare.
+std::string exact_results(const ScenarioResult& r) {
+  std::ostringstream os;
+  os << std::hexfloat;
+  const auto qos = [&os](const QosStats& q) {
+    os << q.violation_seconds << ' ' << q.unserved_requests << ' '
+       << q.offered_requests << ' ' << q.worst_shortfall << ' '
+       << q.total_seconds << '\n';
+  };
+  const SimulationResult& s = r.sim;
+  os << s.compute_energy << ' ' << s.reconfiguration_energy << '\n';
+  for (const double e : s.per_day_compute) os << e << ' ';
+  for (const double e : s.per_day_reconfiguration) os << e << ' ';
+  os << '\n';
+  qos(s.qos);
+  os << s.reconfigurations << ' ' << s.reconfiguring_seconds << ' '
+     << s.peak_machines << ' ' << s.machine_failures << ' '
+     << s.unavailable_seconds << ' ' << s.availability << ' '
+     << s.lost_capacity << ' ' << s.group_strikes << ' ' << s.spare_seconds
+     << ' ' << s.spare_energy << ' ' << s.overload_seconds << ' '
+     << s.penalty_lost_capacity << ' ' << s.preemptions << ' ' << s.arrivals
+     << ' ' << s.departures << '\n';
+  for (const WorkloadResult& a : r.apps) {
+    qos(a.qos_stats);
+    os << a.compute_energy << ' ' << a.reconfiguration_energy << ' '
+       << a.failures << ' ' << a.unavailable_seconds << ' ' << a.availability
+       << ' ' << a.lost_capacity << ' ' << a.spare_seconds << ' '
+       << a.spare_energy << ' ' << a.overload_seconds << ' '
+       << a.penalty_lost_capacity << ' ' << a.domain_overload_seconds << ' '
+       << a.domain_penalty_lost << ' ' << a.preempted_seconds << ' '
+       << a.active_seconds << '\n';
+  }
+  return os.str();
+}
+
 TEST(FuzzScenarios, EveryRandomSpecHoldsTheEquivalenceContract) {
   Rng rng(20260807);
+  // Sample periods come from their own stream, so observing a spec leaves
+  // the specs drawn after it unchanged.
+  Rng sample_rng(99);
   for (int i = 0; i < kIterations; ++i) {
     const std::string text = random_spec_text(rng, i);
     SCOPED_TRACE("spec:\n" + text);
     ScenarioSpec spec = parse_scenario(text);
+    // Every other spec records its event log and timeline in both
+    // strategies.
+    const bool observed = i % 2 == 1;
+    if (observed) {
+      spec.obs_trace = true;
+      spec.obs_sample = static_cast<int>(sample_rng.uniform_int(1, 3600));
+    }
     spec.event_driven = true;
     const ScenarioResult fast = run_scenario(spec);
     spec.event_driven = false;
     const ScenarioResult reference = run_scenario(spec);
+    if (observed) {
+      // Both strategies record the same events at the same seconds, and
+      // the same timeline; and observing changes no result bit.
+      EXPECT_EQ(fast.sim.events.total(), reference.sim.events.total());
+      EXPECT_EQ(fast.sim.events.to_csv(), reference.sim.events.to_csv());
+      EXPECT_EQ(chrome_trace_json(fast.sim.timeline),
+                chrome_trace_json(reference.sim.timeline));
+      spec.event_driven = true;
+      spec.obs_trace = false;
+      EXPECT_EQ(exact_results(fast), exact_results(run_scenario(spec)));
+    }
 
     EXPECT_EQ(fast.sim.reconfigurations, reference.sim.reconfigurations);
     EXPECT_EQ(fast.sim.reconfiguring_seconds,

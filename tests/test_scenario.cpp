@@ -119,6 +119,23 @@ TEST(ScenarioSpec, BadValuesThrow) {
   EXPECT_THROW(
       (void)parse_scenario("sweep seed = 1,2\nsweep seed = 3,4\n"),
       std::runtime_error);  // duplicate axis
+  // Integer keys past INT_MAX are errors naming the key, never a wrapped
+  // value (4294967298 would read as 2, 2147483648 as a negative count).
+  for (const auto& [text, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"faults.groups = 4294967298\n", "faults.groups"},
+           {"churn.max = 2147483648\n", "churn.max"},
+           {"obs.sample = 4294967297\n", "obs.sample"},
+           {"[app]\nreplicas = 4294967297\n", "app replicas"},
+           {"[app]\npriority = 4294967299\n", "app priority"}}) {
+    try {
+      (void)parse_scenario(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 constexpr const char* kMultiAppSpec = R"(name = colocated

@@ -921,16 +921,22 @@ TEST(SimulatorFastPath, CostAwareScheduler) {
 }
 
 TEST(SimulatorFastPath, EventLoggingUsesReferencePath) {
-  // record_events forces the per-second loop even when event_driven is on;
-  // the event log must be populated as before.
+  // The fast path records the event log itself, and the log is the one the
+  // per-second reference records: same events, same seconds, same order.
   SimulatorOptions options;
-  options.record_events = true;
+  options.record_timeline = true;
   options.event_driven = true;
   const Simulator sim(design()->candidates(), options);
+  options.event_driven = false;
+  const Simulator reference(design()->candidates(), options);
+  const LoadTrace trace = step_trace({{100.0, 600.0}, {2000.0, 600.0}});
   auto scheduler = oracle_bml();
-  const SimulationResult r =
-      sim.run(*scheduler, step_trace({{100.0, 600.0}, {2000.0, 600.0}}));
+  const SimulationResult r = sim.run(*scheduler, trace);
   EXPECT_GT(r.events.total(), 0u);
+  auto reference_scheduler = oracle_bml();
+  const SimulationResult expected = reference.run(*reference_scheduler, trace);
+  EXPECT_EQ(r.events.total(), expected.events.total());
+  EXPECT_EQ(r.events.to_csv(), expected.events.to_csv());
 }
 
 }  // namespace

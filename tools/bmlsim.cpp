@@ -11,8 +11,8 @@
 //       (deterministic "name value" lines); --trace-out writes the run's
 //       timeline as Chrome trace-event JSON (open in ui.perfetto.dev or
 //       chrome://tracing), sampling counter tracks every --trace-sample
-//       seconds (default 60). Recording a timeline replays on the
-//       per-second reference path, like event logging.
+//       seconds (default 60). Tracing leaves the CSV and the sim.*
+//       metrics unchanged; --metrics adds the events.* counters.
 //
 //   bmlsim sweep <spec.scn> [--threads N] [--csv FILE] [--metrics]
 //               [--perf-report]
@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -253,11 +254,11 @@ int main(int argc, char** argv) {
       } catch (const std::exception&) {
         value = 0;
       }
-      if (value < 1) {
+      if (value < 1 || value > std::numeric_limits<int>::max()) {
         std::fprintf(stderr,
-                     "%s: --trace-sample must be a positive integer, got "
+                     "%s: --trace-sample must be an integer in [1, %d], got "
                      "'%s'\n",
-                     argv[0], text);
+                     argv[0], std::numeric_limits<int>::max(), text);
         return 1;
       }
       trace_sample = static_cast<int>(value);
