@@ -236,8 +236,8 @@ void BM_MultiAppSimulatorDay(benchmark::State& state) {
 BENCHMARK(BM_MultiAppSimulatorDay)->Unit(benchmark::kMillisecond);
 
 // One simulated day across a 1,000-app colocated fleet stamped out of
-// four tenant archetypes, replicas sharing one trace + compiled form per
-// archetype exactly as the scenario engine's `replicas` dedup does: the
+// four tenant archetypes, replicas sharing one trace per archetype
+// exactly as the scenario engine's `replicas` dedup does: the
 // widest fused k-way merge and the most consult-cache entries of the
 // suite; items_per_second counts app-trace-seconds
 // (1000 x 86400 per iteration).
@@ -255,9 +255,6 @@ void BM_FleetScaleDay(benchmark::State& state) {
       diurnal_trace(diurnal, 1), worldcup_like_trace(worldcup),
       constant_trace(400.0, 86'400.0),
       step_trace({{300.0, 43'200.0}, {1000.0, 43'200.0}})};
-  const CompiledTrace compiled[kArchetypes] = {
-      CompiledTrace(traces[0]), CompiledTrace(traces[1]),
-      CompiledTrace(traces[2]), CompiledTrace(traces[3])};
   // One predictor per archetype, shared by its replicas' schedulers:
   // predictors hold no per-trace state on the BML path, and every
   // scheduler slides its own cursor over the shared trace.
@@ -276,8 +273,7 @@ void BM_FleetScaleDay(benchmark::State& state) {
     schedulers.push_back(std::make_unique<BmlScheduler>(d, predictors[a]));
     views.push_back(Simulator::WorkloadView{&names[i], &traces[a],
                                             schedulers.back().get(),
-                                            QosClass::kTolerant, 1.0,
-                                            &compiled[a]});
+                                            QosClass::kTolerant, 1.0});
     seconds_per_iter += static_cast<std::int64_t>(traces[a].size());
   }
   benchmark::DoNotOptimize(simulator.run(views));  // bind the cursors
@@ -310,9 +306,6 @@ void BM_FleetScaleChurnDay(benchmark::State& state) {
       diurnal_trace(diurnal, 1), worldcup_like_trace(worldcup),
       constant_trace(400.0, 86'400.0),
       step_trace({{300.0, 43'200.0}, {1000.0, 43'200.0}})};
-  const CompiledTrace compiled[kArchetypes] = {
-      CompiledTrace(traces[0]), CompiledTrace(traces[1]),
-      CompiledTrace(traces[2]), CompiledTrace(traces[3])};
   std::shared_ptr<OracleMaxPredictor> predictors[kArchetypes];
   for (auto& p : predictors) p = std::make_shared<OracleMaxPredictor>();
   const Simulator simulator(d->candidates());
@@ -328,7 +321,7 @@ void BM_FleetScaleChurnDay(benchmark::State& state) {
     schedulers.push_back(std::make_unique<BmlScheduler>(d, predictors[a]));
     Simulator::WorkloadView view{&names[i], &traces[a],
                                  schedulers.back().get(),
-                                 QosClass::kTolerant, 1.0, &compiled[a]};
+                                 QosClass::kTolerant, 1.0};
     if (i % 4 == 3) {
       // Hourly onboarding waves across the first half of the day, each
       // visitor resident for six hours.
@@ -384,14 +377,11 @@ void replay_week(benchmark::State& state, const LoadTrace& trace,
   // by one untimed run; each timed run restarts its prediction cursor at
   // t = 0 and walks it again, so the decision walks are part of the
   // replay (BM_SimulatorWeekNoisyPredictor also times a fresh
-  // scheduler). The trace is compiled once and shared across runs via the
-  // view, as the sweep runner does across a grid (the per-second
-  // reference ignores it).
+  // scheduler).
   BmlScheduler scheduler(d, std::make_shared<OracleMaxPredictor>());
-  const CompiledTrace compiled(trace);
   const std::string name = "app";
   const std::vector<Simulator::WorkloadView> views{Simulator::WorkloadView{
-      &name, &trace, &scheduler, QosClass::kTolerant, 1.0, &compiled}};
+      &name, &trace, &scheduler, QosClass::kTolerant, 1.0}};
   benchmark::DoNotOptimize(simulator.run(views));
   for (auto _ : state) {
     benchmark::DoNotOptimize(simulator.run(views));
@@ -432,7 +422,6 @@ BENCHMARK(BM_SimulatorWeekNoisyReference)->Unit(benchmark::kMillisecond);
 void BM_SimulatorWeekNoisyObserved(benchmark::State& state) {
   SimulatorOptions options;
   options.record_timeline = true;
-  options.event_log_capacity = std::size_t{1} << 16;
   replay_week(state, noisy_week_trace(), /*event_driven=*/true, options);
 }
 BENCHMARK(BM_SimulatorWeekNoisyObserved)->Unit(benchmark::kMillisecond);
@@ -448,12 +437,11 @@ void BM_SimulatorWeekNoisyPredictor(benchmark::State& state,
   auto d = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
   const Simulator simulator(d->candidates());
   const LoadTrace trace = noisy_week_trace();
-  const CompiledTrace compiled(trace);
   const std::string name = "app";
   for (auto _ : state) {
     BmlScheduler scheduler(d, make_predictor(predictor, {}, 1));
     const std::vector<Simulator::WorkloadView> views{Simulator::WorkloadView{
-        &name, &trace, &scheduler, QosClass::kTolerant, 1.0, &compiled}};
+        &name, &trace, &scheduler, QosClass::kTolerant, 1.0}};
     benchmark::DoNotOptimize(simulator.run(views));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -550,7 +538,7 @@ BENCHMARK(BM_SweepThroughput)
 
 // Sweep throughput when the shared-build cache engages: none of the axes
 // touch catalog / design / trace / seed inputs, so the CombinationTable,
-// DispatchPlan and compiled trace are built once for the whole 12-point
+// DispatchPlan and indexed trace are built once for the whole 12-point
 // grid instead of once per scenario. A noisy day-long trace makes the
 // per-scenario build the dominant cost the cache removes.
 void BM_SweepSharedBuildThroughput(benchmark::State& state) {

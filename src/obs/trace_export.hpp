@@ -58,8 +58,7 @@ struct TraceRecording {
   TimePoint sample_every = 60;
   std::vector<std::string> arch_names;
   std::vector<TimelineSample> samples;
-  /// The run's structured events, oldest first (the EventLog ring's
-  /// retained window; size the log to the run when completeness matters).
+  /// Every structured event of the run, oldest first.
   std::vector<SimEvent> events;
 };
 

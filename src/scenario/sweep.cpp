@@ -219,8 +219,8 @@ std::vector<TenantClone> churn_timeline(const ScenarioSpec& spec,
   return clones;
 }
 
-/// The expensive immutable artifacts of a scenario: catalog, traces (and
-/// their compiled RLE forms), the design (with its CombinationTable /
+/// The expensive immutable artifacts of a scenario: catalog, traces (each
+/// with its run-length index), the design (with its CombinationTable /
 /// DecisionThresholds), and the dispatch plan. Everything here is
 /// read-only after construction, so a sweep whose axes don't touch the
 /// inputs of any of these builds one ScenarioBuild and shares it across
@@ -240,22 +240,17 @@ struct ScenarioBuild {
           "run_scenario: a shared trace requires a single-workload spec");
 
     traces.resize(apps.size());
-    compiled.resize(apps.size());
     if (shared_trace) {
-      own_compiled.reserve(1);
-      own_compiled.emplace_back(*shared_trace);
       traces[0] = shared_trace;
-      compiled[0] = &own_compiled.front();
     } else {
       // Identical traces are materialised once: replica expansion stamps
       // out whole groups whose generators ignore the per-app seed, and a
       // fleet of thousands of tenants must not hold thousands of copies
-      // of the same day-long sample buffer (or compile the same RLE form
-      // repeatedly). The FNV hash only shortlists candidates; sharing
-      // requires an exact sample-for-sample match, so aliasing distinct
-      // traces is impossible.
+      // of the same day-long sample buffer and run index. The FNV hash
+      // only shortlists candidates; sharing requires an exact
+      // sample-for-sample match, so aliasing distinct traces is
+      // impossible.
       own_traces.reserve(apps.size());
-      own_compiled.reserve(apps.size());
       std::map<std::uint64_t, std::vector<std::size_t>> by_hash;
       for (std::size_t i = 0; i < apps.size(); ++i) {
         LoadTrace t =
@@ -279,12 +274,10 @@ struct ScenarioBuild {
         }
         if (found == apps.size()) {
           own_traces.push_back(std::move(t));
-          own_compiled.emplace_back(own_traces.back());
           found = own_traces.size() - 1;
           by_hash[h].push_back(found);
         }
         traces[i] = &own_traces[found];
-        compiled[i] = &own_compiled[found];
       }
     }
 
@@ -299,13 +292,11 @@ struct ScenarioBuild {
   }
 
   Catalog catalog;
-  /// Distinct materialised traces and their RLE forms (deduplicated).
+  /// Distinct materialised traces (deduplicated).
   std::vector<LoadTrace> own_traces;
-  std::vector<CompiledTrace> own_compiled;
   /// Per-app pointers into the distinct storage (or the shared trace) —
   /// parallel to the app list; replicas of one config share one target.
   std::vector<const LoadTrace*> traces;
-  std::vector<const CompiledTrace*> compiled;
   std::shared_ptr<const BmlDesign> design;
   std::shared_ptr<const DispatchPlan> plan;
 };
@@ -330,9 +321,9 @@ ScenarioResult run_built(const ScenarioSpec& spec, const ScenarioBuild& build,
         "priority ranks colocated [app] sections");
 
   // Stochastic tenant churn: a runtime-only expansion (the shared build
-  // is untouched — clones alias the template's built trace and compiled
-  // form, and the design stays sized for the declared tenants, which is
-  // exactly what a churn-aware coordinator must cope with).
+  // is untouched — clones alias the template's built trace, and the
+  // design stays sized for the declared tenants, which is exactly what a
+  // churn-aware coordinator must cope with).
   const bool churn_on =
       spec.churn_interarrival > 0.0 || spec.churn_lifetime > 0.0;
   std::size_t churn_tmpl = 0;
@@ -406,11 +397,6 @@ ScenarioResult run_built(const ScenarioSpec& spec, const ScenarioBuild& build,
   options.collect_metrics = spec.obs_metrics;
   options.record_timeline = spec.obs_trace;
   options.timeline_sample_every = static_cast<std::size_t>(spec.obs_sample);
-  // A timeline wants the whole event stream, not the default audit ring;
-  // still bounded, so a multi-month run cannot balloon.
-  if (spec.obs_trace)
-    options.event_log_capacity = std::max<std::size_t>(
-        options.event_log_capacity, std::size_t{1} << 16);
 
   const Simulator simulator(build.design->candidates(), build.plan, options);
   std::vector<Simulator::WorkloadView> views;
@@ -418,7 +404,7 @@ ScenarioResult run_built(const ScenarioSpec& spec, const ScenarioBuild& build,
   for (std::size_t i = 0; i < apps.size(); ++i) {
     Simulator::WorkloadView view{
         &names[i], build.traces[i], schedulers[i].get(), qos[i],
-        apps[i].share, build.compiled[i], &apps[i].fault_domain};
+        apps[i].share, &apps[i].fault_domain};
     view.slo_availability = apps[i].slo_availability;
     view.slo_spare = apps[i].slo_spare;
     view.priority = apps[i].priority;
@@ -431,8 +417,7 @@ ScenarioResult run_built(const ScenarioSpec& spec, const ScenarioBuild& build,
     const std::size_t idx = apps.size() + j;
     Simulator::WorkloadView view{
         &names[idx], build.traces[churn_tmpl], schedulers[idx].get(),
-        qos[idx], tmpl.share, build.compiled[churn_tmpl],
-        &tmpl.fault_domain};
+        qos[idx], tmpl.share, &tmpl.fault_domain};
     view.slo_availability = tmpl.slo_availability;
     view.slo_spare = tmpl.slo_spare;
     view.priority = tmpl.priority;
@@ -535,10 +520,10 @@ SweepReport run_sweep(const ScenarioSpec& spec, const SweepOptions& options) {
 
   // Build caching: when no axis touches a catalog / design / trace / seed
   // input, every grid point needs the exact same catalog, traces, design
-  // (CombinationTable + DecisionThresholds), dispatch plan and compiled
-  // traces — build them once here and share the immutable result across
-  // all worker threads instead of rebuilding per scenario. Axes that do
-  // touch build inputs fall back to the per-scenario build.
+  // (CombinationTable + DecisionThresholds) and dispatch plan — build
+  // them once here and share the immutable result across all worker
+  // threads instead of rebuilding per scenario. Axes that do touch build
+  // inputs fall back to the per-scenario build.
   bool shareable = true;
   for (const SweepAxis& axis : spec.sweeps)
     if (axis_blocks_shared_build(axis.key)) shareable = false;

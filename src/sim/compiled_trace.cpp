@@ -1,53 +1,23 @@
 #include "sim/compiled_trace.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace bml {
-
-CompiledTrace::CompiledTrace(const LoadTrace& trace)
-    : size_(static_cast<TimePoint>(trace.size())) {
-  if (trace.empty()) return;
-  if (trace.size() >= static_cast<std::size_t>(kEndSentinel))
-    throw std::invalid_argument(
-        "CompiledTrace: trace too long for packed 32-bit run ends");
-  const TimeSeries& series = trace.series();
-  const std::vector<std::size_t>& changes = trace.change_points();
-  ends_.reserve(changes.size() + 1);
-  values_.reserve(changes.size() + 1);
-  values_.push_back(series[0]);
-  for (std::size_t c : changes) {
-    ends_.push_back(static_cast<std::uint32_t>(c));
-    values_.push_back(series[c]);
-  }
-  // Tail rule, packed: beyond the end the trace serves the implicit 0,
-  // which only counts as a change when the tail value is non-zero.
-  ends_.push_back(values_.back() == 0.0 ? kEndSentinel
-                                        : static_cast<std::uint32_t>(size_));
-}
 
 void CompiledTrace::throw_negative_time() {
   throw std::invalid_argument("CompiledTrace: negative time");
 }
 
-std::size_t CompiledTrace::segment_index(TimePoint t) const {
-  // First segment whose end is > t (== last segment whose start is <= t,
-  // since starts are the previous segment's ends).
-  const auto it = std::upper_bound(ends_.begin(), ends_.end(),
-                                   static_cast<std::uint32_t>(t));
-  return static_cast<std::size_t>(it - ends_.begin());
-}
-
 ReqRate CompiledTrace::value_at(TimePoint t) const {
   if (t < 0) throw_negative_time();
-  if (t >= size_) return 0.0;
-  return values_[segment_index(t)];
+  if (t >= size()) return 0.0;
+  return samples_[static_cast<std::size_t>(t)];
 }
 
 TimePoint CompiledTrace::next_change(TimePoint t) const {
   if (t < 0) throw_negative_time();
-  if (t >= size_) return kNeverChanges;  // 0 forever
-  return run_end(segment_index(t));
+  if (t >= size()) return kNeverChanges;  // 0 forever
+  return run_end(ends_, run_index(ends_, static_cast<std::size_t>(t)));
 }
 
 }  // namespace bml

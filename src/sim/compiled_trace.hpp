@@ -1,41 +1,40 @@
-// Compiled traces: the run-length form the event-driven simulator walks.
+// Compiled traces: the run-length view the event-driven simulator walks.
 //
 // A LoadTrace answers point queries (`at`, `next_change`) in O(log
 // #segments); that is fine for occasional lookups but the decision-granular
 // simulator iterates *every* constant-value run of the trace inside each
-// batched span. CompiledTrace materialises, once per trace, the
-// piecewise-constant view as flat arrays plus a cursor API so a monotone
-// walk over the runs costs amortised O(1) per run — no binary searches, no
-// virtual dispatch, no TimeSeries indirection in the hot loop.
+// batched span. CompiledTrace adds a cursor API over the trace's own
+// arrays so a monotone walk over the runs costs amortised O(1) per run —
+// no binary searches, no virtual dispatch, no TimeSeries indirection in
+// the hot loop.
 //
-// Layout: structure-of-arrays. Segment starts are implicit (segment i
-// starts where segment i-1 ends, segment 0 at t=0); only the packed
-// 32-bit *end* times and the values are stored. The k-way merge in the
+// Layout: the trace is held once. LoadTrace owns the samples and one
+// run-length index, the packed 32-bit *end* of every run
+// (util/run_length.hpp); CompiledTrace is a non-owning view of both, so
+// making one costs O(1) and copies nothing. The k-way merge in the
 // multi-app fast path advances a frontier of per-app cursors by comparing
-// run ends, so the comparison stream it walks is 4 bytes per segment
-// instead of the 16-byte (start, value) pairs of the old
-// array-of-structs form. Values stay full doubles: per-app energy and
-// QoS integrals must be bit-identical to the per-second reference, which
-// rules out quantising the loads (block compression of the value stream
-// remains future work — see ROADMAP).
+// run ends, 4 bytes per segment. A run's value is read as the sample at
+// the queried second: LoadTrace stores -0.0 as +0.0, so every sample of a
+// run carries the run's bits, and per-app energy and QoS integrals stay
+// bit-identical to the per-second reference.
 //
-// The compiled form is immutable and self-contained (values are copied),
-// so one CompiledTrace can be shared across parallel_for sweep workers the
-// same way DispatchPlan is; the sweep runner compiles shared traces once
-// per sweep instead of once per scenario.
+// The view is immutable, so one CompiledTrace can be shared across
+// parallel_for workers; it must not outlive its LoadTrace (a view of a
+// temporary does not compile).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
+#include <span>
 
 #include "trace/trace.hpp"
+#include "util/run_length.hpp"
 #include "util/units.hpp"
 
 namespace bml {
 
-/// Immutable run-length (RLE) form of a LoadTrace.
+/// Non-owning run-length (RLE) view of a LoadTrace.
 class CompiledTrace {
  public:
   /// The value at a time point together with the end of its constant run
@@ -53,35 +52,25 @@ class CompiledTrace {
   };
 
   CompiledTrace() = default;
-  /// Compiles `trace` (O(#segments), reusing the trace's change-point
-  /// index). The compiled form does not reference the trace afterwards.
-  /// Throws std::invalid_argument when the trace is too long for the
-  /// packed 32-bit end times (>= 2^32 - 1 seconds, i.e. ~136 years).
-  explicit CompiledTrace(const LoadTrace& trace);
+  /// Views `trace`, which must outlive the view. O(1).
+  explicit CompiledTrace(const LoadTrace& trace)
+      : samples_(trace.series().values()), ends_(trace.run_ends()) {}
+  /// A view of a temporary would read freed memory.
+  explicit CompiledTrace(const LoadTrace&&) = delete;
 
   /// Total trace length in seconds (== LoadTrace::size()).
-  [[nodiscard]] TimePoint size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t segment_count() const { return values_.size(); }
-
-  /// SoA views: segment i covers [segment_start(i), ends()[i]) with value
-  /// values()[i]. The last entry of ends() is the packed form of the tail
-  /// rule (kEndSentinel when the tail value is 0 and thus holds forever).
-  [[nodiscard]] const std::vector<std::uint32_t>& ends() const {
-    return ends_;
+  [[nodiscard]] TimePoint size() const {
+    return static_cast<TimePoint>(samples_.size());
   }
-  [[nodiscard]] const std::vector<ReqRate>& values() const { return values_; }
+  [[nodiscard]] bool empty() const { return samples_.empty(); }
+  [[nodiscard]] std::size_t segment_count() const { return ends_.size(); }
+  /// Segment i covers [segment_start(i), segment_start(i + 1)).
   [[nodiscard]] TimePoint segment_start(std::size_t seg) const {
     return seg == 0 ? 0 : static_cast<TimePoint>(ends_[seg - 1]);
   }
 
-  /// Packed "holds forever" marker in ends() (maps to the TimePoint
-  /// never-changes sentinel in Run::end).
-  static constexpr std::uint32_t kEndSentinel =
-      std::numeric_limits<std::uint32_t>::max();
-
   /// Rate at `t`; 0 at or beyond the end (mirrors LoadTrace::at, values
-  /// are bit-identical). O(log #segments).
+  /// are bit-identical). O(1).
   [[nodiscard]] ReqRate value_at(TimePoint t) const;
 
   /// First second after `t` whose value differs from value_at(t); same
@@ -97,15 +86,15 @@ class CompiledTrace {
   /// once per trace segment.
   [[nodiscard]] Run run_at(Cursor& cursor, TimePoint t) const {
     if (t < 0) throw_negative_time();
-    if (t >= size_) return Run{0.0, kNeverChanges};
+    if (t >= size()) return Run{0.0, kNeverChanges};
     const std::uint32_t tt = static_cast<std::uint32_t>(t);
-    if (cursor.seg >= values_.size() || segment_start(cursor.seg) > t) {
-      cursor.seg = segment_index(t);  // walked backwards (or stale cursor)
+    if (cursor.seg >= ends_.size() || segment_start(cursor.seg) > t) {
+      cursor.seg = run_index(ends_, tt);  // walked backwards (or stale)
     } else {
-      while (cursor.seg + 1 < values_.size() && ends_[cursor.seg] <= tt)
+      while (cursor.seg + 1 < ends_.size() && ends_[cursor.seg] <= tt)
         ++cursor.seg;
     }
-    return Run{values_[cursor.seg], run_end(cursor.seg)};
+    return Run{samples_[tt], run_end(ends_, cursor.seg)};
   }
 
  private:
@@ -115,23 +104,8 @@ class CompiledTrace {
 
   [[noreturn]] static void throw_negative_time();
 
-  /// Index of the segment containing `t` (requires 0 <= t < size_).
-  [[nodiscard]] std::size_t segment_index(TimePoint t) const;
-
-  /// End of segment `seg`'s constant run (unpacks the tail sentinel).
-  [[nodiscard]] TimePoint run_end(std::size_t seg) const {
-    const std::uint32_t end = ends_[seg];
-    return end == kEndSentinel ? kNeverChanges : static_cast<TimePoint>(end);
-  }
-
-  /// Packed run ends; ends_[i] is segment i+1's start for i < n-1, and the
-  /// tail rule for the last segment (size_, or kEndSentinel when the tail
-  /// value is 0). Monotone non-decreasing, so segment_index can
-  /// binary-search it directly.
-  std::vector<std::uint32_t> ends_;
-  /// Per-segment values, parallel to ends_.
-  std::vector<ReqRate> values_;
-  TimePoint size_ = 0;
+  std::span<const double> samples_;
+  std::span<const std::uint32_t> ends_;
 };
 
 }  // namespace bml

@@ -5,10 +5,6 @@
 
 namespace bml {
 
-namespace {
-constexpr std::size_t kKindCount = 15;
-}
-
 const char* to_string(EventKind kind) {
   switch (kind) {
     case EventKind::kReconfigurationStart: return "reconfiguration-start";
@@ -31,21 +27,9 @@ const char* to_string(EventKind kind) {
   throw std::logic_error("to_string(EventKind): invalid kind");
 }
 
-EventLog::EventLog(std::size_t capacity)
-    : capacity_(capacity), counts_(kKindCount, 0) {
-  if (capacity_ == 0)
-    throw std::invalid_argument("EventLog: capacity must be >= 1");
-}
-
 void EventLog::record(TimePoint time, EventKind kind, std::string detail) {
   ++counts_[static_cast<std::size_t>(kind)];
-  ++total_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(SimEvent{time, kind, std::move(detail)});
-  } else {
-    ring_[head_] = SimEvent{time, kind, std::move(detail)};
-    head_ = (head_ + 1) % ring_.size();
-  }
+  events_.push_back(SimEvent{time, kind, std::move(detail)});
 }
 
 std::size_t EventLog::count(EventKind kind) const {
@@ -55,7 +39,7 @@ std::size_t EventLog::count(EventKind kind) const {
 std::string EventLog::to_csv() const {
   std::ostringstream os;
   os << "time,kind,detail\n";
-  for (const SimEvent& e : events())
+  for (const SimEvent& e : events_)
     os << e.time << ',' << to_string(e.kind) << ',' << e.detail << '\n';
   return os.str();
 }

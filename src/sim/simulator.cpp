@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "sim/compiled_trace.hpp"
 #include "sim/fault_timeline.hpp"
 #include "util/logging.hpp"
 
@@ -59,8 +60,8 @@ MultiSimulationResult Simulator::run(std::vector<Workload>& workloads) const {
     if (!w.scheduler)
       throw std::invalid_argument("Simulator: workload '" + w.name +
                                   "' has no scheduler");
-    WorkloadView v{&w.name, &w.trace, w.scheduler.get(), w.qos,
-                   w.share,  nullptr,  &w.fault_domain};
+    WorkloadView v{&w.name,  &w.trace, w.scheduler.get(), w.qos,
+                   w.share, &w.fault_domain};
     v.slo_availability = w.slo_availability;
     v.slo_spare = w.slo_spare;
     v.priority = w.priority;
@@ -730,7 +731,6 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
     if (options.timeline_sample_every == 0)
       throw std::invalid_argument(
           "Simulator: timeline_sample_every must be >= 1");
-    run.result.events = EventLog(options.event_log_capacity);
     TraceRecording& timeline = run.result.timeline;
     timeline.enabled = true;
     timeline.sample_every =
@@ -770,9 +770,7 @@ void finalize_run(Run& run, const std::vector<WorkloadView>& views,
     r.overload_seconds = run.overload_seconds;
     r.penalty_lost_capacity = run.penalty_lost;
   }
-  if (r.timeline.enabled)
-    r.timeline.events.assign(r.events.events().begin(),
-                             r.events.events().end());
+  if (r.timeline.enabled) r.timeline.events = r.events.events();
   out.total = std::move(run.result);
   out.apps.resize(views.size());
   for (std::size_t i = 0; i < views.size(); ++i) {
@@ -1344,7 +1342,7 @@ std::size_t longest_trace(const std::vector<WorkloadView>& views) {
 /// so the per-span accounting downstream integrates a constant overload
 /// state, exactly like the per-second reference.
 TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
-                       const std::vector<const CompiledTrace*>& compiled,
+                       const std::vector<CompiledTrace>& compiled,
                        std::vector<CompiledTrace::Cursor>& cursors,
                        TimePoint begin, TimePoint end, SimMetrics* metrics) {
   run.span_runs.clear();
@@ -1383,7 +1381,7 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
     // integral accumulate in registers and flush once per span through
     // the aggregate kernels; no scratch rows, no second pass. (The meter
     // runs at step 1.0, so power * seconds is the integrated energy.)
-    const CompiledTrace& trace = *compiled[0];
+    const CompiledTrace& trace = compiled[0];
     CompiledTrace::Cursor& cursor = cursors[0];
     QosSpanTotals totals;
     Joules compute_e = 0.0;
@@ -1448,7 +1446,7 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
       run.run_ends[i] = end;
       continue;
     }
-    const CompiledTrace::Run r = compiled[i]->run_at(cursors[i], begin);
+    const CompiledTrace::Run r = compiled[i].run_at(cursors[i], begin);
     run.loads[i] = r.value;
     run.run_ends[i] = r.end;
     ++advances;
@@ -1485,7 +1483,7 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
     if (cur >= end) break;
     for (std::size_t i = 0; i < k; ++i) {
       if (run.run_ends[i] == cur) {
-        const CompiledTrace::Run r = compiled[i]->run_at(cursors[i], cur);
+        const CompiledTrace::Run r = compiled[i].run_at(cursors[i], cur);
         run.loads[i] = r.value;
         run.run_ends[i] = r.end;
         ++advances;
@@ -1548,20 +1546,10 @@ MultiSimulationResult Simulator::run_event_driven(
   // skipped entirely.
   SimMetrics* metrics = run.metrics();
 
-  // Compiled (RLE) form of every trace: supplied by the caller (sweeps
-  // share one compilation across all scenarios and worker threads) or
-  // compiled here once per run.
-  std::vector<CompiledTrace> owned;
-  owned.reserve(views.size());
-  std::vector<const CompiledTrace*> compiled(views.size());
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    if (views[i].compiled != nullptr) {
-      compiled[i] = views[i].compiled;
-    } else {
-      owned.emplace_back(*views[i].trace);
-      compiled[i] = &owned.back();
-    }
-  }
+  // Run-length view of every trace (O(1) each: the trace's own arrays).
+  std::vector<CompiledTrace> compiled;
+  compiled.reserve(views.size());
+  for (const WorkloadView& v : views) compiled.emplace_back(*v.trace);
   std::vector<CompiledTrace::Cursor> cursors(views.size());
 
   const auto n = static_cast<TimePoint>(longest_trace(views));
@@ -1671,7 +1659,7 @@ MultiSimulationResult Simulator::run_event_driven(
       if (cause == SpanEndCause::kSchedulerStable) {
         for (std::size_t i = 0; i < views.size(); ++i) {
           CompiledTrace::Cursor probe = cursors[i];
-          if (compiled[i]->run_at(probe, span_end - 1).end == span_end) {
+          if (compiled[i].run_at(probe, span_end - 1).end == span_end) {
             cause = SpanEndCause::kTraceChange;
             break;
           }

@@ -43,9 +43,10 @@
 //     *decision* granularity: a span lasts until some scheduler's decision
 //     may change or a machine transition completes. Trace value changes do
 //     NOT break spans; inside a span the fleet is fixed, so the varying
-//     load is integrated by walking the traces' compiled run-length
-//     segments (sim/compiled_trace.hpp) and feeding the piecewise-constant
-//     kernels (EnergyMeter::add_runs, QosTracker::record_runs) — a
+//     load is integrated by walking the traces' run-length segments
+//     (a CompiledTrace view each, sim/compiled_trace.hpp) and feeding the
+//     piecewise-constant kernels (EnergyMeter::add_runs,
+//     QosTracker::record_runs) — a
 //     per-second-noisy trace whose values stay inside one
 //     decision-threshold bucket (core/decision_thresholds.hpp) costs zero
 //     scheduler evaluations. Multi-workload spans intersect the
@@ -70,7 +71,6 @@
 #include "power/energy_meter.hpp"
 #include "sched/coordinator.hpp"
 #include "sim/cluster.hpp"
-#include "sim/compiled_trace.hpp"
 #include "sim/event_log.hpp"
 #include "sim/qos.hpp"
 #include "sim/scheduler.hpp"
@@ -136,8 +136,6 @@ struct SimulatorOptions {
   /// Both strategies record the same bytes, and results are bit-identical
   /// with recording on or off.
   bool record_timeline = false;
-  /// Most recent events the log retains (see sim/event_log.hpp).
-  std::size_t event_log_capacity = 4096;
   /// Seconds between timeline counter samples (>= 1).
   std::size_t timeline_sample_every = 60;
 };
@@ -192,7 +190,7 @@ struct SimulationResult {
   int arrivals = 0;
   int departures = 0;
   /// Optional structured event log, see SimulatorOptions::record_timeline.
-  EventLog events{1};
+  EventLog events;
   /// Self-metrics, see SimulatorOptions::collect_metrics (disabled and
   /// empty unless requested).
   SimMetrics metrics;
@@ -230,10 +228,6 @@ class Simulator {
     Scheduler* scheduler;
     QosClass qos;
     double share;
-    /// Optional precompiled RLE form of `trace` (must be compiled from the
-    /// same trace). Sweeps pass one shared compilation across scenarios;
-    /// when null the event-driven path compiles its own once per run.
-    const CompiledTrace* compiled = nullptr;
     /// Fault-domain name for runtime faults (see Workload::fault_domain);
     /// null or empty = the workload's own private domain.
     const std::string* fault_domain = nullptr;

@@ -1,7 +1,6 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -13,14 +12,38 @@
 namespace bml {
 
 LoadTrace::LoadTrace(std::vector<double> rates) {
-  for (double r : rates)
-    if (!(r >= 0.0) || !std::isfinite(r))
-      throw std::invalid_argument(
-          "LoadTrace: rates must be finite and >= 0");
+  if (rates.size() >= static_cast<std::size_t>(kRunNeverEnds))
+    throw std::invalid_argument(
+        "LoadTrace: trace too long for packed 32-bit run ends");
+  // One branch-free pass validates, folds -0.0 into +0.0 (so every sample
+  // of a run carries the run's bits) and counts the changes, so the
+  // run-end index is sized exactly: it never holds a growth-doubled
+  // buffer next to the samples.
+  bool valid = true;
+  std::size_t changes = 0;
+  double prev = rates.empty() ? 0.0 : rates.front() + 0.0;
+  for (double& r : rates) {
+    const double x = r + 0.0;  // -0.0 + 0.0 is +0.0; other values keep bits
+    valid &= x >= 0.0 && x <= std::numeric_limits<double>::max();  // no NaN
+    changes += x != prev;
+    prev = x;
+    r = x;
+  }
+  if (!valid)
+    throw std::invalid_argument("LoadTrace: rates must be finite and >= 0");
   series_ = TimeSeries(std::move(rates), 1.0);
   series_.build_max_index();
-  for (std::size_t i = 1; i < series_.size(); ++i)
-    if (series_[i] != series_[i - 1]) change_points_.push_back(i);
+  const std::size_t n = series_.size();
+  if (n == 0) return;
+  run_ends_.reserve(changes + 1);
+  // The count is exact, so the scan stops at the last change.
+  for (std::size_t i = 1; run_ends_.size() < changes; ++i)
+    if (series_[i] != series_[i - 1])
+      run_ends_.push_back(static_cast<std::uint32_t>(i));
+  // Tail rule, packed: beyond the end the trace serves the implicit 0,
+  // which only counts as a change when the tail value is non-zero.
+  run_ends_.push_back(series_[n - 1] == 0.0 ? kRunNeverEnds
+                                            : static_cast<std::uint32_t>(n));
 }
 
 ReqRate LoadTrace::at(TimePoint t) const {
@@ -39,13 +62,12 @@ ReqRate LoadTrace::max_over(TimePoint begin, TimePoint end) const {
 
 TimePoint LoadTrace::next_change(TimePoint t) const {
   if (t < 0) throw std::invalid_argument("LoadTrace: negative time");
-  const std::size_t n = series_.size();
   const auto idx = static_cast<std::size_t>(t);
-  if (idx >= n) {
+  if (idx >= series_.size()) {
     // Beyond the end the trace serves 0 forever: no further change.
     return std::numeric_limits<TimePoint>::max();
   }
-  return next_change_point(change_points_, idx, n, series_[n - 1]);
+  return run_end(run_ends_, run_index(run_ends_, idx));
 }
 
 ReqRate LoadTrace::peak() const { return series_.empty() ? 0.0 : series_.max(); }

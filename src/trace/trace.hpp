@@ -3,9 +3,17 @@
 // A LoadTrace is a 1 Hz series of request rates (req/s), starting at t = 0.
 // The evaluation slices traces per day (the paper reports per-day energy
 // for days 6-92 of the 1998 World Cup trace).
+//
+// The trace is held once: the samples, their range-max index, and one
+// run-length index — the packed 32-bit end of every constant run (see
+// util/run_length.hpp), built at construction. The event-driven
+// simulator walks the runs through a CompiledTrace, a view of these
+// arrays (sim/compiled_trace.hpp); nothing else copies them.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,7 +26,10 @@ namespace bml {
 class LoadTrace {
  public:
   LoadTrace() = default;
-  /// Throws std::invalid_argument when any rate is negative or non-finite.
+  /// Throws std::invalid_argument when any rate is negative or non-finite,
+  /// or when the trace is too long for 32-bit run ends (>= 2^32 - 1
+  /// seconds, ~136 years). Stores -0.0 as +0.0, so every sample of a
+  /// constant run carries the same bits.
   explicit LoadTrace(std::vector<double> rates);
 
   [[nodiscard]] std::size_t size() const { return series_.size(); }
@@ -37,7 +48,7 @@ class LoadTrace {
   /// primitive of the event-driven simulator. Returns size() when the rest
   /// of the trace holds the same value (the implicit 0 beyond the end
   /// counts as a change unless at(t) is itself 0). O(log #segments): the
-  /// change points are indexed at construction.
+  /// run ends are indexed at construction.
   [[nodiscard]] TimePoint next_change(TimePoint t) const;
 
   [[nodiscard]] ReqRate peak() const;
@@ -54,11 +65,12 @@ class LoadTrace {
 
   [[nodiscard]] const TimeSeries& series() const { return series_; }
 
-  /// Indices i with series[i] != series[i - 1], ascending — the segment
-  /// starts of the piecewise-constant view. Consumed by
-  /// sim/compiled_trace.hpp to build the RLE form in O(#segments).
-  [[nodiscard]] const std::vector<std::size_t>& change_points() const {
-    return change_points_;
+  /// Packed end of every constant run, ascending: run i covers
+  /// [run_ends()[i - 1], run_ends()[i]), and the last entry packs the tail
+  /// rule (size(), or kRunNeverEnds for a zero tail). Empty for an empty
+  /// trace. CompiledTrace walks it.
+  [[nodiscard]] std::span<const std::uint32_t> run_ends() const {
+    return run_ends_;
   }
 
   /// CSV round-trip: single `rate` column, one row per second.
@@ -69,9 +81,7 @@ class LoadTrace {
 
  private:
   TimeSeries series_;
-  // Indices i with series_[i] != series_[i - 1], ascending — the segment
-  // starts of a piecewise-constant view of the trace.
-  std::vector<std::size_t> change_points_;
+  std::vector<std::uint32_t> run_ends_;
 };
 
 }  // namespace bml

@@ -1,35 +1,46 @@
 // Run-length lookup over piecewise-constant series.
 //
-// The load trace answers "when does the rate next change?" (the reactive
-// scheduler's stability walk) from its indexed change points. The lookup
-// lives here so the subtle tail rule — beyond the series the value is an
-// implicit 0, which counts as a change only when the last stored value is
-// non-zero — is stated apart from the trace's storage.
+// A series' constant runs are stored as their packed 32-bit ends: run i
+// covers [ends[i - 1], ends[i]) (run 0 starts at 0), so run i + 1 starts
+// where run i ends. The last entry packs the tail rule — beyond the
+// series the value is an implicit 0, which counts as a change only when
+// the last stored value is non-zero — as the series length, or
+// kRunNeverEnds when the tail is 0 and thus holds forever. LoadTrace
+// builds the ends once; its next_change and CompiledTrace's cursor walk
+// both read them through these helpers, so the tail rule is stated once.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
-#include <vector>
+#include <span>
 
 #include "util/units.hpp"
 
 namespace bml {
 
-/// First index after `idx` at which a length-`size` series changes value.
-/// `change_points` holds, ascending, the indices whose value differs from
-/// their predecessor; `last_value` is the series' final stored value.
-/// Returns `size` when the series is constant from `idx` to its end but
-/// the implicit 0 afterwards differs, and "never"
-/// (std::numeric_limits<TimePoint>::max()) when it does not.
-[[nodiscard]] inline TimePoint next_change_point(
-    const std::vector<std::size_t>& change_points, std::size_t idx,
-    std::size_t size, double last_value) {
-  const auto it =
-      std::upper_bound(change_points.begin(), change_points.end(), idx);
-  if (it != change_points.end()) return static_cast<TimePoint>(*it);
-  if (last_value == 0.0) return std::numeric_limits<TimePoint>::max();
-  return static_cast<TimePoint>(size);
+/// Packed "holds forever" run end (a zero tail).
+inline constexpr std::uint32_t kRunNeverEnds =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// Index of the run holding index `idx`; requires `idx` below the
+/// series length (so the last entry, the length or kRunNeverEnds, is
+/// always greater). O(log #runs).
+[[nodiscard]] inline std::size_t run_index(
+    std::span<const std::uint32_t> ends, std::size_t idx) {
+  const auto it = std::upper_bound(ends.begin(), ends.end(),
+                                   static_cast<std::uint32_t>(idx));
+  return static_cast<std::size_t>(it - ends.begin());
+}
+
+/// End of run `run`: the first index whose value differs, or "never"
+/// (std::numeric_limits<TimePoint>::max()) for a zero tail.
+[[nodiscard]] inline TimePoint run_end(std::span<const std::uint32_t> ends,
+                                       std::size_t run) {
+  const std::uint32_t end = ends[run];
+  return end == kRunNeverEnds ? std::numeric_limits<TimePoint>::max()
+                              : static_cast<TimePoint>(end);
 }
 
 }  // namespace bml

@@ -15,7 +15,7 @@ namespace bml {
 namespace {
 
 TEST(EventLog, RecordsAndCounts) {
-  EventLog log(10);
+  EventLog log;
   log.record(5, EventKind::kReconfigurationStart, "1xparavance");
   log.record(6, EventKind::kQosViolation, "12.5");
   log.record(7, EventKind::kQosViolation, "3.0");
@@ -26,26 +26,22 @@ TEST(EventLog, RecordsAndCounts) {
   EXPECT_EQ(log.events().front().time, 5);
 }
 
-TEST(EventLog, RingDropsOldestButKeepsCounters) {
-  EventLog log(2);
+TEST(EventLog, KeepsEveryEventInOrder) {
+  EventLog log;
   for (int i = 0; i < 5; ++i)
     log.record(i, EventKind::kBootComplete, std::to_string(i));
   EXPECT_EQ(log.total(), 5u);
-  ASSERT_EQ(log.events().size(), 2u);
-  EXPECT_EQ(log.events().front().detail, "3");
+  ASSERT_EQ(log.events().size(), 5u);
+  EXPECT_EQ(log.events().front().detail, "0");
   EXPECT_EQ(log.events().back().detail, "4");
 }
 
 TEST(EventLog, CsvFormat) {
-  EventLog log(4);
+  EventLog log;
   log.record(1, EventKind::kReconfigurationComplete, "199 s");
   const std::string csv = log.to_csv();
   EXPECT_NE(csv.find("time,kind,detail"), std::string::npos);
   EXPECT_NE(csv.find("1,reconfiguration-complete,199 s"), std::string::npos);
-}
-
-TEST(EventLog, Validation) {
-  EXPECT_THROW(EventLog(0), std::invalid_argument);
 }
 
 TEST(EventLog, SimulatorIntegrationRecordsReconfigurations) {

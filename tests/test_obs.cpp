@@ -449,6 +449,26 @@ TEST(TraceExport, EventCountsExportOnlyRecordedKinds) {
   EXPECT_EQ(registry.counter("events.qos-violation"), 0u);
 }
 
+TEST(TraceExport, TracedRunKeepsEveryEvent) {
+  // A load far above the design's largest fleet logs a QoS violation
+  // every second: 80,000 of them, more than a 2^16-event cap would keep.
+  ScenarioSpec spec = parse_scenario(R"(name = overload
+catalog = real
+trace = constant
+trace.rate = 100000
+trace.duration = 80000
+design.max_rate = 1000
+scheduler = bml
+)");
+  spec.obs_trace = true;
+  const ScenarioResult result = run_scenario(spec);
+  const EventLog& log = result.sim.events;
+  ASSERT_EQ(log.count(EventKind::kQosViolation), 80'000u);
+  EXPECT_EQ(log.events().size(), log.total());
+  EXPECT_EQ(result.sim.timeline.events.size(), log.total());
+  EXPECT_EQ(log.events().front().time, 0);
+}
+
 // A noisy diurnal day: the load changes almost every second, so a traced
 // run replayed on another strategy would sum its energy in another order.
 constexpr const char* kNoisyDaySpec = R"(name = noisy

@@ -373,7 +373,7 @@ TEST(SimulatorFastPath, RuntimeFaultsMultiAppDomains) {
           design(), std::make_shared<OracleMaxPredictor>()));
       views.push_back(Simulator::WorkloadView{
           &names[i], &traces[i], schedulers[i].get(), QosClass::kTolerant,
-          1.0, nullptr, &domains[i]});
+          1.0, &domains[i]});
     }
     return sim.run(views);
   };
@@ -483,7 +483,7 @@ TEST(SimulatorFastPath, SloFeedbackProvisionsSpares) {
       schedulers.push_back(std::make_unique<BmlScheduler>(
           design(), std::make_shared<OracleMaxPredictor>()));
       Simulator::WorkloadView view{&names[i], &traces[i], schedulers[i].get(),
-                                   QosClass::kTolerant, 1.0, nullptr, &domain};
+                                   QosClass::kTolerant, 1.0, &domain};
       if (i == 0) {
         view.slo_availability = 0.999;
         view.slo_spare = 0.5;
@@ -610,8 +610,7 @@ TEST(SimulatorFastPath, FleetModeGracefulDegradationEverythingOn) {
       schedulers.push_back(std::make_unique<BmlScheduler>(
           design(), std::make_shared<OracleMaxPredictor>()));
       Simulator::WorkloadView view{&names[i], &traces[i], schedulers[i].get(),
-                                   QosClass::kTolerant, 1.0, nullptr,
-                                   &domains[i]};
+                                   QosClass::kTolerant, 1.0, &domains[i]};
       if (i == 0) {
         view.slo_availability = 0.999;
         view.slo_spare = 0.5;
@@ -740,8 +739,7 @@ TEST(SimulatorFastPath, FleetModeTenantChurnEverythingOn) {
       schedulers.push_back(std::make_unique<BmlScheduler>(
           design(), std::make_shared<OracleMaxPredictor>()));
       Simulator::WorkloadView view{&names[i], &traces[i], schedulers[i].get(),
-                                   QosClass::kTolerant, 1.0, nullptr,
-                                   &domains[i]};
+                                   QosClass::kTolerant, 1.0, &domains[i]};
       if (i == 0) {
         view.slo_availability = 0.999;
         view.slo_spare = 0.5;

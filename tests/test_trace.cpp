@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace bml {
 namespace {
 
@@ -68,6 +70,16 @@ TEST(LoadTrace, FileRoundTrip) {
   EXPECT_EQ(loaded.size(), 2u);
   EXPECT_DOUBLE_EQ(loaded.at(1), 10.0);
   std::filesystem::remove(path);
+}
+
+TEST(LoadTrace, StoresNegativeZeroAsPositiveZero) {
+  // -0.0 passes validation (it is >= 0) and equals 0.0, so it sits inside
+  // a zero run; stored as +0.0, every sample of the run has its bits.
+  const LoadTrace t({-0.0, 0.0, 4.0, -0.0});
+  for (TimePoint s = 0; s < 4; ++s)
+    EXPECT_FALSE(std::signbit(t.at(s))) << "t=" << s;
+  EXPECT_EQ(t.run_ends().size(), 3u);
+  EXPECT_EQ(t.next_change(0), 2);
 }
 
 TEST(LoadTrace, EmptyTraceBehaviour) {

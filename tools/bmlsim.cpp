@@ -21,7 +21,9 @@
 //       bytes are identical for every --threads value, and so is the
 //       --metrics output (per-scenario metric shards merge in grid
 //       order). --perf-report prints per-scenario wall clock + span/tick
-//       counts and the build-cache totals (console-only numbers).
+//       counts, the build-cache totals and the process's peak resident
+//       set (VmHWM, where /proc/self/status has it) — console-only
+//       numbers.
 //
 //   bmlsim list
 //       Print every registered catalog, trace generator, scheduler, and
@@ -31,8 +33,10 @@
 //       Parse a spec and echo its canonical form (a format round-trip).
 //
 // Exit codes: 0 success, 1 usage error, 2 spec/runtime error.
+#include <climits>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -74,6 +78,16 @@ void print_components(const char* title,
   std::printf("%s\n", title);
   for (const ComponentInfo& c : components)
     std::printf("  %-14s %s\n", c.name.c_str(), c.summary.c_str());
+}
+
+/// The process's peak resident set in kB (VmHWM in /proc/self/status),
+/// or -1 where the file or the field is unavailable.
+long long peak_rss_kb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.starts_with("VmHWM:")) return std::atoll(line.c_str() + 6);
+  return -1;
 }
 
 int cmd_list() {
@@ -216,7 +230,13 @@ int cmd_sweep(const std::string& path, unsigned threads,
   std::fputs(report.summary_table().c_str(), stdout);
   std::printf("%zu scenarios on %u threads in %.2f s\n", report.rows.size(),
               report.threads, report.wall_seconds);
-  if (perf) std::fputs(report.perf_report().c_str(), stdout);
+  if (perf) {
+    std::fputs(report.perf_report().c_str(), stdout);
+    // MB = 2^20 bytes, as perfbench's peak_rss_mb.
+    if (const long long kb = peak_rss_kb(); kb >= 0)
+      std::printf("peak RSS: %.1f MB (VmHWM)\n",
+                  static_cast<double>(kb) / 1024.0);
+  }
   if (metrics)
     std::printf("\nmetrics:\n%s", report.metrics.to_text().c_str());
   if (!csv_path.empty()) {
@@ -276,11 +296,11 @@ int main(int argc, char** argv) {
       } catch (const std::exception&) {
         value = -1;
       }
-      if (value < 0) {
+      if (value < 0 || value > UINT_MAX) {
         std::fprintf(stderr,
-                     "%s: --threads must be a non-negative integer, got "
+                     "%s: --threads must be an integer in [0, %u], got "
                      "'%s'\n",
-                     argv[0], text);
+                     argv[0], UINT_MAX, text);
         return 1;
       }
       threads = static_cast<unsigned>(value);
