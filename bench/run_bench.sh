@@ -46,44 +46,15 @@ if ! grep -q '"bml_build_type": "release"' "${tmp}"; then
 fi
 
 # Refuse to record a report that silently dropped a gated benchmark.
-# CI's regression gates read these names out of the JSON; a rename or an
-# accidental filter would otherwise turn the gate into a no-op instead
-# of a failure.
-python3 - "${tmp}" <<'EOF'
-import json
-import sys
-
-GATED = [
-    "BM_SimulatorDay",
-    "BM_MultiAppSimulatorDay",
-    "BM_FleetScaleDay",
-    "BM_FleetScaleChurnDay",
-    "BM_SimulatorWeekSteadyEventDriven",
-    "BM_SimulatorWeekNoisyEventDriven",
-    "BM_SimulatorWeekNoisyReference",
-    "BM_SimulatorWeekNoisyObserved",
-    "BM_SimulatorWeekNoisyPredictor/oracle-max",
-    "BM_SimulatorWeekNoisyPredictor/moving-max",
-    "BM_SimulatorWeekNoisyPredictor/seasonal",
-    "BM_SimulatorWeekNoisyPredictor/linear-trend",
-    "BM_SimulatorWeekCorrelatedFaultsEventDriven",
-    "BM_SimulatorWeekCorrelatedFaultsReference",
-]
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-names = [b["name"] for b in report.get("benchmarks", [])]
-missing = [g for g in GATED
-           if not any(n == g or n.startswith(g + "/") for n in names)]
-if missing:
-    print("error: gated benchmark(s) missing from the report:",
-          file=sys.stderr)
-    for g in missing:
-        print(f"  {g}", file=sys.stderr)
-    print("refusing to record BENCH_micro.json — a gated benchmark was "
-          "renamed, deleted, or filtered out; CI regression gates would "
-          "silently stop gating.", file=sys.stderr)
-    sys.exit(1)
-EOF
+# CI's ratio gates (bench/gates.py) read these names out of the JSON; a
+# rename or an accidental filter would otherwise turn a gate into a no-op
+# instead of a failure.
+if ! python3 "${repo_root}/bench/gates.py" require "${tmp}"; then
+  echo "refusing to record BENCH_micro.json — a gated benchmark was" \
+       "renamed, deleted, or filtered out; CI regression gates would" \
+       "silently stop gating." >&2
+  exit 1
+fi
 
 mv "${tmp}" "${out}"
 trap - EXIT

@@ -1,55 +1,22 @@
-// Ablation experiments beyond the paper's figures:
+// Analytic ablations beyond the paper's figures:
 //
-//  * prediction-error sweep — the paper's stated future work: "investigate
-//    the impact of load prediction errors on reconfiguration decisions";
-//  * prediction-window sweep — why 2x the longest On duration;
-//  * policy comparison — pro-active vs reactive vs hysteresis;
 //  * energy-proportionality metrics (IPR / LDR / composite score) per
-//    machine and for the composed BML curve (Section II's yardsticks).
+//    machine and for the composed BML curve (Section II's yardsticks);
+//  * the RAPL foil: BML's power curve against an ideally power-capped
+//    homogeneous Big fleet (Section II).
+//
+// The simulated ablations (prediction error, look-ahead window, policy,
+// cost-aware reconfiguration, boot faults) are the shipped specs
+// examples/specs/ablation_*.scn, run with `bmlsim sweep` like every other
+// simulated experiment; tests/test_ablations.cpp checks them.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "core/bml_design.hpp"
-#include "sim/simulator.hpp"
-#include "trace/synthetic.hpp"
 #include "util/units.hpp"
 
 namespace bml {
-
-/// One row of an ablation sweep: a label, the achieved energy, and QoS.
-/// Not to be confused with scenario/sweep.hpp's SweepRow — reusing that
-/// name here was an ODR violation (two bml::SweepRow layouts collapsed
-/// the std::vector<SweepRow> instantiations into one at link time).
-struct AblationRow {
-  std::string label;
-  Joules total_energy = 0.0;
-  double overhead_vs_lower_bound_pct = 0.0;
-  double served_fraction = 1.0;
-  int reconfigurations = 0;
-};
-
-struct AblationOptions {
-  /// Days of World-Cup-like trace to replay (short by default: ablations
-  /// run many scenarios).
-  std::size_t days = 7;
-  ReqRate peak = 5200.0;
-  std::uint64_t seed = 7;
-};
-
-/// Sweep of multiplicative prediction error sigma (and optional bias).
-[[nodiscard]] std::vector<AblationRow> run_prediction_error_sweep(
-    const std::vector<double>& sigmas, const AblationOptions& options = {});
-
-/// Sweep of the look-ahead window as multiples of the longest On duration.
-[[nodiscard]] std::vector<AblationRow> run_window_sweep(
-    const std::vector<double>& window_factors,
-    const AblationOptions& options = {});
-
-/// Pro-active oracle vs reactive vs reactive+hysteresis vs moving-max.
-[[nodiscard]] std::vector<AblationRow> run_policy_comparison(
-    const AblationOptions& options = {});
 
 /// Energy-proportionality metric row for one power curve.
 struct ProportionalityRow {
@@ -63,17 +30,11 @@ struct ProportionalityRow {
 /// BML-linear reference.
 [[nodiscard]] std::vector<ProportionalityRow> run_proportionality_metrics();
 
-/// Cost-aware reconfiguration (the paper's closing future work) vs the
-/// plain pro-active scheduler, over payback windows of various lengths.
-[[nodiscard]] std::vector<AblationRow> run_cost_aware_comparison(
-    const AblationOptions& options = {});
-
 /// One point of the RAPL-vs-BML curve comparison.
 struct RaplRow {
   ReqRate rate = 0.0;
-  Watts bml = 0.0;           // ideal BML combination
-  Watts rapl_big = 0.0;      // ideally capped homogeneous Big fleet
-  Watts uncapped_big = 0.0;  // homogeneous Big fleet, no capping
+  Watts bml = 0.0;       // ideal BML combination
+  Watts rapl_big = 0.0;  // ideally capped homogeneous Big fleet
 };
 
 /// Power curves: BML combination vs an ideally RAPL-capped homogeneous Big
@@ -81,10 +42,5 @@ struct RaplRow {
 /// point: capping improves proportionality but cannot shed idle power.
 [[nodiscard]] std::vector<RaplRow> run_rapl_comparison(
     ReqRate fleet_rate = 4.0 * 1331.0, int points = 21);
-
-/// Boot fault injection: jittered/retried boots vs the clean simulator.
-[[nodiscard]] std::vector<AblationRow> run_fault_injection_sweep(
-    const std::vector<double>& jitter_sigmas,
-    const AblationOptions& options = {});
 
 }  // namespace bml

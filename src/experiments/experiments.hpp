@@ -15,10 +15,11 @@
 // Fig. 5's three simulated rows are examples/specs/fig5_worldcup.scn;
 // run_fig5 adds the analytic lower bound, which no spec expresses, and
 // Fig5.RunnerMatchesTheShippedSpec pins the two to the same per-day
-// energies, bit for bit. The experiments beyond the paper (colocation, SLO
-// spares under rack strikes, graceful degradation, tenant churn) exist
-// only as the specs in examples/specs/, and tests/test_experiments.cpp
-// checks each one shows what its comment claims.
+// energies, bit for bit. Every other simulated experiment is only a spec
+// in examples/specs/, built by the scenario engine: those beyond the
+// paper (colocation, SLO spares under rack strikes, graceful degradation,
+// tenant churn; tests/test_experiments.cpp) and the ablations
+// (ablation_*.scn; tests/test_ablations.cpp).
 #pragma once
 
 #include <string>

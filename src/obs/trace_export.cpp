@@ -92,7 +92,8 @@ void emit_instant(EventWriter& w, const char* name, std::int64_t ts,
 
 }  // namespace
 
-std::string chrome_trace_json(const TraceRecording& recording) {
+std::string chrome_trace_json(const TraceRecording& recording,
+                              const EventLog& events) {
   std::ostringstream os;
   os << "{\"displayTimeUnit\":\"ms\",\n\"traceEvents\":[\n";
   EventWriter w(os);
@@ -124,13 +125,12 @@ std::string chrome_trace_json(const TraceRecording& recording) {
 
   // Events. Reconfigurations pair start -> completion into duration
   // slices; everything else is an instant. Starts and completions
-  // strictly alternate in a full stream, but the log is a bounded ring —
-  // an orphaned completion (start fell off the ring) degrades to an
+  // strictly alternate; a completion without an open start degrades to an
   // instant, as does a start the run ended before completing.
   bool reconfig_open = false;
   std::int64_t reconfig_ts = 0;
   std::string reconfig_target;
-  for (const SimEvent& e : recording.events) {
+  for (const SimEvent& e : events.events()) {
     const std::int64_t ts = e.time * kMicrosPerSecond;
     switch (e.kind) {
       case EventKind::kReconfigurationStart:
@@ -166,14 +166,8 @@ std::string chrome_trace_json(const TraceRecording& recording) {
 }
 
 void export_event_counts(const EventLog& log, MetricsRegistry& out) {
-  constexpr EventKind kKinds[] = {
-      EventKind::kReconfigurationStart,  EventKind::kReconfigurationComplete,
-      EventKind::kBootComplete,          EventKind::kShutdownComplete,
-      EventKind::kQosViolation,          EventKind::kMachineFailure,
-      EventKind::kMachineRepair,         EventKind::kGroupStrike,
-      EventKind::kSpareProvision,        EventKind::kSpareRelease,
-  };
-  for (const EventKind kind : kKinds) {
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    const auto kind = static_cast<EventKind>(k);
     const std::size_t n = log.count(kind);
     if (n > 0)
       out.add_counter(std::string("events.") + to_string(kind), n);

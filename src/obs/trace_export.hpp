@@ -1,11 +1,12 @@
 // Timeline export: a run rendered as Chrome trace-event JSON.
 //
 // The paper argues with time-series figures — machines-on per arch,
-// power, served load over a WC98 day. TraceRecording captures exactly
-// that from a run (sampled counter tracks plus the structured event
-// stream), and chrome_trace_json() renders it in the Chrome trace-event
-// format, so `bmlsim run --trace-out run.json` produces a file that
-// loads directly in Perfetto (ui.perfetto.dev) or chrome://tracing:
+// power, served load over a WC98 day. A traced run captures exactly that:
+// TraceRecording holds the sampled counter tracks and the run's EventLog
+// the structured event stream, and chrome_trace_json() renders both in
+// the Chrome trace-event format, so `bmlsim run --trace-out run.json`
+// produces a file that loads directly in Perfetto (ui.perfetto.dev) or
+// chrome://tracing:
 //
 //   * counter tracks ("C" events): machines per state per architecture,
 //     offered vs served load, provisioned SLO spare machines;
@@ -50,22 +51,22 @@ struct TimelineSample {
   int spare_machines = 0;
 };
 
-/// A run's timeline: sampled counters plus the full event stream. Filled
-/// by the simulator when SimulatorOptions::record_timeline is set.
+/// A run's sampled counters. Filled by the simulator when
+/// SimulatorOptions::record_timeline is set; the run's events stay in its
+/// EventLog (SimulationResult::events).
 struct TraceRecording {
   bool enabled = false;
   /// Seconds between counter samples.
   TimePoint sample_every = 60;
   std::vector<std::string> arch_names;
   std::vector<TimelineSample> samples;
-  /// Every structured event of the run, oldest first.
-  std::vector<SimEvent> events;
 };
 
-/// Renders `recording` as Chrome trace-event JSON (Perfetto /
-/// chrome://tracing compatible). Deterministic byte-for-byte for a given
-/// recording.
-[[nodiscard]] std::string chrome_trace_json(const TraceRecording& recording);
+/// Renders `recording` and the run's `events` as Chrome trace-event JSON
+/// (Perfetto / chrome://tracing compatible). Deterministic byte-for-byte
+/// for a given run.
+[[nodiscard]] std::string chrome_trace_json(const TraceRecording& recording,
+                                            const EventLog& events);
 
 /// Exports an event log's monotone per-kind counters into `out` as
 /// "events.<kind>" counters plus "events.total".

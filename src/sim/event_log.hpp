@@ -34,8 +34,12 @@ enum class EventKind {
   kOverloadEnter,
   kOverloadExit,
   kAppArrival,
-  kAppDeparture,
+  kAppDeparture,  // the last kind: kEventKindCount counts up to it
 };
+
+/// Number of EventKinds; every per-kind table and loop is sized by it.
+inline constexpr std::size_t kEventKindCount =
+    static_cast<std::size_t>(EventKind::kAppDeparture) + 1;
 
 [[nodiscard]] const char* to_string(EventKind kind);
 
@@ -77,9 +81,8 @@ class EventLog {
   [[nodiscard]] std::string to_csv() const;
 
  private:
-  static constexpr std::size_t kKindCount = 15;
   std::vector<SimEvent> events_;
-  std::array<std::size_t, kKindCount> counts_{};
+  std::array<std::size_t, kEventKindCount> counts_{};
 };
 
 }  // namespace bml

@@ -770,7 +770,6 @@ void finalize_run(Run& run, const std::vector<WorkloadView>& views,
     r.overload_seconds = run.overload_seconds;
     r.penalty_lost_capacity = run.penalty_lost;
   }
-  if (r.timeline.enabled) r.timeline.events = r.events.events();
   out.total = std::move(run.result);
   out.apps.resize(views.size());
   for (std::size_t i = 0; i < views.size(); ++i) {

@@ -132,7 +132,7 @@ struct SimulatorOptions {
   bool collect_metrics = false;
   /// Record the structured event log (SimulationResult::events) and a
   /// timeline (SimulationResult::timeline: sampled fleet/load counter
-  /// tracks plus the event stream) for the Chrome trace-event exporter.
+  /// tracks) for the Chrome trace-event exporter, which renders both.
   /// Both strategies record the same bytes, and results are bit-identical
   /// with recording on or off.
   bool record_timeline = false;

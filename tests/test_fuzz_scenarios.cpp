@@ -292,8 +292,9 @@ TEST(FuzzScenarios, EveryRandomSpecHoldsTheEquivalenceContract) {
       // the same timeline; and observing changes no result bit.
       EXPECT_EQ(fast.sim.events.total(), reference.sim.events.total());
       EXPECT_EQ(fast.sim.events.to_csv(), reference.sim.events.to_csv());
-      EXPECT_EQ(chrome_trace_json(fast.sim.timeline),
-                chrome_trace_json(reference.sim.timeline));
+      EXPECT_EQ(chrome_trace_json(fast.sim.timeline, fast.sim.events),
+                chrome_trace_json(reference.sim.timeline,
+                                  reference.sim.events));
       spec.event_driven = true;
       spec.obs_trace = false;
       EXPECT_EQ(exact_results(fast), exact_results(run_scenario(spec)));

@@ -1,8 +1,14 @@
 // The fixed point, checked in: the sweep CSV of every shipped spec in
-// examples/specs/ is pinned under tests/golden/ (tools/pin_golden.sh
-// rewrites them). Each spec runs through run_sweep at 1 and at 4 worker
-// threads and must reproduce its pinned bytes exactly; a mismatch names
-// the first differing cell.
+// examples/specs/ is pinned under tests/golden/<spec>.csv, and the
+// deterministic `metrics:` block of the same sweep with obs.metrics on
+// under tests/golden/<spec>.metrics (tools/pin_golden.sh rewrites both).
+// Each spec runs through run_sweep twice: at 1 worker thread with metrics
+// off, and at 4 with metrics on. Both runs must reproduce the pinned CSV
+// exactly (observing a run changes no result byte), and the second the
+// pinned metrics: its spans, consults, decisions, merge advances,
+// span-end causes and span-length histograms are work counts that no
+// host's speed can move. A CSV mismatch names the first differing cell,
+// a metrics mismatch the first differing line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,20 +86,45 @@ std::string first_difference(const std::string& pinned,
   return "no cell differs";
 }
 
+/// "line L: pinned 'x', got 'y'" for the first line that differs.
+std::string first_line_difference(const std::string& pinned,
+                                  const std::string& actual) {
+  const std::vector<std::string> want = split(pinned, '\n');
+  const std::vector<std::string> got = split(actual, '\n');
+  for (std::size_t l = 0; l < std::max(want.size(), got.size()); ++l) {
+    const std::string w = l < want.size() ? want[l] : "<missing line>";
+    const std::string g = l < got.size() ? got[l] : "<missing line>";
+    if (w != g)
+      return "line " + std::to_string(l + 1) + ": pinned '" + w + "', got '" +
+             g + "'";
+  }
+  return "no line differs";
+}
+
 class GoldenCsv : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenCsv, MatchesPinAtOneAndFourThreads) {
   const std::string& name = GetParam();
   const std::string pinned = read_file(kGolden / (name + ".csv"));
+  const std::string pinned_metrics = read_file(kGolden / (name + ".metrics"));
   ASSERT_FALSE(pinned.empty())
       << "no pinned CSV for " << name << "; run tools/pin_golden.sh";
-  const ScenarioSpec spec = load_scenario(kSpecs / (name + ".scn"));
+  ASSERT_FALSE(pinned_metrics.empty())
+      << "no pinned metrics for " << name << "; run tools/pin_golden.sh";
+  ScenarioSpec spec = load_scenario(kSpecs / (name + ".scn"));
   for (const unsigned threads : {1u, 4u}) {
-    const std::string actual =
-        run_sweep(spec, SweepOptions{.threads = threads}).to_csv();
+    spec.obs_metrics = threads > 1;
+    const SweepReport report =
+        run_sweep(spec, SweepOptions{.threads = threads});
+    const std::string actual = report.to_csv();
     EXPECT_TRUE(actual == pinned)
         << name << " at " << threads
         << " threads: " << first_difference(pinned, actual);
+    if (!spec.obs_metrics) continue;
+    const std::string metrics = report.metrics.to_text();
+    EXPECT_TRUE(metrics == pinned_metrics)
+        << name << " metrics at " << threads
+        << " threads: " << first_line_difference(pinned_metrics, metrics);
   }
 }
 

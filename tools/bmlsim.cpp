@@ -198,11 +198,11 @@ int cmd_run(const std::string& path, const std::string& csv_path,
     std::fputs(table.render().c_str(), stdout);
   }
   if (!trace_out.empty()) {
-    write_text_file(trace_out, chrome_trace_json(sim.timeline));
+    write_text_file(trace_out, chrome_trace_json(sim.timeline, sim.events));
     std::printf("wrote %s (%zu samples, %zu events — open in "
                 "ui.perfetto.dev)\n",
                 trace_out.c_str(), sim.timeline.samples.size(),
-                sim.timeline.events.size());
+                sim.events.total());
   }
   if (metrics) {
     // The sweep registry already holds the sim.* self-metrics; the event

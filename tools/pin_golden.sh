@@ -1,8 +1,15 @@
 #!/usr/bin/env bash
-# Rewrites the golden sweep CSVs under tests/golden/: one file per shipped
-# spec in examples/specs/, as `bmlsim sweep <spec> --threads 1 --csv`
-# writes it. The GoldenCsv tests compare run_sweep's CSV against these
-# bytes at 1 and 4 worker threads.
+# Rewrites the golden files under tests/golden/, two per shipped spec in
+# examples/specs/:
+#
+#   <spec>.csv      the sweep CSV, as `bmlsim sweep <spec> --threads 1
+#                   --csv` writes it;
+#   <spec>.metrics  the deterministic `metrics:` block of the same sweep
+#                   with obs.metrics on (`--metrics`), which holds no
+#                   wall-clock line.
+#
+# The GoldenCsv tests compare run_sweep's CSV against these bytes at 1 and
+# 4 worker threads, and its metrics at 4.
 #
 #   tools/pin_golden.sh [BUILD_DIR]     (default: build)
 #
@@ -19,10 +26,14 @@ if [ ! -x "$bmlsim" ]; then
   exit 1
 fi
 
-mkdir -p "$root/tests/golden"
+golden="$root/tests/golden"
+mkdir -p "$golden"
 for spec in "$root"/examples/specs/*.scn; do
   name=$(basename "$spec" .scn)
-  "$bmlsim" sweep "$spec" --threads 1 --csv "$root/tests/golden/$name.csv" \
-    > /dev/null
-  echo "pinned tests/golden/$name.csv"
+  # The metrics block runs from the line after "metrics:" to the end of
+  # the output, less the closing "wrote <csv>" line.
+  "$bmlsim" sweep "$spec" --threads 1 --metrics --csv "$golden/$name.csv" \
+    | awk '/^wrote /{next} found{print} /^metrics:$/{found=1}' \
+    > "$golden/$name.metrics"
+  echo "pinned tests/golden/$name.csv and $name.metrics"
 done
