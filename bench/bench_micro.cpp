@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks for the library's hot paths: the
 // combination solvers, load dispatch (reference vs compiled plan), the
 // threshold computation, the oracle predictor, end-to-end trace replay
-// (event-driven fast path vs per-second reference), and scenario-engine
-// sweep throughput at 1 and N worker threads.
+// (event-driven fast path vs per-second reference), scenario-engine
+// sweep throughput at 1 and N worker threads, and the random words and
+// trace generation the build spends its time in.
 //
 // The binary overrides global operator new/delete with a counting
 // allocator so benchmarks can report an `allocs_per_iter` counter;
@@ -10,9 +11,11 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "sched/bml_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -563,6 +567,35 @@ void BM_SweepSharedBuildThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(scenarios));
 }
 BENCHMARK(BM_SweepSharedBuildThroughput)->Unit(benchmark::kMillisecond);
+
+// Raw engine words: Rng's MT19937-64 against std::mt19937_64, which
+// produces the same words, in the same loop. Rng's words are read through
+// the full-range uniform_int (word + 2^63), so the baseline adds 2^63 too.
+template <class NextWord>
+void engine_words(benchmark::State& state, NextWord next_word) {
+  constexpr int kWordsPerIteration = 4096;
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < kWordsPerIteration; ++i) sum += next_word();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kWordsPerIteration);
+}
+
+void BM_RngWords(benchmark::State& state) {
+  Rng rng(1998);
+  engine_words(state, [&] {
+    return static_cast<std::uint64_t>(rng.uniform_int(INT64_MIN, INT64_MAX));
+  });
+}
+BENCHMARK(BM_RngWords);
+
+void BM_StdMt19937_64Words(benchmark::State& state) {
+  std::mt19937_64 engine(1998);
+  engine_words(state, [&] { return engine() + (std::uint64_t{1} << 63); });
+}
+BENCHMARK(BM_StdMt19937_64Words);
 
 // Generation plus the LoadTrace indexing it returns through. At 87 days
 // (the default, seed 1998) this is the Fig. 5 trace as shipped in

@@ -43,10 +43,18 @@ GATES = [
     ("BM_SimulatorWeekCorrelatedFaultsEventDriven",
      "BM_SimulatorWeekCorrelatedFaultsReference",
      "items_per_second", ">=", 40.0),
+    # Rng's MT19937-64 words against libstdc++'s engine, same words, same
+    # loop: the mask-select twist vectorises, where libstdc++ branches
+    # 50/50 on y & 1 in both twist loops. 2.1-3.2x (median 2.7x) over 17
+    # runs of five repetitions on a shared 4-vCPU Xeon, so the margin is
+    # thin there: profile before touching the bound. Trace generation
+    # draws these words, so losing the gap slows every build.
+    ("BM_RngWords", "BM_StdMt19937_64Words", "items_per_second", ">=", 2.0),
 ]
 # Recorded in BENCH_micro.json for the performance trajectory, not gated.
 RECORDED = ["BM_SimulatorWeekSteadyEventDriven",
-            "BM_SimulatorWeekNoisyPredictor/moving-max"]
+            "BM_SimulatorWeekNoisyPredictor/moving-max",
+            "BM_WorldCupTraceGeneration"]
 SECONDS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 

@@ -393,4 +393,8 @@ std::unique_ptr<Scheduler> make_scheduler(
   return scheduler;
 }
 
+bool scheduler_reads_predictor(const std::string& name) {
+  return name != "reactive" && name != "static-max" && name != "per-day";
+}
+
 }  // namespace bml

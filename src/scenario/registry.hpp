@@ -36,11 +36,14 @@
 //     bml            window(0 = 2x longest On); uses the spec predictor
 //                    and qos class
 //     cost-aware     window(0), payback_window(0); uses the spec predictor
-//     reactive       headroom(1)
+//     reactive       headroom(1); ignores the spec predictor
 //     hysteresis     hold(300), window(0) — BML wrapped in scale-down
 //                    damping; uses the spec predictor and qos class
 //     static-max     UpperBound Global: constant homogeneous Big fleet
 //     per-day        UpperBound PerDay: Big fleet resized at midnight
+//   A sweep replays grid points that differ only in the predictor of a
+//   scheduler that ignores it (reactive, static-max, per-day) once, and
+//   copies the result to the others (scenario/sweep.hpp).
 //
 // Multi-tenant specs (`[app]` sections, scenario/scenario_spec.hpp) build
 // one trace + predictor + scheduler stack per application through these
@@ -181,10 +184,16 @@ struct ComponentInfo {
     std::uint64_t seed);
 
 /// Builds the named scheduler over `design`; `predictor` feeds the
-/// prediction-driven ones and is ignored by the upper-bound baselines.
+/// prediction-driven ones and is ignored by the others (see
+/// scheduler_reads_predictor).
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
     const std::string& name, const std::map<std::string, std::string>& params,
     std::shared_ptr<const BmlDesign> design,
     std::shared_ptr<Predictor> predictor, QosClass qos);
+
+/// False for the schedulers make_scheduler builds without their predictor
+/// (reactive, static-max, per-day): their runs do not depend on the
+/// predictor keys. True for every other name, unknown ones included.
+[[nodiscard]] bool scheduler_reads_predictor(const std::string& name);
 
 }  // namespace bml

@@ -253,8 +253,11 @@ struct ScenarioBuild {
       own_traces.reserve(apps.size());
       std::map<std::uint64_t, std::vector<std::size_t>> by_hash;
       for (std::size_t i = 0; i < apps.size(); ++i) {
+        const auto generate_start = std::chrono::steady_clock::now();
         LoadTrace t =
             make_trace(apps[i].trace, apps[i].trace_params, app_seed(spec, i));
+        phases.generate += elapsed_seconds(generate_start);
+        const auto dedup_start = std::chrono::steady_clock::now();
         const std::span<const double> v = t.series().values();
         std::uint64_t h =
             1469598103934665603ULL ^ static_cast<std::uint64_t>(v.size());
@@ -278,9 +281,11 @@ struct ScenarioBuild {
           by_hash[h].push_back(found);
         }
         traces[i] = &own_traces[found];
+        phases.dedup += elapsed_seconds(dedup_start);
       }
     }
 
+    const auto design_start = std::chrono::steady_clock::now();
     BmlDesignOptions design_options;
     design_options.max_rate = design_max_rate(spec, traces);
     design_options.solver = spec.design_solver == "exact-dp"
@@ -289,6 +294,7 @@ struct ScenarioBuild {
     design =
         std::make_shared<BmlDesign>(BmlDesign::build(catalog, design_options));
     plan = std::make_shared<DispatchPlan>(design->candidates());
+    phases.design = elapsed_seconds(design_start);
   }
 
   Catalog catalog;
@@ -299,6 +305,8 @@ struct ScenarioBuild {
   std::vector<const LoadTrace*> traces;
   std::shared_ptr<const BmlDesign> design;
   std::shared_ptr<const DispatchPlan> plan;
+  /// Wall time of this build's phases (the catalog is not timed).
+  BuildPhases phases;
 };
 
 /// Executes `spec` over a (possibly shared) prebuilt ScenarioBuild. Only
@@ -434,13 +442,6 @@ ScenarioResult run_built(const ScenarioSpec& spec, const ScenarioBuild& build,
   return result;
 }
 
-ScenarioResult run_scenario_impl(const ScenarioSpec& spec,
-                                 const LoadTrace* shared_trace) {
-  const auto start = std::chrono::steady_clock::now();
-  const ScenarioBuild build(spec, shared_trace);
-  return run_built(spec, build, start);
-}
-
 /// True when a sweep axis addresses an input of ScenarioBuild — catalog or
 /// design parameters, the master seed (trace generation and fault noise
 /// derive from it), or any trace field. Such an axis forces per-scenario
@@ -456,10 +457,40 @@ bool axis_blocks_shared_build(const std::string& key) {
          key.starts_with("design.") || key == "seed" || is_trace_axis(key);
 }
 
+/// `spec` as its replay reads it: without its name, and without the
+/// predictor keys of each workload whose scheduler ignores its predictor.
+/// Grid points with equal replay specs replay identically.
+ScenarioSpec replay_spec(ScenarioSpec spec) {
+  spec.name.clear();
+  const auto drop_unread = [](const std::string& scheduler,
+                              std::string& predictor,
+                              std::map<std::string, std::string>& params) {
+    if (scheduler_reads_predictor(scheduler)) return;
+    predictor.clear();
+    params.clear();
+  };
+  drop_unread(spec.scheduler, spec.predictor, spec.predictor_params);
+  for (AppSpec& app : spec.apps)
+    drop_unread(app.scheduler, app.predictor, app.predictor_params);
+  return spec;
+}
+
+/// Builds every predictor of `spec` that its scheduler ignores, so that a
+/// copied row still rejects a malformed predictor its replay would have
+/// built.
+void check_unread_predictors(const ScenarioSpec& spec) {
+  for (const AppSpec& app : effective_apps(spec))
+    if (!scheduler_reads_predictor(app.scheduler))
+      (void)make_predictor(app.predictor, app.predictor_params,
+                           app_seed(spec, 0));
+}
+
 }  // namespace
 
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
-  return run_scenario_impl(spec, nullptr);
+  const auto start = std::chrono::steady_clock::now();
+  const ScenarioBuild build(spec, nullptr);
+  return run_built(spec, build, start);
 }
 
 ConfiguredChannels configured_channels(const ScenarioSpec& spec) {
@@ -530,25 +561,62 @@ SweepReport run_sweep(const ScenarioSpec& spec, const SweepOptions& options) {
   std::optional<ScenarioBuild> shared_build;
   if (shareable) shared_build.emplace(spec, options.shared_trace);
 
+  // The first grid point of each group of equal replay specs runs; the
+  // others copy its row once every group has run.
+  std::vector<ScenarioSpec> points = expand_sweep(spec);
+  std::vector<std::size_t> runs;  // grid indices that replay
+  std::vector<ScenarioSpec> run_specs;  // their replay specs
+  std::vector<std::size_t> source(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ScenarioSpec key = replay_spec(points[i]);
+    const auto group = static_cast<std::size_t>(
+        std::find(run_specs.begin(), run_specs.end(), key) -
+        run_specs.begin());
+    if (group == runs.size()) {
+      runs.push_back(i);
+      run_specs.push_back(std::move(key));
+    }
+    source[i] = runs[group];
+  }
+
+  std::vector<BuildPhases> own_phases(runs.size());
   parallel_for(
-      n,
-      [&](std::size_t i) {
+      runs.size(),
+      [&](std::size_t r) {
+        const std::size_t i = runs[r];
         const auto scenario_start = std::chrono::steady_clock::now();
-        std::vector<std::string> values = grid_values(spec, i);
-        ScenarioResult result =
-            shared_build.has_value()
-                ? run_built(grid_point(spec, values), *shared_build,
-                            scenario_start)
-                : run_scenario_impl(grid_point(spec, values),
-                                    options.shared_trace);
+        std::optional<ScenarioBuild> own;
+        if (!shared_build) own.emplace(points[i], options.shared_trace);
+        ScenarioResult result = run_built(
+            points[i], shared_build ? *shared_build : *own, scenario_start);
+        if (own) own_phases[r] = own->phases;
         SimMetrics shard = std::exchange(result.sim.metrics, SimMetrics{});
-        report.rows[i] =
-            SweepRow{std::move(result), std::move(values), std::move(shard)};
+        report.rows[i] = SweepRow{std::move(result), grid_values(spec, i),
+                                  std::nullopt, std::move(shard)};
       },
       report.threads);
 
+  for (std::size_t i = 0; i < n; ++i) {
+    if (source[i] == i) continue;
+    const auto copy_start = std::chrono::steady_clock::now();
+    check_unread_predictors(points[i]);
+    SweepRow row = report.rows[source[i]];
+    row.spec = std::move(points[i]);
+    row.axis_values = grid_values(spec, i);
+    row.copy_of = source[i];
+    row.wall_seconds = elapsed_seconds(copy_start);
+    report.rows[i] = std::move(row);
+  }
+
   report.builds = shareable ? (n > 0 ? 1 : 0) : n;
   report.build_cache_reuses = shareable && n > 0 ? n - 1 : 0;
+  const auto add_phases = [&](const BuildPhases& p) {
+    report.build_phases.generate += p.generate;
+    report.build_phases.dedup += p.dedup;
+    report.build_phases.design += p.design;
+  };
+  if (shared_build) add_phases(shared_build->phases);
+  for (const BuildPhases& p : own_phases) add_phases(p);
   // Fold the per-row metric shards sequentially in grid index order:
   // deterministic and thread-count-independent, unlike any merge done
   // inside the parallel region would be.
@@ -739,25 +807,35 @@ std::string SweepReport::summary_table() const {
 }
 
 std::string SweepReport::perf_report() const {
-  AsciiTable table({"scenario", "wall (ms)", "spans", "ticks", "consults",
-                    "decisions"});
+  AsciiTable table({"#", "scenario", "wall (ms)", "spans", "ticks",
+                    "consults", "decisions", "copy of"});
   double scenario_wall = 0.0;
-  for (const SweepRow& row : rows) {
+  std::size_t copies = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const SweepRow& row = rows[i];
     scenario_wall += row.wall_seconds;
-    table.add_row({row.spec.name,
+    copies += row.copy_of.has_value();
+    table.add_row({std::to_string(i), row.spec.name,
                    AsciiTable::num(1000.0 * row.wall_seconds, 1),
                    std::to_string(row.metrics.spans),
                    std::to_string(row.metrics.ticks),
                    std::to_string(row.metrics.scheduler_consults),
-                   std::to_string(row.metrics.decisions_applied)});
+                   std::to_string(row.metrics.decisions_applied),
+                   row.copy_of ? std::to_string(*row.copy_of) : ""});
   }
+  const auto ms = [](double seconds) {
+    return AsciiTable::num(1000.0 * seconds, 1) + " ms";
+  };
   std::ostringstream os;
   os << table.render();
   os << "builds: " << builds << "  cache reuses: " << build_cache_reuses
-     << "  threads: " << threads << '\n';
-  os << "wall: " << AsciiTable::num(1000.0 * wall_seconds, 1)
-     << " ms sweep, " << AsciiTable::num(1000.0 * scenario_wall, 1)
-     << " ms summed scenario work\n";
+     << "  copied rows: " << copies << "  threads: " << threads << '\n';
+  os << "build: " << ms(build_phases.generate)
+     << " trace generation (with LoadTrace index), "
+     << ms(build_phases.dedup) << " dedup, " << ms(build_phases.design)
+     << " design + DispatchPlan\n";
+  os << "wall: " << ms(wall_seconds) << " sweep, " << ms(scenario_wall)
+     << " summed scenario work\n";
   return os.str();
 }
 

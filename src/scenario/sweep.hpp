@@ -8,8 +8,16 @@
 // scenario's arithmetic never depends on its neighbours. SweepReport's CSV
 // export is therefore byte-stable across --threads values (wall-clock
 // timings are reported on the console only, never in the CSV).
+//
+// Grid points whose specs are equal apart from their names and the
+// predictor keys of workloads whose scheduler ignores its predictor
+// (scheduler_reads_predictor in scenario/registry.hpp) replay identically,
+// so the sweep runs the first of them and copies its result, metrics
+// shard and events to the others (SweepRow::copy_of).
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,12 +92,27 @@ using SweepAppRow = WorkloadResult;
 struct SweepRow : ScenarioResult {
   /// Axis values of this grid point, parallel to SweepReport::axis_keys.
   std::vector<std::string> axis_values;
+  /// Grid index of the row whose replay this row copies (see the file
+  /// comment); empty when the row ran its own. A copy's wall_seconds is
+  /// the copy's.
+  std::optional<std::size_t> copy_of;
   /// This scenario's simulator self-metrics shard, moved out of
   /// sim.metrics (disabled and empty unless the spec sets obs.metrics).
   /// Shards are merged into SweepReport::metrics in grid index order after
   /// the parallel run, so the aggregate is byte-identical across --threads
   /// values.
   SimMetrics metrics;
+};
+
+/// Wall time of a scenario build's phases (s), summed over its traces.
+struct BuildPhases {
+  /// Trace generation, each trace's LoadTrace index included.
+  double generate = 0.0;
+  /// Hashing and comparing the traces to hold identical ones once.
+  double dedup = 0.0;
+  /// The BmlDesign (CombinationTable, DecisionThresholds) and the
+  /// DispatchPlan.
+  double design = 0.0;
 };
 
 /// Everything a sweep produces.
@@ -99,11 +122,15 @@ struct SweepReport {
   /// Whole-sweep wall time (s).
   double wall_seconds = 0.0;
   unsigned threads = 1;
-  /// Build-cache accounting: how many ScenarioBuilds actually ran and how
-  /// many grid points reused the shared one (see the build-sharing rules
-  /// in scenario/registry.hpp).
+  /// Build-cache accounting per grid point: how many grid points reused
+  /// the shared ScenarioBuild, and how many did not (the first on it, or
+  /// each on its own; see the build-sharing rules in
+  /// scenario/registry.hpp). A copied row counts as the grid point it is,
+  /// so both depend on the axes alone.
   std::size_t builds = 0;
   std::size_t build_cache_reuses = 0;
+  /// Wall time of every build the sweep ran, by phase (console-only).
+  BuildPhases build_phases;
   /// Deterministic sweep-level metrics: the per-row SimMetrics shards
   /// merged in grid index order (when obs.metrics is set) plus
   /// sweep.scenarios and sweep.build_cache.{hits,misses} counters.
@@ -124,8 +151,9 @@ struct SweepReport {
   [[nodiscard]] std::string summary_table() const;
 
   /// Console performance report: per-scenario wall clock and fast-path
-  /// metrics (spans / ticks / scheduler consults, when collected), plus
-  /// the build-cache and thread totals. Wall-clock numbers are console
+  /// metrics (spans / ticks / scheduler consults, when collected) with
+  /// copied rows marked, plus the build-cache and thread totals and the
+  /// build's wall time by phase. Wall-clock numbers are console
   /// artifacts — they never appear in to_csv() or metrics.to_text().
   [[nodiscard]] std::string perf_report() const;
 };

@@ -88,15 +88,47 @@ struct Rng::PoissonCache {
   }
 };
 
-Rng::Rng(std::uint64_t seed) : engine_(seed) {}
-Rng::Rng(const Rng& other) : engine_(other.engine_) {}
+// MT19937-64's seeding: each word from its predecessor by Knuth's
+// multiplier, as [rand.eng.mers] specifies.
+Rng::Rng(std::uint64_t seed) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kStateWords; ++i)
+    state_[i] =
+        6364136223846793005ULL * (state_[i - 1] ^ (state_[i - 1] >> 62)) + i;
+}
+Rng::Rng(const Rng& other) : state_(other.state_), next_(other.next_) {}
 Rng& Rng::operator=(const Rng& other) {
-  engine_ = other.engine_;
+  state_ = other.state_;
+  next_ = other.next_;
   return *this;
 }
 Rng::Rng(Rng&&) noexcept = default;
 Rng& Rng::operator=(Rng&&) noexcept = default;
 Rng::~Rng() = default;
+
+// MT19937-64's recurrence over the whole state (n = 312, m = 156, r = 31):
+// word k becomes word (k + m) mod n xor the twisted pair (k, k + 1 mod n),
+// where a mask, not a branch, applies the matrix to pairs whose low bit is
+// set. Word (k + m) mod n is still the old word while k < n - m and
+// already the new one after, as the recurrence requires; the loops carry
+// no other dependence, so each vectorises.
+void Rng::twist() {
+  constexpr std::size_t kN = kStateWords;
+  constexpr std::size_t kM = 156;
+  constexpr std::uint64_t kMatrix = 0xB5026F5AA96619E9ULL;
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  const auto twisted = [](std::uint64_t high, std::uint64_t low) {
+    const std::uint64_t y = (high & kUpper) | (low & ~kUpper);
+    return (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
+  };
+  std::uint64_t* x = state_.data();
+  for (std::size_t k = 0; k < kN - kM; ++k)
+    x[k] = x[k + kM] ^ twisted(x[k], x[k + 1]);
+  for (std::size_t k = kN - kM; k < kN - 1; ++k)
+    x[k] = x[k - (kN - kM)] ^ twisted(x[k], x[k + 1]);
+  x[kN - 1] = x[kM - 1] ^ twisted(x[kN - 1], x[0]);
+  next_ = 0;
+}
 
 std::int64_t Rng::poisson_rejection(double mean) {
   if (!poisson_cache_) poisson_cache_ = std::make_unique<PoissonCache>();

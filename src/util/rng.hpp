@@ -4,8 +4,20 @@
 // noise, prediction-error injection) takes an explicit seed so that tests
 // and benchmark runs are reproducible bit-for-bit.
 //
-// The words come from std::mt19937_64, whose output the C++ standard fixes.
-// The standard library's distribution classes are not used: their
+// The words are MT19937-64's: the engine std::mt19937_64 names, whose
+// seeding and output [rand.predef] fixes (Nishimura, "Tables of 64-bit
+// Mersenne Twisters", ACM TOMACS 10(4), 2000), produced by the engine
+// below rather than the standard library's. The standard path costs two
+// data-dependent, 50/50 branches per draw: libstdc++'s twist picks the
+// matrix with a branch on y & 1, and static_cast<double> of a 64-bit word
+// branches on its sign bit (x86-64 before AVX-512 has no unsigned
+// conversion). Here the matrix select is a mask, the twist regenerates
+// all 312 words in loops the compiler vectorises, words are tempered as
+// they are drawn (so the state is the same 312 words and an index), and a
+// word converts to double as two exact 32-bit halves. Every word and every
+// double equal the standard path's, so the streams keep their bytes.
+//
+// The standard library's distribution classes are not used either: their
 // algorithms are implementation-defined, so the same seed would give other
 // draws under another standard library. Each sampler below is instead the
 // published algorithm written out here, in the exact form that produced the
@@ -14,7 +26,8 @@
 //
 //  - canonical: one 64-bit word times 2^-64, clamped below 1 — the
 //    generate_canonical of [rand.util.canonical] for a 64-bit engine and
-//    53-bit doubles. `uniform` and `chance` scale and compare it.
+//    53-bit doubles (canonical_from_word). `uniform` and `chance` scale and
+//    compare it.
 //  - uniform_int: Lemire's multiply-and-reject over a 128-bit product
 //    ("Fast Random Integer Generation in an Interval", ACM TOMACS 29(1),
 //    2019).
@@ -36,18 +49,33 @@
 // one rounding; x86-64 without -mfma does not.
 #pragma once
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <random>
 #include <stdexcept>
 #include <utility>
 
 namespace bml {
 
-/// std::mt19937_64 with the library's own samplers over its words. The
-/// engine stays private, so no caller can pass its words to a
-/// standard-library distribution.
+/// One engine word as a double in [0, 1): static_cast<double>(word) * 2^-64,
+/// clamped below 1 (words from 2^64 - 1024 up round to 1). The word
+/// converts as its two 32-bit halves: each half and the high half's
+/// product with 2^32 are exact, so the sum rounds once, to the same double
+/// as the 64-bit conversion, with or without a fused multiply-add, and
+/// without that conversion's branch on the sign bit.
+[[nodiscard]] constexpr double canonical_from_word(std::uint64_t word) {
+  const double high =
+      static_cast<double>(static_cast<std::uint32_t>(word >> 32));
+  const double low = static_cast<double>(static_cast<std::uint32_t>(word));
+  const double u = (high * 0x1p32 + low) * 0x1p-64;
+  return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+}
+
+/// MT19937-64 with the library's own samplers over its words. The engine
+/// stays private, so no caller can pass its words to a standard-library
+/// distribution.
 /// Copyable; copies continue independent, identical streams.
 class Rng {
  public:
@@ -68,7 +96,7 @@ class Rng {
     const std::uint64_t range =
         static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
     const std::uint64_t offset =
-        range == UINT64_MAX ? engine_() : below(range + 1);
+        range == UINT64_MAX ? next_word() : below(range + 1);
     return static_cast<std::int64_t>(offset + static_cast<std::uint64_t>(lo));
   }
 
@@ -100,26 +128,39 @@ class Rng {
 
   /// Derives an independent child stream; used to give each sub-generator
   /// (e.g. each day of a synthetic trace) its own stream.
-  Rng split() { return Rng(engine_()); }
+  Rng split() { return Rng(next_word()); }
 
  private:
   struct PoissonCache;
 
-  /// One word scaled into [0, 1) with 53-bit precision.
-  double canonical() {
-    const double u = static_cast<double>(engine_()) * 0x1p-64;
-    return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+  /// MT19937-64's degree: the state holds this many words.
+  static constexpr std::size_t kStateWords = 312;
+
+  /// The next tempered MT19937-64 word.
+  std::uint64_t next_word() {
+    if (next_ == kStateWords) twist();
+    std::uint64_t y = state_[next_++];
+    y ^= (y >> 29) & 0x5555555555555555ULL;
+    y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
+    y ^= (y << 37) & 0xFFF7EEE000000000ULL;
+    return y ^ (y >> 43);
   }
+
+  /// Regenerates all kStateWords words and rewinds next_.
+  void twist();
+
+  /// One word scaled into [0, 1) with 53-bit precision.
+  double canonical() { return canonical_from_word(next_word()); }
 
   /// Lemire's nearly divisionless draw from [0, n), n > 0.
   std::uint64_t below(std::uint64_t n) {
     __extension__ using Wide = unsigned __int128;
-    Wide product = static_cast<Wide>(engine_()) * n;
+    Wide product = static_cast<Wide>(next_word()) * n;
     auto low = static_cast<std::uint64_t>(product);
     if (low < n) {
       const std::uint64_t threshold = -n % n;
       while (low < threshold) {
-        product = static_cast<Wide>(engine_()) * n;
+        product = static_cast<Wide>(next_word()) * n;
         low = static_cast<std::uint64_t>(product);
       }
     }
@@ -140,7 +181,9 @@ class Rng {
 
   std::int64_t poisson_rejection(double mean);
 
-  std::mt19937_64 engine_;
+  /// The untempered state; words before next_ have been drawn.
+  std::array<std::uint64_t, kStateWords> state_;
+  std::size_t next_ = kStateWords;
   /// Allocated on the first Poisson draw with mean >= 12; never copied
   /// (its entries are pure functions of their keys).
   std::unique_ptr<PoissonCache> poisson_cache_;

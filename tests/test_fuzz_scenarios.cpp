@@ -1,8 +1,8 @@
 // Scenario fuzzer: randomised `.scn` specs over the cartesian space of
-// traces x schedulers x predictors x fault channels x SLO targets x
-// degrade models x priority classes x tenant lifecycles (arrive/depart
-// intervals and stochastic churn) x app counts, each replayed through
-// both execution strategies. The property
+// traces x schedulers (cost-aware included) x predictors (ewma included)
+// x fault channels x SLO targets x degrade models x priority classes x
+// tenant lifecycles (arrive/depart intervals and stochastic churn) x app
+// counts, each replayed through both execution strategies. The property
 // under test is the engine-wide equivalence contract: integer counters
 // bit-exact, floating-point integrals within 1e-9, for *any* valid spec —
 // not just the hand-picked ones in test_simulator_fastpath.cpp. Every
@@ -75,9 +75,14 @@ std::string random_workload(Rng& rng, bool top_level, int shared_domains = 0,
     os << "trace.duration = " << duration << '\n';
     os << "trace.burst_start = " << rng.uniform_int(0, duration / 2) << '\n';
   }
-  os << "scheduler = "
-     << pick(rng, std::vector<std::string>{"bml", "reactive", "hysteresis"})
-     << '\n';
+  const std::string scheduler = pick(
+      rng, std::vector<std::string>{"bml", "reactive", "hysteresis",
+                                    "cost-aware"});
+  os << "scheduler = " << scheduler << '\n';
+  // Cost-aware with its payback check off, short and long.
+  if (scheduler == "cost-aware")
+    os << "scheduler.payback_window = "
+       << pick(rng, std::vector<std::string>{"0", "30", "1800"}) << '\n';
   // Half the noisy days replay linear-trend, whose cursor the noise
   // drives through its slid sums and their exact fallback.
   const std::string predictor =
@@ -85,8 +90,12 @@ std::string random_workload(Rng& rng, bool top_level, int shared_domains = 0,
           ? "linear-trend"
           : pick(rng, std::vector<std::string>{"oracle-max", "last-value",
                                                "moving-max", "linear-trend",
-                                               "seasonal"});
+                                               "seasonal", "ewma"});
   os << "predictor = " << predictor << '\n';
+  if (predictor == "ewma") {
+    os << "predictor.alpha = " << rng.uniform(0.05, 1.0) << '\n';
+    os << "predictor.headroom = " << rng.uniform(1.0, 1.5) << '\n';
+  }
   // Trailing windows from 2 s to past the trace end, sometimes
   // fractional, so the linear-trend cursor runs while its window grows,
   // while it slides, and where it falls back to exact fits. Below the

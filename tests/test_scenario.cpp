@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -1232,6 +1233,20 @@ TEST(Registry, BuildsEveryListedComponent) {
   }
 }
 
+TEST(Registry, SchedulersThatIgnoreTheirPredictorSayWhich) {
+  // scheduler_reads_predictor is false exactly for the schedulers that
+  // do not keep the predictor make_scheduler hands them.
+  auto design = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
+  for (const ComponentInfo& info : scheduler_components()) {
+    auto predictor = std::make_shared<OracleMaxPredictor>();
+    const auto scheduler = make_scheduler(info.name, {}, design, predictor,
+                                          QosClass::kTolerant);
+    EXPECT_EQ(scheduler_reads_predictor(info.name), predictor.use_count() > 1)
+        << info.name;
+  }
+  EXPECT_TRUE(scheduler_reads_predictor("no-such-scheduler"));
+}
+
 TEST(Registry, ErrorParamsWrapAnyPredictor) {
   auto p = make_predictor("oracle-max", {{"error_sigma", "0.1"}}, 7);
   EXPECT_EQ(p->name(), "oracle-max+error");
@@ -1494,6 +1509,103 @@ TEST(RunSweep, TraceAndSeedAxesAlsoBlockSharing) {
   EXPECT_EQ(CombinationTable::built_count() - before, 2u);
   // Different seeds really did produce different workloads.
   EXPECT_NE(report.rows[0].sim.total_energy(), report.rows[1].sim.total_energy());
+}
+
+TEST(RunSweep, PredictorBlindRowsReplayOnce) {
+  // reactive and static-max ignore the predictor, so of each seed's four
+  // rows under them only the oracle-max ones build and replay; the
+  // moving-max rows copy them, and still equal their own solo runs.
+  ScenarioSpec spec;
+  spec.name = "blind";
+  spec.trace = "diurnal";
+  spec.trace_params["peak"] = "1500";
+  spec.obs_metrics = true;
+  spec.sweeps.push_back(SweepAxis{"seed", {"1", "2"}});
+  spec.sweeps.push_back(
+      SweepAxis{"scheduler", {"bml", "reactive", "static-max"}});
+  spec.sweeps.push_back(SweepAxis{"predictor", {"oracle-max", "moving-max"}});
+
+  const std::uint64_t before = CombinationTable::built_count();
+  const SweepReport report = run_sweep(spec, SweepOptions{.threads = 3});
+  ASSERT_EQ(report.rows.size(), 12u);
+  EXPECT_EQ(CombinationTable::built_count() - before, 8u);
+  // The build-cache counters describe the grid, copies included.
+  EXPECT_EQ(report.builds, 12u);
+  EXPECT_EQ(report.metrics.counter("sweep.build_cache.misses"), 12u);
+  EXPECT_NE(report.perf_report().find("copied rows: 4"), std::string::npos);
+
+  const std::vector<ScenarioSpec> points = expand_sweep(spec);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const SweepRow& row = report.rows[i];
+    const bool blind = points[i].scheduler != "bml";
+    const bool copied = blind && points[i].predictor == "moving-max";
+    ASSERT_EQ(row.copy_of.has_value(), copied) << i;
+    if (copied) EXPECT_EQ(*row.copy_of, i - 1);
+    EXPECT_EQ(row.spec, points[i]);
+    EXPECT_EQ(row.axis_values.back(), points[i].predictor);
+    const ScenarioResult solo = run_scenario(points[i]);
+    EXPECT_EQ(row.sim.scheduler_name, solo.sim.scheduler_name);
+    EXPECT_EQ(row.sim.total_energy(), solo.sim.total_energy()) << i;
+    EXPECT_EQ(row.sim.reconfigurations, solo.sim.reconfigurations);
+    EXPECT_EQ(row.sim.qos.violation_seconds, solo.sim.qos.violation_seconds);
+    EXPECT_EQ(row.metrics.spans, solo.sim.metrics.spans);
+    EXPECT_EQ(row.metrics.scheduler_consults,
+              solo.sim.metrics.scheduler_consults);
+  }
+  // The two predictors replay differently under bml, so bml rows are
+  // never copies.
+  EXPECT_NE(report.rows[0].sim.reconfigurations +
+                report.rows[0].metrics.scheduler_consults,
+            report.rows[1].sim.reconfigurations +
+                report.rows[1].metrics.scheduler_consults);
+}
+
+TEST(RunSweep, CopiesFollowEachAppsOwnScheduler) {
+  // Only app0's scheduler ignores its predictor: its predictor axis
+  // copies rows, app1's does not.
+  ScenarioSpec spec = parse_scenario(R"(name = apps
+[app]
+name = web
+trace = constant
+trace.rate = 900
+trace.duration = 3600
+scheduler = reactive
+[app]
+name = batch
+trace = step
+trace.segments = 200:1800;700:1800
+)");
+  spec.sweeps.push_back(
+      SweepAxis{"app0.predictor", {"oracle-max", "seasonal"}});
+  spec.sweeps.push_back(
+      SweepAxis{"app1.predictor", {"oracle-max", "last-value"}});
+  const SweepReport report = run_sweep(spec, SweepOptions{.threads = 2});
+  ASSERT_EQ(report.rows.size(), 4u);
+  EXPECT_FALSE(report.rows[0].copy_of.has_value());
+  EXPECT_FALSE(report.rows[1].copy_of.has_value());
+  EXPECT_EQ(report.rows[2].copy_of, std::optional<std::size_t>{0});
+  EXPECT_EQ(report.rows[3].copy_of, std::optional<std::size_t>{1});
+  const std::vector<ScenarioSpec> points = expand_sweep(spec);
+  SweepReport solo;
+  solo.axis_keys = report.axis_keys;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    SweepRow row;
+    static_cast<ScenarioResult&>(row) = run_scenario(points[i]);
+    row.axis_values = report.rows[i].axis_values;
+    solo.rows.push_back(std::move(row));
+  }
+  EXPECT_EQ(report.to_csv(), solo.to_csv());
+}
+
+TEST(RunSweep, CopiedRowsStillRejectMalformedPredictors) {
+  // The reactive row under `bogus` would copy the oracle-max row, but
+  // its predictor must still resolve.
+  ScenarioSpec spec;
+  spec.name = "bad";
+  spec.scheduler = "reactive";
+  spec.sweeps.push_back(SweepAxis{"predictor", {"oracle-max", "bogus"}});
+  EXPECT_THROW((void)run_sweep(spec, SweepOptions{.threads = 1}),
+               std::runtime_error);
 }
 
 TEST(RunSweep, UnresolvableSpecThrows) {

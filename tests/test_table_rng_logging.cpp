@@ -1,4 +1,5 @@
-// Tests for util/table (ASCII rendering), util/rng (determinism, known
+// Tests for util/table (ASCII rendering), util/rng (its MT19937-64 words
+// and their conversion to double against the standard library's, known
 // answers and the distribution of each sampler), and util/logging
 // (threshold behaviour).
 #include <gtest/gtest.h>
@@ -7,8 +8,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <random>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/logging.hpp"
@@ -103,6 +108,86 @@ TEST(Rng, CopiesAndMovesContinueTheSameStream) {
   Rng d(1);
   d = a;
   for (int i = 0; i < 200; ++i) ASSERT_EQ(c.poisson(5000.5), d.poisson(5000.5));
+}
+
+// Rng holds the same state as std::mt19937_64 (312 words and an index)
+// plus its Poisson cache pointer.
+static_assert(sizeof(Rng) ==
+              sizeof(std::mt19937_64) + sizeof(std::unique_ptr<int>));
+
+/// The next raw engine word: uniform_int over the whole int64 range
+/// returns word + 2^63 (mod 2^64).
+std::uint64_t next_word(Rng& rng) {
+  return static_cast<std::uint64_t>(rng.uniform_int(INT64_MIN, INT64_MAX)) ^
+         (std::uint64_t{1} << 63);
+}
+
+// The engine's words are MT19937-64's: equal to std::mt19937_64's from
+// the same seed across seven 312-word blocks, and a copy or a move taken
+// mid-block continues the same stream.
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  constexpr int kWords = 2'000;
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1998},
+        std::uint64_t{5489}, std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 reference(seed);
+    Rng rng(seed);
+    for (int i = 0; i < kWords; ++i) ASSERT_EQ(next_word(rng), reference());
+
+    // Mid-block: 2,000 = 6 * 312 + 128 words drawn.
+    std::mt19937_64 copied_reference = reference;
+    Rng copy = rng;
+    for (int i = 0; i < kWords; ++i) {
+      ASSERT_EQ(next_word(rng), reference());
+      ASSERT_EQ(next_word(copy), copied_reference());
+    }
+    for (int i = 0; i < 100; ++i) ASSERT_EQ(next_word(rng), reference());
+    Rng moved = std::move(rng);
+    for (int i = 0; i < kWords; ++i) ASSERT_EQ(next_word(moved), reference());
+  }
+}
+
+/// The conversion canonical_from_word replaces: the 64-bit word rounded to
+/// double, scaled by 2^-64 and clamped below 1.
+double reference_canonical(std::uint64_t word) {
+  const double u = static_cast<double>(word) * 0x1p-64;
+  return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+}
+
+// canonical_from_word gives the 64-bit conversion's exact double: on 10^6
+// engine words and on every word within 4,096 of 2^53, 2^63 and 2^64,
+// where the conversion rounds ties to even (and 2^64 - 1024 upward rounds
+// to 1, which clamps). A fused multiply-add of the halves gives the same
+// bits, since its product is exact too.
+TEST(Rng, WordToDoubleMatchesTheStandardConversion) {
+  const auto check = [](std::uint64_t word) {
+    const double high =
+        static_cast<double>(static_cast<std::uint32_t>(word >> 32));
+    const double low = static_cast<double>(static_cast<std::uint32_t>(word));
+    const double fused = std::fma(high, 0x1p32, low) * 0x1p-64;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(canonical_from_word(word)),
+              std::bit_cast<std::uint64_t>(reference_canonical(word)))
+        << word;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(fused < 1.0 ? fused
+                                                       : 0x1.fffffffffffffp-1),
+              std::bit_cast<std::uint64_t>(reference_canonical(word)))
+        << word;
+  };
+  Rng rng(2026);
+  for (int i = 0; i < 1'000'000; ++i) check(next_word(rng));
+  for (const int exponent : {53, 63, 64})
+    for (std::uint64_t d = 0; d <= 4'096; ++d) {
+      const std::uint64_t boundary =
+          exponent == 64 ? 0 : std::uint64_t{1} << exponent;
+      if (exponent < 64) check(boundary + d);
+      check(boundary - d);  // wraps below 2^64 for the top boundary
+    }
+  EXPECT_EQ(canonical_from_word(std::numeric_limits<std::uint64_t>::max()),
+            0x1.fffffffffffffp-1);
+  EXPECT_EQ(canonical_from_word((std::uint64_t{1} << 63) + 1024), 0.5);
+  EXPECT_LT(canonical_from_word(-std::uint64_t{1025}), 1.0);
+  EXPECT_EQ(canonical_from_word(0), 0.0);
 }
 
 // FNV-1a over the 64-bit pattern of each of 10^5 draws, least significant
