@@ -1,6 +1,8 @@
 #include "core/dispatch_plan.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -115,7 +117,7 @@ void DispatchPlan::compile_fleet(std::span<const int> counts,
   // (its curve is not affine) and at kMaxPieces; rates past the table
   // fall back to the general loop above.
   out.pieces_.clear();
-  out.hint_ = 0;
+  out.bounds_.clear();
   Watts post_idle = 0.0;
   for (const FleetPowerCurve::Active& a : out.active_)
     post_idle += a.count * a.idle;
@@ -131,17 +133,20 @@ void DispatchPlan::compile_fleet(std::span<const int> counts,
         break;
       }
       FleetPowerCurve::Piece piece;
-      piece.bound = prefix_cap + (j + 1) * a.perf;
       piece.slope = a.slope;
       piece.base = pre_full + j * a.max_power + a.idle -
                    a.slope * (prefix_cap + j * a.perf) +
                    (a.count - j - 1) * a.idle + post_idle;
       out.pieces_.push_back(piece);
+      out.bounds_.push_back(prefix_cap + (j + 1) * a.perf);
     }
     if (capped) break;
     prefix_cap += a.capacity;
     pre_full += a.count * a.max_power;
   }
+  out.table_end_ = out.bounds_.empty() ? 0.0 : out.bounds_.back();
+  out.bounds_.resize(std::bit_ceil(out.bounds_.size()),
+                     std::numeric_limits<ReqRate>::infinity());
 }
 
 void DispatchPlan::dispatch_into(std::span<const int> counts, ReqRate rate,

@@ -37,21 +37,25 @@ namespace bml {
 /// forms out of the fleet:
 ///   * an affine piece table with one breakpoint per machine (dispatch
 ///     fills machine by machine, so power is piecewise linear in the
-///     load): power(rate) = base_k + slope_k * rate inside piece k. The
-///     cursor-hinted lookup costs a couple of compares for the noisy
-///     loads the simulator feeds it — no division, no loop. The table
-///     stops at the first non-linear (piecewise PowerModel) architecture
-///     and is capped at kMaxPieces; and
+///     load): power(rate) = base_k + slope_k * rate inside piece k, where
+///     k is the number of piece bounds <= rate. A branch-free binary
+///     search over the bounds, padded to a power of two with +inf, finds
+///     k in log2(#pieces) steps — no division, no data-dependent branch.
+///     The table stops at the first non-linear (piecewise PowerModel)
+///     architecture and is capped at kMaxPieces; and
 ///   * the active (non-zero-count) architectures in dispatch order, the
 ///     general loop for rates past the table.
+/// The curve holds no lookup state: power_at(rate) is a pure function of
+/// the compiled fleet and the rate, whatever was queried before.
 /// Results match DispatchPlan::power_at for the same counts within
 /// floating-point reassociation distance — a few ulp, from the pieces'
-/// refactored sums (asserted at 1e-12 relative by
-/// tests/test_dispatch_plan.cpp); the general loop performs the same
-/// operations in the same order, merely skipping exact no-ops
-/// (zero-count architectures, += 0.0 products). That sits far inside the
-/// simulator's 1e-9 equivalence contract, and no integer counter depends
-/// on power values.
+/// refactored sums — everywhere, including exactly at a piece bound,
+/// where the piece above it answers (asserted at 1e-12 relative by
+/// tests/test_dispatch_plan.cpp). The general loop performs the same
+/// operations in the same order as the plan, merely skipping exact
+/// no-ops (zero-count architectures, += 0.0 products). That sits far
+/// inside the simulator's 1e-9 equivalence contract, and no integer
+/// counter depends on power values.
 /// The curve borrows the plan's piecewise PowerModels — it must not
 /// outlive the DispatchPlan that compiled it.
 class FleetPowerCurve {
@@ -60,15 +64,15 @@ class FleetPowerCurve {
 
   /// Power of the compiled fleet serving `rate` (negative rates are the
   /// caller's bug; the simulator's loads are validated non-negative).
-  /// Amortised O(1) for the simulator's access pattern (consecutive loads
-  /// land in the same or a neighbouring piece — the hint tracks it).
   [[nodiscard]] Watts power_at(ReqRate rate) const {
-    if (rate > 0.0 && !pieces_.empty() && rate < pieces_.back().bound) {
-      std::size_t k = hint_;
-      if (k >= pieces_.size()) k = 0;
-      while (rate >= pieces_[k].bound) ++k;
-      while (k > 0 && rate < pieces_[k - 1].bound) --k;
-      hint_ = k;
+    if (rate > 0.0 && rate < table_end_) {
+      // k = the number of bounds <= rate. The answer lies in [0, size),
+      // as the last real bound (table_end_) exceeds rate; each step halves
+      // that range with a select, not a branch.
+      const ReqRate* bounds = bounds_.data();
+      std::size_t k = 0;
+      for (std::size_t half = bounds_.size() / 2; half > 0; half /= 2)
+        k += bounds[k + half - 1] <= rate ? half : 0;
       return pieces_[k].base + pieces_[k].slope * rate;
     }
     ReqRate remaining = rate;
@@ -113,19 +117,21 @@ class FleetPowerCurve {
   };
   std::vector<Active> active_;
 
-  /// Affine piece k covers rate in [pieces_[k-1].bound, pieces_[k].bound)
-  /// (piece 0 starts just above 0): j machines of the piece's
-  /// architecture fully loaded, one partial, everything later idle.
+  /// Affine piece k covers rate in [bounds_[k-1], bounds_[k]) (piece 0
+  /// starts just above 0): j machines of the piece's architecture fully
+  /// loaded, one partial, everything later idle.
   struct Piece {
-    ReqRate bound = 0.0;  // exclusive upper bound of this piece
     Watts base = 0.0;
     double slope = 0.0;
   };
   static constexpr std::size_t kMaxPieces = 64;
   std::vector<Piece> pieces_;
-  /// Last piece hit — consecutive noisy loads cluster, so the next lookup
-  /// starts where the previous one ended (mutable: a cache, not state).
-  mutable std::size_t hint_ = 0;
+  /// Exclusive upper bound of each piece, ascending, padded with +inf to
+  /// a power-of-two size for the search.
+  std::vector<ReqRate> bounds_;
+  /// The last piece's bound (0 with no pieces): rates at or above it, and
+  /// rate 0, take the general loop.
+  ReqRate table_end_ = 0.0;
 };
 
 /// Immutable compiled form of a candidate catalog for power evaluation.

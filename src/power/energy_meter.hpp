@@ -1,29 +1,24 @@
 // Energy accounting: integrate a power signal over time.
 //
-// The simulator feeds one power sample per simulated second; EnergyMeter
-// accumulates Joules and keeps per-day totals for the Fig. 5 report.
-// Separate channels let callers split compute energy from reconfiguration
-// (On/Off) energy, as the paper does ("total consumption per day contains
-// the energy consumed by computation and by On/Off reconfigurations").
+// The per-second simulator feeds one power sample per simulated second;
+// the event-driven one integrates constant-power runs in closed form
+// (add_span, an OpenSpan held across a span's sub-runs, or a span it
+// integrated itself, add_integrated_span). EnergyMeter accumulates Joules
+// and keeps per-day totals for the Fig. 5 report. Separate channels let
+// callers split compute energy from reconfiguration (On/Off) energy, as
+// the paper does ("total consumption per day contains the energy consumed
+// by computation and by On/Off reconfigurations").
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 #include "util/units.hpp"
 
 namespace bml {
-
-/// One constant-power run of a piecewise-constant span (the event-driven
-/// simulator's unit of accumulation: a trace segment during which nothing
-/// in the cluster changes).
-struct PowerRun {
-  Watts compute = 0.0;
-  std::size_t seconds = 0;
-};
 
 /// Accumulates energy from fixed-step power samples on named channels.
 class EnergyMeter {
@@ -46,9 +41,7 @@ class EnergyMeter {
   /// { add_compute_sample(compute); add_reconfiguration_energy(transition *
   /// step); tick(); }: integrates constant power over a span, splitting the
   /// energy across day buckets in closed form. Totals match the per-second
-  /// calls up to floating-point summation order. Inline: the multi-app
-  /// fast path calls this once per app per trace sub-run (where the span
-  /// never straddles a day, so the chunk loop runs exactly once).
+  /// calls up to floating-point summation order.
   void add_span(Watts compute, Watts transition, std::size_t seconds) {
     if (compute < 0.0)
       throw std::invalid_argument("EnergyMeter: negative power sample");
@@ -70,73 +63,99 @@ class EnergyMeter {
     }
   }
 
-  /// Piecewise-constant span kernel: integrates every run of `runs` (with
-  /// `transition` power applying throughout) in one call — a tight
-  /// non-virtual loop over the run-length segments the event-driven
-  /// simulator produces for a varying-load span. Every run that fits
-  /// inside the current day is fused into local sums (one fused-multiply
-  /// per run) flushed with a single set of accumulator updates; the
-  /// totals match per-run add_span calls up to summation order, and the
-  /// day attribution (integer second counts per day) is identical. The
-  /// simulator clamps spans at day boundaries, so the straddling fallback
-  /// is the rare case.
-  ///
-  /// `runs` is any random-access range whose elements expose `compute`
-  /// (Watts) and `seconds` members — PowerRun is the canonical element;
-  /// the simulator passes its fused per-segment scratch rows directly so
-  /// this loop inlines into the span walk.
-  template <typename Runs>
-  void add_runs(const Runs& runs, Watts transition) {
-    if (transition < 0.0)
-      throw std::invalid_argument(
-          "EnergyMeter: negative reconfiguration energy");
-    std::size_t i = 0;
-    const std::size_t n = runs.size();
-    while (i < n) {
-      const std::size_t day = refresh_day();
-      const std::size_t day_left = day_end_tick_ - ticks_;
-      Joules compute_e = 0.0;
-      std::size_t seconds = 0;
-      while (i < n &&
-             static_cast<std::size_t>(runs[i].seconds) <= day_left - seconds) {
-        if (runs[i].compute < 0.0)
-          throw std::invalid_argument("EnergyMeter: negative power sample");
-        compute_e +=
-            runs[i].compute * step_ * static_cast<double>(runs[i].seconds);
-        seconds += static_cast<std::size_t>(runs[i].seconds);
-        ++i;
-      }
-      if (seconds > 0) {
-        const Joules transition_e =
-            transition * step_ * static_cast<double>(seconds);
-        compute_energy_ += compute_e;
-        day_compute_[day] += compute_e;
-        reconf_energy_ += transition_e;
-        day_reconf_[day] += transition_e;
-        ticks_ += seconds;
-        continue;
-      }
-      // The next run straddles the day boundary (or carries a negative
-      // length, which the unsigned cast in the fused condition above also
-      // routes here): validate, then chunk it the slow way.
-      if constexpr (std::is_signed_v<
-                        std::decay_t<decltype(runs[i].seconds)>>) {
-        if (runs[i].seconds < 0)
-          throw std::invalid_argument("EnergyMeter: negative span");
-      }
-      add_span(runs[i].compute, transition,
-               static_cast<std::size_t>(runs[i].seconds));
-      ++i;
+  /// The meter held open across a sequence of add_span calls that share
+  /// one `transition` power: the constructor copies the totals, the tick
+  /// and the current day's buckets out, add() performs add_span's
+  /// arithmetic on the copies, and close() writes them back, so the meter
+  /// is bit-identical to calling add_span for each run. A run that
+  /// reaches past the current day goes through add_span itself (closing
+  /// and reopening around it). The constructor checks `transition`; add()
+  /// checks nothing, as its caller passes validated, non-negative powers.
+  /// The event-driven simulator keeps one open per active app across a
+  /// span's sub-runs. The meter must not be touched between opening and
+  /// close().
+  class OpenSpan {
+   public:
+    OpenSpan(EnergyMeter& meter, Watts transition)
+        : meter_(&meter),
+          transition_(transition),
+          step_(meter.step_),
+          transition_step_(transition * meter.step_) {
+      if (transition < 0.0)
+        throw std::invalid_argument(
+            "EnergyMeter: negative reconfiguration energy");
+      load();
     }
-  }
 
-  /// Fully fused span kernel: adds a span whose compute energy the caller
-  /// already integrated (`compute_energy` = sum of power_i * step *
-  /// seconds_i over the span's runs) with constant `transition` power
-  /// over `seconds`. The span must lie within the current day — the
-  /// event-driven simulator clamps spans at day boundaries — because an
-  /// integrated energy cannot be attributed across days; throws
-  /// std::logic_error otherwise.
+    /// add_span(compute, transition, seconds) for `seconds` >= 0.
+    void add(Watts compute, std::int64_t seconds) {
+      if (seconds > day_left_) {
+        close();
+        meter_->add_span(compute, transition_,
+                         static_cast<std::size_t>(seconds));
+        load();
+        return;
+      }
+      const Joules compute_e = compute * step_ * static_cast<double>(seconds);
+      const Joules transition_e =
+          transition_step_ * static_cast<double>(seconds);
+      compute_ += compute_e;
+      day_compute_ += compute_e;
+      reconf_ += transition_e;
+      day_reconf_ += transition_e;
+      day_left_ -= seconds;
+    }
+
+    void close() const {
+      // Inside the day window the tick is where the seconds left end.
+      meter_->ticks_ =
+          in_day_ ? meter_->day_end_tick_ - static_cast<std::size_t>(day_left_)
+                  : ticks_;
+      meter_->compute_energy_ = compute_;
+      meter_->reconf_energy_ = reconf_;
+      if (in_day_) {
+        meter_->day_compute_[day_] = day_compute_;
+        meter_->day_reconf_[day_] = day_reconf_;
+      }
+    }
+
+   private:
+    /// Copies the meter out. Outside the cached day window (a fresh meter,
+    /// or a tick at the day's end) no bucket is open and day_left_ is 0,
+    /// so the next non-empty add() takes add_span's path.
+    void load() {
+      ticks_ = meter_->ticks_;
+      compute_ = meter_->compute_energy_;
+      reconf_ = meter_->reconf_energy_;
+      in_day_ = ticks_ < meter_->day_end_tick_;
+      day_left_ = in_day_ ? static_cast<std::int64_t>(meter_->day_end_tick_ -
+                                                      ticks_)
+                          : 0;
+      day_ = meter_->current_day_;
+      day_compute_ = in_day_ ? meter_->day_compute_[day_] : 0.0;
+      day_reconf_ = in_day_ ? meter_->day_reconf_[day_] : 0.0;
+    }
+
+    EnergyMeter* meter_;
+    Watts transition_;
+    Seconds step_;
+    Joules transition_step_;  // transition * step, as add_span forms it
+    std::size_t ticks_ = 0;     // at load
+    std::int64_t day_left_ = 0;  // seconds to the end of the open bucket
+    std::size_t day_ = 0;
+    bool in_day_ = false;
+    Joules compute_ = 0.0;
+    Joules reconf_ = 0.0;
+    Joules day_compute_ = 0.0;
+    Joules day_reconf_ = 0.0;
+  };
+
+  /// Adds a span whose compute energy the caller already integrated
+  /// (`compute_energy` = sum of power_i * step * seconds_i over the span's
+  /// runs) with constant `transition` power over `seconds`. The span must
+  /// lie within the current day — the event-driven simulator clamps spans
+  /// at day boundaries — because an integrated energy cannot be attributed
+  /// across days; throws std::logic_error otherwise.
   void add_integrated_span(Joules compute_energy, Watts transition,
                            std::size_t seconds) {
     if (compute_energy < 0.0)
@@ -184,10 +203,9 @@ class EnergyMeter {
  private:
   /// Grows the day buckets to cover the current tick and returns the day
   /// index. The day window [.., day_end_tick_) is cached, so the common
-  /// within-day call is one compare — this runs once per app per
-  /// run-length segment of the event-driven simulator. (Whenever ticks_ <
-  /// day_end_tick_, a previous slow refresh already sized the buckets for
-  /// current_day_, so the fast path can skip the grow loop too.)
+  /// within-day call is one compare. (Whenever ticks_ < day_end_tick_, a
+  /// previous slow refresh already sized the buckets for current_day_, so
+  /// the fast path — and OpenSpan's load — can skip the grow loop too.)
   std::size_t refresh_day() {
     if (ticks_ < day_end_tick_) return current_day_;
     return refresh_day_slow();

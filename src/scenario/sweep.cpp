@@ -249,14 +249,21 @@ struct ScenarioBuild {
       // of the same day-long sample buffer and run index. The FNV hash
       // only shortlists candidates; sharing requires an exact
       // sample-for-sample match, so aliasing distinct traces is
-      // impossible.
+      // impossible. A single-app build has nothing to share and skips
+      // the hash.
       own_traces.reserve(apps.size());
+      const bool dedup = apps.size() > 1;
       std::map<std::uint64_t, std::vector<std::size_t>> by_hash;
       for (std::size_t i = 0; i < apps.size(); ++i) {
         const auto generate_start = std::chrono::steady_clock::now();
         LoadTrace t =
             make_trace(apps[i].trace, apps[i].trace_params, app_seed(spec, i));
         phases.generate += elapsed_seconds(generate_start);
+        if (!dedup) {
+          own_traces.push_back(std::move(t));
+          traces[i] = &own_traces.back();
+          continue;
+        }
         const auto dedup_start = std::chrono::steady_clock::now();
         const std::span<const double> v = t.series().values();
         std::uint64_t h =

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
+
+#include "util/run_length.hpp"
 
 namespace bml {
 
@@ -116,8 +119,16 @@ TimePoint ReactiveScheduler::decision_stable_until(TimePoint now,
     return cuts->index_for(std::min(trace.at(t) * headroom_, max_rate));
   };
   const std::size_t current = bucket(now);
-  TimePoint t = trace.next_change(now);
-  while (t < kNever && bucket(t) == current) t = trace.next_change(t);
+  const auto size = static_cast<TimePoint>(trace.size());
+  if (now >= size) return kNever;  // past the end the trace holds 0
+  // Seat the run holding `now` once, then step the run index: run r + 1
+  // starts where run r ends. A change at `size` is the implicit 0 tail,
+  // which holds forever.
+  const std::span<const std::uint32_t> ends = trace.run_ends();
+  std::size_t run = run_index(ends, static_cast<std::size_t>(now));
+  TimePoint t = run_end(ends, run);
+  while (t < kNever && bucket(t) == current)
+    t = t >= size ? kNever : run_end(ends, ++run);
   return t;
 }
 

@@ -97,6 +97,17 @@ class CompiledTrace {
     return Run{samples_[tt], run_end(ends_, cursor.seg)};
   }
 
+  /// The run that starts at `t`, the end of the cursor's current run — the
+  /// same as run_at(cursor, t) for a walk that has just reached that end,
+  /// without the re-seating checks. The k-way merge advances its frontier
+  /// with it.
+  [[nodiscard]] Run next_run(Cursor& cursor, TimePoint t) const {
+    if (t >= size()) return Run{0.0, kNeverChanges};
+    ++cursor.seg;
+    return Run{samples_[static_cast<std::size_t>(t)],
+               run_end(ends_, cursor.seg)};
+  }
+
  private:
   /// "The value holds forever" sentinel.
   static constexpr TimePoint kNeverChanges =

@@ -17,16 +17,30 @@
 
 namespace bml {
 
-/// Aggregated totals of one span, accumulated by a caller that fused the
-/// per-run QoS arithmetic into its own segment walk (the event-driven
-/// simulator's single-workload fast path). Fields mirror what
-/// record_runs would have accumulated for the same runs.
+/// Aggregated totals of a run of sub-runs, accumulated from zero by a
+/// caller that fused the per-run QoS arithmetic into its own segment walk
+/// (the event-driven simulator's cluster-wide totals) and folded in with
+/// QosTracker::record_totals.
 struct QosSpanTotals {
   std::int64_t seconds = 0;
   std::int64_t violation_seconds = 0;
   double offered = 0.0;
   double unserved = 0.0;
   ReqRate worst_shortfall = 0.0;
+
+  /// Adds a run of `len` seconds (>= 1) with `load` offered against
+  /// `capacity`.
+  void add(ReqRate load, ReqRate capacity, std::int64_t len) {
+    const auto run_seconds = static_cast<double>(len);
+    seconds += len;
+    offered += load * run_seconds;
+    if (load > capacity) {
+      const double shortfall = load - capacity;
+      violation_seconds += len;
+      unserved += shortfall * run_seconds;
+      if (shortfall > worst_shortfall) worst_shortfall = shortfall;
+    }
+  }
 };
 
 /// Application QoS classes from Section III of the paper.
@@ -82,68 +96,38 @@ class QosTracker {
   /// Records `seconds` consecutive seconds with constant load and capacity
   /// in closed form — the event-driven simulator's batch path. Counters
   /// match `seconds` repeated record() calls (up to floating-point
-  /// summation order on the request integrals). Inline: the multi-app
-  /// fast path calls this once per app per trace sub-run.
+  /// summation order on the request integrals).
   void record_span(ReqRate load, ReqRate capacity, std::int64_t seconds) {
     if (load < 0.0 || capacity < 0.0)
       throw std::invalid_argument("QosTracker: negative load or capacity");
     if (seconds < 0) throw std::invalid_argument("QosTracker: negative span");
-    if (seconds == 0) return;
-    stats_.total_seconds += seconds;
-    stats_.offered_requests += load * static_cast<double>(seconds);
-    const double shortfall = load - capacity;
-    if (shortfall > 0.0) {
-      stats_.violation_seconds += seconds;
-      stats_.unserved_requests += shortfall * static_cast<double>(seconds);
-      stats_.worst_shortfall = std::max(stats_.worst_shortfall, shortfall);
-    }
+    if (seconds == 0) return;  // an empty run must not touch the worst
+    accumulate(stats_, load, capacity, seconds);
   }
 
-  /// Piecewise-constant span kernel: records every run of `runs`, each
-  /// against its own capacity, in one call — the varying-load counterpart
-  /// of record_span for spans where the fleet is fixed but the trace is
-  /// not. Accumulates locally and flushes once (this runs once per
-  /// event-driven span with one entry per trace segment). Integer counters
-  /// are exact; request integrals match per-second recording up to
-  /// floating-point summation order.
-  ///
-  /// `runs` is any range whose elements expose `load`, `seconds` and `cap`
-  /// members, `cap` being the run's effective serving capacity: the On
-  /// capacity, or more in a degraded-mode overload, where the spill-over
-  /// absorbed above rated capacity varies with each run's load. The
-  /// simulator passes its fused per-segment scratch rows directly so this
-  /// loop inlines into the span walk.
-  template <typename Runs>
-  void record_runs(const Runs& runs) {
-    std::int64_t total = 0;
-    std::int64_t violation = 0;
-    double offered = 0.0;
-    double unserved = 0.0;
-    ReqRate worst = 0.0;
-    for (const auto& run : runs) {
-      if (run.load < 0.0 || run.cap < 0.0)
-        throw std::invalid_argument("QosTracker: negative load or capacity");
-      if (run.seconds < 0)
-        throw std::invalid_argument("QosTracker: negative span");
-      if (run.seconds == 0) continue;  // a 0 s run must not touch worst_
-      total += run.seconds;
-      offered += run.load * static_cast<double>(run.seconds);
-      const double shortfall = run.load - run.cap;
-      if (shortfall > 0.0) {
-        violation += run.seconds;
-        unserved += shortfall * static_cast<double>(run.seconds);
-        if (shortfall > worst) worst = shortfall;
-      }
+  /// The tracker's stats held open across a sequence of record_span calls:
+  /// the constructor copies them out, record() performs record_span's
+  /// arithmetic on the copy, and close() writes it back, so the stats are
+  /// bit-identical to calling record_span for each run. record() checks
+  /// nothing: its caller passes validated, non-negative values and runs of
+  /// at least one second. The event-driven simulator keeps one open per
+  /// active app across a span's sub-runs. The tracker must not be touched
+  /// between opening and close().
+  class OpenSpan {
+   public:
+    explicit OpenSpan(QosTracker& tracker)
+        : tracker_(&tracker), stats_(tracker.stats_) {}
+    void record(ReqRate load, ReqRate capacity, std::int64_t seconds) {
+      accumulate(stats_, load, capacity, seconds);
     }
-    stats_.total_seconds += total;
-    stats_.violation_seconds += violation;
-    stats_.offered_requests += offered;
-    stats_.unserved_requests += unserved;
-    stats_.worst_shortfall = std::max(stats_.worst_shortfall, worst);
-  }
+    void close() const { tracker_->stats_ = stats_; }
 
-  /// Folds caller-accumulated span totals in (the fully fused counterpart
-  /// of record_runs — see QosSpanTotals).
+   private:
+    QosTracker* tracker_;
+    QosStats stats_;
+  };
+
+  /// Folds caller-accumulated totals in (see QosSpanTotals).
   void record_totals(const QosSpanTotals& totals) {
     stats_.total_seconds += totals.seconds;
     stats_.violation_seconds += totals.violation_seconds;
@@ -156,6 +140,19 @@ class QosTracker {
   [[nodiscard]] const QosStats& stats() const { return stats_; }
 
  private:
+  /// record_span's arithmetic on `stats` for a non-empty run, unchecked.
+  static void accumulate(QosStats& stats, ReqRate load, ReqRate capacity,
+                         std::int64_t seconds) {
+    stats.total_seconds += seconds;
+    stats.offered_requests += load * static_cast<double>(seconds);
+    const double shortfall = load - capacity;
+    if (shortfall > 0.0) {
+      stats.violation_seconds += seconds;
+      stats.unserved_requests += shortfall * static_cast<double>(seconds);
+      stats.worst_shortfall = std::max(stats.worst_shortfall, shortfall);
+    }
+  }
+
   QosStats stats_;
 };
 

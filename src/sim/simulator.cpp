@@ -183,24 +183,18 @@ struct Run {
   /// Scratch: per-app offered load / capacity allocation this span.
   std::vector<ReqRate> loads;
   std::vector<ReqRate> alloc;
-  /// Scratch for the event-driven path: the constant-value sub-runs of the
-  /// current span (one row per trace segment — load for the QoS kernel,
-  /// compute power for the energy kernel), and the On fleet's compiled
-  /// power curve (fixed within a span).
-  struct SegmentRun {
-    ReqRate load;
-    Watts compute;
-    TimePoint seconds;
-    /// Effective serving capacity of this sub-run, which QosTracker::
-    /// record_runs scores against: the On capacity, or more in a
-    /// degraded-mode overload.
-    ReqRate cap;
-  };
-  std::vector<SegmentRun> span_runs;
   /// Fused k-way merge frontier (multi-app fast path): each app's current
   /// run end, parallel to `loads` (which doubles as the frontier's value
   /// array inside advance_span).
   std::vector<TimePoint> run_ends;
+  /// Working state of the k-way merge: each active app's QoS tracker and
+  /// energy meter, held open across the span (see advance_span).
+  struct OpenApp {
+    std::size_t app;
+    QosTracker::OpenSpan qos;
+    EnergyMeter::OpenSpan energy;
+  };
+  std::vector<OpenApp> open_apps;
   /// Consult cache: each app's cached decision_stable_until; entries <= now
   /// force a real decide(). Only the event-driven path fills it (after the
   /// merge, while no reconfiguration is in flight), so the per-second
@@ -208,6 +202,7 @@ struct Run {
   /// cluster state (see Scheduler), so nothing the cluster does makes an
   /// entry stale: each one holds until it expires.
   std::vector<TimePoint> consult_until;
+  /// The On fleet's compiled power curve (fixed within a span).
   FleetPowerCurve power_curve;
   /// Runtime crash/repair state; disengaged unless the fault model's
   /// runtime channel is active.
@@ -842,8 +837,9 @@ void apply_decision(Combination decision, TimePoint now,
   state.reconfiguring = true;
   state.started = now;
   ++result.reconfigurations;
-  log_debug() << "t=" << now << " reconfigure -> "
-              << to_string(candidates, decision);
+  if (log_enabled(LogLevel::kDebug))
+    log_debug() << "t=" << now << " reconfigure -> "
+                << to_string(candidates, decision);
   if (events)
     events->record(now, EventKind::kReconfigurationStart,
                    to_string(candidates, decision));
@@ -1069,8 +1065,9 @@ void restore_after_failure(TimePoint now, const Catalog& candidates,
                      "replace failed: " +
                          to_string(candidates, run.state.current_target));
   }
-  log_debug() << "t=" << now << " failure restore -> "
-              << to_string(candidates, run.state.current_target);
+  if (log_enabled(LogLevel::kDebug))
+    log_debug() << "t=" << now << " failure restore -> "
+                << to_string(candidates, run.state.current_target);
 }
 
 /// Applies every fault event due at `now` (shared verbatim by both
@@ -1212,15 +1209,14 @@ ReqRate gather_loads(const std::vector<WorkloadView>& views, TimePoint now,
   return total;
 }
 
-/// Per-app QoS and energy attribution for a constant-load span (1 s in
-/// the reference loop). Only touches per-app accumulators — the
-/// cluster-wide aggregates are recorded by the callers, unchanged from
-/// the single-workload simulator. `capacity` is the caller's On capacity
-/// for the span (constant across a fixed-fleet span, so hoisted into the
-/// capacity-parameterized Cluster::split_capacity overload).
-void attribute_span(const std::vector<WorkloadView>& views, Run& run,
-                    ReqRate total_load, const ClusterPower& power,
-                    TimePoint span, ReqRate capacity) {
+/// Per-app QoS and energy attribution of one second of the reference
+/// loop (advance_span's k-way merge performs the same arithmetic on
+/// accumulators it holds open). Only touches per-app accumulators — the
+/// cluster-wide aggregates are recorded by the caller. `capacity` is the
+/// effective capacity QoS is scored against.
+void attribute_second(const std::vector<WorkloadView>& views, Run& run,
+                      ReqRate total_load, const ClusterPower& power,
+                      ReqRate capacity) {
   // Attribution covers the active subset only: inactive apps integrate
   // nothing (their loads are pinned to 0.0), and an idle-cluster equal
   // split spreads over the tenants present.
@@ -1228,12 +1224,12 @@ void attribute_span(const std::vector<WorkloadView>& views, Run& run,
   const auto n_active = static_cast<double>(run.active_count);
   for (std::size_t i = 0; i < views.size(); ++i) {
     if (!run.active[i]) continue;
-    run.app_qos[i].record_span(run.loads[i], run.alloc[i], span);
+    run.app_qos[i].record_span(run.loads[i], run.alloc[i], 1);
     const double compute_share =
         total_load > 0.0 ? run.loads[i] / total_load : 1.0 / n_active;
     run.app_meters[i].add_span(power.compute * compute_share,
                                power.transition * run.transition_shares[i],
-                               static_cast<std::size_t>(span));
+                               1);
   }
 }
 
@@ -1329,10 +1325,10 @@ std::size_t longest_trace(const std::vector<WorkloadView>& views) {
 /// decision is applied inside): walks the intersection of the workloads'
 /// compiled-trace runs, so a span over a per-second-noisy trace costs one
 /// iteration per constant-value sub-run instead of one per second. Each
-/// sub-run's power / QoS / per-app attribution is closed-form; the
-/// cluster-wide piecewise kernels (EnergyMeter::add_runs,
-/// QosTracker::record_runs) then each consume the whole run list in one
-/// call.
+/// sub-run's power, QoS and per-app attribution are closed-form: the
+/// cluster-wide totals accumulate in registers (QosSpanTotals and the
+/// integrated compute energy), and the per-app accumulators stay open
+/// across the span (QosTracker::OpenSpan, EnergyMeter::OpenSpan).
 ///
 /// Returns the time actually advanced to (== `end` normally). With the
 /// degrade model enabled, an overload entry/exit inside the span stops
@@ -1344,7 +1340,6 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
                        const std::vector<CompiledTrace>& compiled,
                        std::vector<CompiledTrace::Cursor>& cursors,
                        TimePoint begin, TimePoint end, SimMetrics* metrics) {
-  run.span_runs.clear();
   // Fixed fleet for the whole span: capacity and transition power are
   // constant, and the compute power is the compiled fleet curve of the
   // per-run load (within a few ulp of Cluster::compute_power — inside
@@ -1355,20 +1350,6 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
   const bool deg = run.degrade.enabled();
   bool first = true;
   bool span_over = false;
-
-  // Kernel flushes happen in L1-sized chunks: a quiet day can be one span
-  // of 86400 per-second runs, and producing the whole list before walking
-  // it twice (QoS kernel, energy kernel) would stream megabytes through
-  // the cache instead of kilobytes. Chunk boundaries only affect
-  // floating-point summation order; day attribution is unaffected (spans
-  // never straddle days — the caller clamps them).
-  constexpr std::size_t kFlushChunk = 512;
-  const auto flush = [&run, transition] {
-    if (run.span_runs.empty()) return;
-    run.qos.record_runs(run.span_runs);
-    run.meter.add_runs(run.span_runs, transition);
-    run.span_runs.clear();
-  };
 
   // Single-workload runs skip per-run attribution entirely: with one app
   // the capacity, compute and transition shares are all exactly 1.0, so
@@ -1407,15 +1388,7 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
           account_overload(views, run, r.value, dc.lost_rate, len);
         }
       }
-      totals.seconds += len;
-      totals.offered += r.value * seconds;
-      if (r.value > cap_eff) {
-        const double shortfall = r.value - cap_eff;
-        totals.violation_seconds += len;
-        totals.unserved += shortfall * seconds;
-        if (shortfall > totals.worst_shortfall)
-          totals.worst_shortfall = shortfall;
-      }
+      totals.add(r.value, cap_eff, len);
       compute_e += run.power_curve.power_at(r.value) * seconds;
       cur = sub_end;
     }
@@ -1430,11 +1403,17 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
   // current runs, and only the cursors whose run ends exactly at the
   // sub-run boundary advance — so each app's stream is consumed once
   // per span instead of being re-probed once per sub-run. The sub-run
-  // arithmetic (total summed fresh in app order, per-app attribution via
-  // attribute_span) is operation-for-operation the per-sub-run walk it
-  // replaces, so every accumulator stays bit-identical.
+  // arithmetic is operation-for-operation the reference loop's
+  // attribute_second: the total sums fresh in app order, and the quotient
+  // loads[i] / total is split_capacity's capacity split and the compute
+  // share at once (with no load offered, the equal splits over all apps
+  // and over the active ones). Each active app's QosTracker and
+  // EnergyMeter are open across the span and take exactly record_span's
+  // and add_span's operations per sub-run, so every accumulator stays
+  // bit-identical.
   const std::size_t k = views.size();
   std::uint64_t advances = 0;
+  run.open_apps.clear();
   for (std::size_t i = 0; i < k; ++i) {
     // Inactive tenants hold a zero-load frontier entry pinned to the
     // span end: their cursor is never probed, the 0.0 still sums in app
@@ -1449,7 +1428,33 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
     run.loads[i] = r.value;
     run.run_ends[i] = r.end;
     ++advances;
+    run.open_apps.push_back(Run::OpenApp{
+        i, QosTracker::OpenSpan(run.app_qos[i]),
+        EnergyMeter::OpenSpan(run.app_meters[i],
+                              transition * run.transition_shares[i])});
   }
+  const double equal_alloc = 1.0 / static_cast<double>(k);
+  const double equal_compute =
+      run.open_apps.empty()
+          ? 0.0
+          : 1.0 / static_cast<double>(run.active_count);
+
+  // The cluster-wide totals fold into the tracker and the meter every
+  // kFlushChunk sub-runs, which fixes their summation order (and so the
+  // pinned bytes). Day attribution is unaffected: spans never straddle
+  // days (the caller clamps them).
+  constexpr std::size_t kFlushChunk = 512;
+  QosSpanTotals totals;
+  Joules compute_e = 0.0;
+  std::size_t chunk_runs = 0;
+  const auto flush = [&] {
+    run.qos.record_totals(totals);
+    run.meter.add_integrated_span(compute_e, transition,
+                                  static_cast<std::size_t>(totals.seconds));
+    totals = QosSpanTotals{};
+    compute_e = 0.0;
+    chunk_runs = 0;
+  };
   TimePoint cur = begin;
   while (cur < end) {
     TimePoint sub_end = end;
@@ -1459,6 +1464,7 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
       if (run.run_ends[i] < sub_end) sub_end = run.run_ends[i];
     }
     const TimePoint len = sub_end - cur;
+    const auto seconds = static_cast<double>(len);
     ReqRate cap_eff = capacity_now;
     if (deg) {
       const DegradedCap dc =
@@ -1474,15 +1480,26 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
       if (dc.overloaded) account_overload(views, run, total, dc.lost_rate, len);
     }
     const Watts compute = run.power_curve.power_at(total);
-    run.span_runs.push_back(Run::SegmentRun{total, compute, len, cap_eff});
-    if (run.span_runs.size() == kFlushChunk) flush();
-    attribute_span(views, run, total, ClusterPower{compute, transition},
-                   len, cap_eff);
+    totals.add(total, cap_eff, len);
+    compute_e += compute * seconds;
+    if (++chunk_runs == kFlushChunk) flush();
+    if (total > 0.0) {
+      for (Run::OpenApp& a : run.open_apps) {
+        const double share = run.loads[a.app] / total;
+        a.qos.record(run.loads[a.app], cap_eff * share, len);
+        a.energy.add(compute * share, len);
+      }
+    } else {
+      for (Run::OpenApp& a : run.open_apps) {
+        a.qos.record(run.loads[a.app], cap_eff * equal_alloc, len);
+        a.energy.add(compute * equal_compute, len);
+      }
+    }
     cur = sub_end;
     if (cur >= end) break;
     for (std::size_t i = 0; i < k; ++i) {
       if (run.run_ends[i] == cur) {
-        const CompiledTrace::Run r = compiled[i].run_at(cursors[i], cur);
+        const CompiledTrace::Run r = compiled[i].next_run(cursors[i], cur);
         run.loads[i] = r.value;
         run.run_ends[i] = r.end;
         ++advances;
@@ -1493,7 +1510,11 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
     metrics->merge_frontier_advances += advances;
     if (k > metrics->merge_apps_max) metrics->merge_apps_max = k;
   }
-  flush();
+  if (chunk_runs > 0) flush();
+  for (const Run::OpenApp& a : run.open_apps) {
+    a.qos.close();
+    a.energy.close();
+  }
   return end;
 }
 
@@ -1529,7 +1550,7 @@ MultiSimulationResult Simulator::run_per_second(
     if (power.transition > 0.0)
       run.meter.add_reconfiguration_energy(power.transition * 1.0);
     run.meter.tick();
-    attribute_span(views, run, load, power, 1, cap_eff);
+    attribute_second(views, run, load, power, cap_eff);
     end_span(now, 1, run);
   }
   MultiSimulationResult out;
@@ -1622,8 +1643,9 @@ MultiSimulationResult Simulator::run_event_driven(
       bound(run.lifecycle_events[run.next_lifecycle].time,
             SpanEndCause::kChurn);
     // Clamping spans at day boundaries costs at most one extra span per
-    // simulated day and lets EnergyMeter::add_runs fuse every sub-run of
-    // a span into one day bucket instead of chunk-splitting per run.
+    // simulated day and lets advance_span integrate every sub-run of a
+    // span into one day bucket of the cluster meter
+    // (EnergyMeter::add_integrated_span) instead of splitting per run.
     bound((t / kSecondsPerDay + 1) * kSecondsPerDay,
           SpanEndCause::kDayBoundary);
     // A spare flag flipping is a decision change: the reference loop
@@ -1669,10 +1691,22 @@ MultiSimulationResult Simulator::run_event_driven(
       metrics->span_seconds.observe(static_cast<double>(span));
     }
     // 3. An observed run replays each second of the span for its events
-    //    and timeline samples; the fleet is fixed inside the span.
+    //    and timeline samples; the fleet is fixed inside the span. A
+    //    second whose load stays within capacity, with no overload open,
+    //    records nothing but its sample (every sample_every seconds). The
+    //    apps' span maxima, summed in app order, bound every second's
+    //    summed load (rounding is monotone), so when that bound fits,
+    //    only the sample seconds are observed.
     if (run.result.timeline.enabled) {
       const ReqRate capacity = run.cluster.on_capacity();
-      for (TimePoint s = t; s < span_end; ++s)
+      ReqRate peak = 0.0;
+      for (std::size_t i = 0; i < views.size(); ++i)
+        if (run.active[i]) peak += views[i].trace->max_over(t, span_end);
+      const TimePoint every = run.result.timeline.sample_every;
+      const bool quiet = !run.overloaded_now && peak <= capacity;
+      const TimePoint step = quiet ? every : 1;
+      for (TimePoint s = quiet ? (t + every - 1) / every * every : t;
+           s < span_end; s += step)
         observe_second(run, s, gather_loads(views, s, run), capacity);
     }
 

@@ -44,12 +44,12 @@
 //     may change or a machine transition completes. Trace value changes do
 //     NOT break spans; inside a span the fleet is fixed, so the varying
 //     load is integrated by walking the traces' run-length segments
-//     (a CompiledTrace view each, sim/compiled_trace.hpp) and feeding the
-//     piecewise-constant kernels (EnergyMeter::add_runs,
-//     QosTracker::record_runs) — a
-//     per-second-noisy trace whose values stay inside one
-//     decision-threshold bucket (core/decision_thresholds.hpp) costs zero
-//     scheduler evaluations. Multi-workload spans intersect the
+//     (a CompiledTrace view each, sim/compiled_trace.hpp) with the
+//     cluster totals in registers and each app's QoS tracker and energy
+//     meter held open across the span (QosTracker::OpenSpan,
+//     EnergyMeter::OpenSpan) — a per-second-noisy trace whose values stay
+//     inside one decision-threshold bucket
+//     (core/decision_thresholds.hpp) costs zero scheduler evaluations. Multi-workload spans intersect the
 //     per-workload stability bounds and per-app trace runs. Steady *and*
 //     noisy traces replay orders of magnitude faster; see bench_micro's
 //     BM_SimulatorWeek* benchmarks, tests/test_simulator_fastpath.cpp and

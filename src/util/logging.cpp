@@ -25,9 +25,13 @@ void set_log_level(LogLevel level) { g_level = level; }
 
 LogLevel log_level() { return g_level; }
 
+bool log_enabled(LogLevel level) {
+  return static_cast<int>(level) >= static_cast<int>(g_level) &&
+         level != LogLevel::kOff;
+}
+
 void log_message(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) return;
-  if (level == LogLevel::kOff) return;
+  if (!log_enabled(level)) return;
   // One fwrite per line: parallel sweep workers logging concurrently can't
   // interleave fragments of each other's messages.
   std::string line;

@@ -1,9 +1,9 @@
 // CompiledTrace must be an exact run-length view of its LoadTrace:
 // identical values (to the bit), identical next-change semantics
 // (including the implicit-zero tail rule), and a cursor walk that agrees
-// with point queries whether it moves forward second-by-second, jumps
-// across runs, or is re-seated backwards. Both answer as the samples read
-// one second at a time do.
+// with point queries whether it moves forward second-by-second, steps
+// from run to run, jumps across runs, or is re-seated backwards. Both
+// answer as the samples read one second at a time do.
 #include "sim/compiled_trace.hpp"
 
 #include <gtest/gtest.h>
@@ -65,6 +65,15 @@ void expect_mirrors(const LoadTrace& trace) {
     const CompiledTrace::Run run = compiled.run_at(cursor, t);
     EXPECT_EQ(bits(run.value), bits(trace.at(t))) << "t=" << t;
     EXPECT_EQ(run.end, next) << "t=" << t;
+  }
+  // Run by run: next_run at each run's end answers as run_at does.
+  CompiledTrace::Cursor stepping;
+  CompiledTrace::Run run = compiled.run_at(stepping, 0);
+  while (run.end != kNever) {
+    const TimePoint t = run.end;
+    run = compiled.next_run(stepping, t);
+    EXPECT_EQ(bits(run.value), bits(trace.at(t))) << "t=" << t;
+    EXPECT_EQ(run.end, naive_next_change(x, t)) << "t=" << t;
   }
   Rng rng(x.size());
   CompiledTrace::Cursor jumping;

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -132,6 +135,115 @@ TEST(FleetPowerCurve, MatchesPowerAtWithPiecewiseProfiles) {
     const Watts reference = plan.power_at(combo.counts(), load);
     const double tolerance = 1e-12 * std::max(1.0, std::abs(reference));
     EXPECT_NEAR(curve.power_at(load), reference, tolerance) << load;
+  }
+}
+
+/// The affine table's piece bounds, formed as compile_fleet forms them:
+/// machines in dispatch order (slope ascending, catalog index breaking
+/// ties), linear architectures up to the first piecewise one, at most 64.
+std::vector<double> piece_bounds(const Catalog& catalog,
+                                 const std::vector<int>& counts) {
+  std::vector<std::size_t> order(catalog.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return catalog[a].slope() < catalog[b].slope();
+  });
+  std::vector<double> bounds;
+  double prefix = 0.0;
+  for (const std::size_t a : order) {
+    if (counts[a] == 0) continue;
+    if (dynamic_cast<const LinearPowerModel*>(&catalog[a].model()) == nullptr)
+      break;
+    const double perf = catalog[a].max_perf();
+    for (int j = 0; j < counts[a] && bounds.size() < 64; ++j)
+      bounds.push_back(prefix + (j + 1) * perf);
+    prefix += counts[a] * perf;
+  }
+  return bounds;
+}
+
+/// Fleets whose curves the tests below probe: real-catalog designs of
+/// several sizes, a fleet past the 64-piece cap, and a piecewise-model
+/// architecture that ends the affine table.
+struct ProbeFleet {
+  Catalog catalog;
+  std::vector<int> counts;
+};
+std::vector<ProbeFleet> probe_fleets() {
+  std::vector<ProbeFleet> fleets;
+  const Catalog real = real_catalog();
+  const BmlDesign design = BmlDesign::build(real);
+  for (double rate : {9.0, 140.0, 800.0, 2500.0, 4800.0}) {
+    Combination combo = design.ideal_combination(rate);
+    combo.resize(real.size());
+    fleets.push_back({real, combo.counts()});
+  }
+  // Every architecture, 80 Raspberry Pis: 100+ machines, capped at 64.
+  fleets.push_back({real, std::vector<int>{2, 3, 4, 9, 80}});
+  const ArchitectureProfile bent(
+      "bent",
+      std::vector<PowerSample>{{0.0, 10.0}, {50.0, 90.0}, {100.0, 100.0}},
+      TransitionCost{5.0, 50.0}, TransitionCost{2.0, 10.0});
+  const ArchitectureProfile linear("lin", 200.0, 20.0, 120.0,
+                                   TransitionCost{5.0, 50.0},
+                                   TransitionCost{2.0, 10.0});
+  fleets.push_back({Catalog{linear, bent}, std::vector<int>{2, 3}});
+  return fleets;
+}
+
+/// Each piece bound, one ulp either side of it, and the loads between.
+std::vector<double> probe_rates(const ProbeFleet& fleet) {
+  std::vector<double> rates;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double b : piece_bounds(fleet.catalog, fleet.counts))
+    rates.insert(rates.end(),
+                 {std::nextafter(b, -inf), b, std::nextafter(b, inf)});
+  const double cap = capacity(fleet.catalog, Combination{fleet.counts});
+  for (double load = 0.0; load <= cap + 100.0; load += 3.7)
+    rates.push_back(load);
+  return rates;
+}
+
+TEST(FleetPowerCurve, AgreesWithPlanAtPieceBounds) {
+  // At a bound the piece above it answers; its refactored sum and the
+  // plan's loop agree within reassociation distance there too.
+  for (const ProbeFleet& fleet : probe_fleets()) {
+    const DispatchPlan plan(fleet.catalog);
+    FleetPowerCurve curve;
+    plan.compile_fleet(fleet.counts, curve);
+    const std::vector<double> bounds =
+        piece_bounds(fleet.catalog, fleet.counts);
+    ASSERT_FALSE(bounds.empty());
+    for (const double rate : probe_rates(fleet)) {
+      const Watts reference = plan.power_at(fleet.counts, rate);
+      EXPECT_NEAR(curve.power_at(rate), reference,
+                  1e-12 * std::max(1.0, std::abs(reference)))
+          << "fleet of " << bounds.size() << " pieces, rate=" << rate;
+    }
+  }
+  EXPECT_EQ(piece_bounds(real_catalog(), {2, 3, 4, 9, 80}).size(), 64u);
+}
+
+TEST(FleetPowerCurve, ResultsDoNotDependOnQueryOrder) {
+  // The curve keeps no lookup state: ascending, descending and shuffled
+  // queries of the same rates give the same bits.
+  std::mt19937_64 gen(25);
+  for (const ProbeFleet& fleet : probe_fleets()) {
+    const DispatchPlan plan(fleet.catalog);
+    FleetPowerCurve curve;
+    plan.compile_fleet(fleet.counts, curve);
+    std::vector<double> rates = probe_rates(fleet);
+    std::sort(rates.begin(), rates.end());
+    std::vector<Watts> ascending;
+    for (const double rate : rates) ascending.push_back(curve.power_at(rate));
+    for (std::size_t i = rates.size(); i-- > 0;)
+      EXPECT_EQ(curve.power_at(rates[i]), ascending[i]) << rates[i];
+    std::vector<std::size_t> shuffled(rates.size());
+    for (std::size_t i = 0; i < shuffled.size(); ++i) shuffled[i] = i;
+    std::shuffle(shuffled.begin(), shuffled.end(), gen);
+    for (const std::size_t i : shuffled)
+      EXPECT_EQ(curve.power_at(rates[i]), ascending[i]) << rates[i];
   }
 }
 

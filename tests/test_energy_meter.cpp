@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -75,47 +78,77 @@ TEST(EnergyMeter, Validation) {
   EXPECT_THROW(meter.add_reconfiguration_energy(-1.0), std::invalid_argument);
 }
 
-TEST(EnergyMeter, AddRunsMatchesPerRunAddSpan) {
-  // The piecewise kernel must match run-by-run add_span accumulation,
-  // including runs that straddle day boundaries (the chunked fallback).
-  const std::vector<PowerRun> runs{
-      {40.0, 1000}, {75.0, static_cast<std::size_t>(kSecondsPerDay)},
-      {10.0, 5},    {0.0, 200},
-      {33.5, static_cast<std::size_t>(kSecondsPerDay) / 2}};
-  EnergyMeter kernel(1.0);
-  EnergyMeter reference(1.0);
-  kernel.add_runs(runs, 3.25);
-  for (const PowerRun& run : runs)
-    reference.add_span(run.compute, 3.25, run.seconds);
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-  EXPECT_NEAR(kernel.compute_energy(), reference.compute_energy(), 1e-9);
-  EXPECT_DOUBLE_EQ(kernel.reconfiguration_energy(),
-                   reference.reconfiguration_energy());
-  EXPECT_DOUBLE_EQ(kernel.elapsed(), reference.elapsed());
-  ASSERT_EQ(kernel.per_day_compute().size(),
-            reference.per_day_compute().size());
-  for (std::size_t d = 0; d < reference.per_day_compute().size(); ++d) {
-    EXPECT_NEAR(kernel.per_day_compute()[d], reference.per_day_compute()[d],
-                1e-9)
+void expect_same_bits(const EnergyMeter& a, const EnergyMeter& b) {
+  EXPECT_EQ(bits(a.compute_energy()), bits(b.compute_energy()));
+  EXPECT_EQ(bits(a.reconfiguration_energy()),
+            bits(b.reconfiguration_energy()));
+  EXPECT_EQ(bits(a.elapsed()), bits(b.elapsed()));
+  ASSERT_EQ(a.per_day_compute().size(), b.per_day_compute().size());
+  for (std::size_t d = 0; d < b.per_day_compute().size(); ++d) {
+    EXPECT_EQ(bits(a.per_day_compute()[d]), bits(b.per_day_compute()[d]))
         << "day " << d;
-    EXPECT_NEAR(kernel.per_day_reconfiguration()[d],
-                reference.per_day_reconfiguration()[d], 1e-9)
+    EXPECT_EQ(bits(a.per_day_reconfiguration()[d]),
+              bits(b.per_day_reconfiguration()[d]))
         << "day " << d;
   }
 }
 
-TEST(EnergyMeter, AddRunsRejectsNegativeSignedSeconds) {
-  // The kernel accepts any run shape; signed lengths must be validated
-  // instead of wrapping through the unsigned fused-batch arithmetic.
-  struct SignedRun {
-    double compute;
-    long long seconds;
-  };
+TEST(EnergyMeter, OpenSpanMatchesPerRunAddSpan) {
+  // Random runs, grouped into random spans that each hold the meter open
+  // with one transition power: the meter must be the bits of one
+  // add_span call per run. Some runs are long enough to cross a day (the
+  // add_span fallback), some end exactly on one, and some are empty.
+  for (const Seconds step : {1.0, 0.7}) {
+    std::mt19937_64 gen(25);
+    std::uniform_real_distribution<double> power(0.0, 900.0);
+    std::uniform_int_distribution<std::int64_t> seconds(0, 4000);
+    std::uniform_int_distribution<int> span_runs(1, 30);
+    EnergyMeter open(step);
+    EnergyMeter reference(step);
+    for (int span = 0; span < 300; ++span) {
+      const Watts transition = span % 3 == 0 ? 0.0 : power(gen);
+      EnergyMeter::OpenSpan held(open, transition);
+      for (int r = span_runs(gen); r > 0; --r) {
+        const Watts compute = power(gen);
+        std::int64_t s = seconds(gen);
+        if (r % 11 == 0) s += kSecondsPerDay;
+        held.add(compute, s);
+        reference.add_span(compute, transition, static_cast<std::size_t>(s));
+      }
+      held.close();
+      expect_same_bits(open, reference);
+    }
+    EXPECT_GT(open.per_day_compute().size(), 10u);
+  }
+}
+
+TEST(EnergyMeter, OpenSpanOnADayBoundary) {
+  // Opened exactly at a day's end, and on a fresh meter: no bucket is
+  // open, so the first run takes add_span's path and sizes the buckets.
+  EnergyMeter open(1.0);
+  EnergyMeter reference(1.0);
+  {
+    EnergyMeter::OpenSpan held(open, 2.0);
+    held.add(10.0, kSecondsPerDay);
+    held.close();
+  }
+  reference.add_span(10.0, 2.0, static_cast<std::size_t>(kSecondsPerDay));
+  expect_same_bits(open, reference);
+  EnergyMeter::OpenSpan held(open, 2.0);
+  held.add(5.0, 10);
+  held.add(6.0, 0);
+  held.close();
+  reference.add_span(5.0, 2.0, 10);
+  reference.add_span(6.0, 2.0, 0);
+  expect_same_bits(open, reference);
+  EXPECT_EQ(open.per_day_compute().size(), 2u);
+}
+
+TEST(EnergyMeter, OpenSpanRejectsNegativeTransition) {
   EnergyMeter meter(1.0);
-  EXPECT_THROW(meter.add_runs(std::vector<SignedRun>{{10.0, -5}}, 0.0),
-               std::invalid_argument);
-  EXPECT_THROW(meter.add_runs(std::vector<SignedRun>{{-10.0, 5}}, 0.0),
-               std::invalid_argument);
+  EXPECT_THROW(EnergyMeter::OpenSpan(meter, -1.0), std::invalid_argument);
 }
 
 TEST(EnergyMeter, AddIntegratedSpanMatchesAddSpan) {

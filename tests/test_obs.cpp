@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/trace_export.hpp"
 #include "scenario/scenario_spec.hpp"
@@ -517,6 +518,39 @@ TEST(TraceExport, TimelineRecordingPreservesSimulationResults) {
     EXPECT_EQ(a.sim.compute_energy, b.sim.compute_energy);
     EXPECT_EQ(a.sim.reconfiguration_energy, b.sim.reconfiguration_energy);
     EXPECT_EQ(a.sim.qos.unserved_requests, b.sim.qos.unserved_requests);
+  }
+}
+
+TEST(TraceExport, BothStrategiesRecordTheSameTimeline) {
+  // The fast path observes only the sample seconds of a span whose load
+  // cannot exceed its capacity, as every other second records nothing on
+  // the per-second loop either. Noisy loads, QoS violations, overload
+  // edges, rack strikes, preemptions and churn all record the same JSON.
+  std::vector<ScenarioSpec> specs{parse_scenario(kTinySpec),
+                                  parse_scenario(kNoisyDaySpec),
+                                  parse_scenario(R"(name = overload
+catalog = real
+trace = step
+trace.segments = 900:1800;100000:600;900:1800
+design.max_rate = 1000
+scheduler = bml
+)")};
+  for (const std::string name :
+       {"degraded_priority", "tenant_churn", "rack_strikes"})
+    for (const ScenarioSpec& row : expand_sweep(load_scenario(
+             std::filesystem::path(BML_SPECS_DIR) / (name + ".scn"))))
+      specs.push_back(row);
+  for (ScenarioSpec spec : specs) {
+    SCOPED_TRACE(spec.name);
+    spec.obs_trace = true;
+    spec.obs_sample = 60;
+    const ScenarioResult fast = run_scenario(spec);
+    spec.event_driven = false;
+    const ScenarioResult reference = run_scenario(spec);
+    EXPECT_GT(fast.sim.timeline.samples.size(), 0u);
+    EXPECT_EQ(chrome_trace_json(fast.sim.timeline, fast.sim.events),
+              chrome_trace_json(reference.sim.timeline,
+                                reference.sim.events));
   }
 }
 

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -50,50 +52,50 @@ TEST(QosTracker, RejectsNegativeInputs) {
   QosTracker tracker;
   EXPECT_THROW((void)tracker.record(-1.0, 5.0), std::invalid_argument);
   EXPECT_THROW((void)tracker.record(1.0, -5.0), std::invalid_argument);
+  EXPECT_THROW(tracker.record_span(1.0, 5.0, -1), std::invalid_argument);
 }
 
-/// One run of the span kernel: a constant load over `seconds` against the
-/// run's own serving capacity.
-struct CapRun {
-  ReqRate load = 0.0;
-  std::int64_t seconds = 0;
-  ReqRate cap = 0.0;
-};
+void expect_same_bits(const QosStats& a, const QosStats& b) {
+  EXPECT_EQ(a.total_seconds, b.total_seconds);
+  EXPECT_EQ(a.violation_seconds, b.violation_seconds);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.offered_requests),
+            std::bit_cast<std::uint64_t>(b.offered_requests));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.unserved_requests),
+            std::bit_cast<std::uint64_t>(b.unserved_requests));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.worst_shortfall),
+            std::bit_cast<std::uint64_t>(b.worst_shortfall));
+}
 
-TEST(QosTracker, RecordRunsMatchesPerRunRecordSpan) {
-  const ReqRate capacity = 800.0;
-  const std::vector<CapRun> runs{{500.0, 120, capacity},
-                                 {900.0, 37, capacity},
-                                 {0.0, 60, capacity},
-                                 {810.5, 1, capacity},
-                                 {799.99, 9, capacity}};
-  QosTracker kernel;
+TEST(QosTracker, OpenSpanMatchesPerRunRecordSpan) {
+  // Random runs, grouped into random spans, each span held open: the
+  // stats must be the bits of one record_span call per run.
+  std::mt19937_64 gen(25);
+  std::uniform_real_distribution<double> load(0.0, 1500.0);
+  std::uniform_real_distribution<double> cap(0.0, 1200.0);
+  std::uniform_int_distribution<std::int64_t> seconds(1, 400);
+  std::uniform_int_distribution<int> span_runs(1, 40);
+  QosTracker open;
   QosTracker reference;
-  kernel.record_runs(runs);
-  for (const CapRun& run : runs)
-    reference.record_span(run.load, run.cap, run.seconds);
-
-  EXPECT_EQ(kernel.stats().total_seconds, reference.stats().total_seconds);
-  EXPECT_EQ(kernel.stats().violation_seconds,
-            reference.stats().violation_seconds);
-  EXPECT_DOUBLE_EQ(kernel.stats().worst_shortfall,
-                   reference.stats().worst_shortfall);
-  EXPECT_NEAR(kernel.stats().offered_requests,
-              reference.stats().offered_requests, 1e-9);
-  EXPECT_NEAR(kernel.stats().unserved_requests,
-              reference.stats().unserved_requests, 1e-9);
+  for (int span = 0; span < 200; ++span) {
+    QosTracker::OpenSpan held(open);
+    for (int r = span_runs(gen); r > 0; --r) {
+      // Whole-number loads now and then, so shortfalls tie the worst.
+      const ReqRate l = r % 7 == 0 ? 900.0 : load(gen);
+      const ReqRate c = r % 5 == 0 ? 800.0 : cap(gen);
+      const std::int64_t s = seconds(gen);
+      held.record(l, c, s);
+      reference.record_span(l, c, s);
+    }
+    held.close();
+    expect_same_bits(open.stats(), reference.stats());
+  }
+  EXPECT_GT(open.stats().violation_seconds, 0);
 }
 
-TEST(QosTracker, RecordRunsValidatesInputs) {
+TEST(QosTracker, EmptySpanLeavesWorstShortfall) {
+  // A zero-length span must not touch worst_shortfall.
   QosTracker tracker;
-  EXPECT_THROW(tracker.record_runs(std::vector<CapRun>{{-1.0, 5, 10.0}}),
-               std::invalid_argument);
-  EXPECT_THROW(tracker.record_runs(std::vector<CapRun>{{1.0, -5, 10.0}}),
-               std::invalid_argument);
-  EXPECT_THROW(tracker.record_runs(std::vector<CapRun>{{1.0, 5, -1.0}}),
-               std::invalid_argument);
-  // A zero-length run must not touch worst_shortfall.
-  tracker.record_runs(std::vector<CapRun>{{500.0, 0, 10.0}});
+  tracker.record_span(500.0, 10.0, 0);
   EXPECT_EQ(tracker.stats().worst_shortfall, 0.0);
   EXPECT_EQ(tracker.stats().total_seconds, 0);
 }
@@ -109,15 +111,7 @@ TEST(QosTracker, RecordTotalsFoldsAggregates) {
   const ReqRate capacity = 800.0;
   for (const auto& r : runs) {
     reference.record_span(r.load, capacity, r.seconds);
-    totals.seconds += r.seconds;
-    totals.offered += r.load * static_cast<double>(r.seconds);
-    if (r.load > capacity) {
-      const double shortfall = r.load - capacity;
-      totals.violation_seconds += r.seconds;
-      totals.unserved += shortfall * static_cast<double>(r.seconds);
-      if (shortfall > totals.worst_shortfall)
-        totals.worst_shortfall = shortfall;
-    }
+    totals.add(r.load, capacity, r.seconds);
   }
   via_totals.record_totals(totals);
   EXPECT_EQ(via_totals.stats().total_seconds,

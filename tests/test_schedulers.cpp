@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "sched/baselines.hpp"
@@ -240,6 +241,53 @@ TEST(ReactiveScheduler, DecisionStableUntilIsExact) {
         << "now=" << now;
   }
   EXPECT_EQ(scheduler.decision_stable_until(0, trace), kPlateaus);
+}
+
+TEST(ReactiveScheduler, DecisionStableUntilMatchesPerSecondScan) {
+  // The bound is the first second whose load falls in another decision
+  // bucket — past the trace end the load is 0 — or "never" when no second
+  // does. Checked against a scan of every second, from every start, on
+  // random step and noisy traces ending in zero and non-zero tails.
+  constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
+  const DecisionThresholds& cuts = *design()->decision_thresholds();
+  const ReqRate max_rate = design()->max_rate();
+  std::mt19937_64 gen(25);
+  const double levels[] = {0.0, 0.5, 5.0, 9.0, 40.0, 300.0, 301.0, 1400.0,
+                           2500.0, 4000.0, 9000.0};
+  std::uniform_int_distribution<std::size_t> level(0, std::size(levels) - 1);
+  std::uniform_int_distribution<int> plateau(1, 40);
+  std::uniform_real_distribution<double> noisy(0.0, 3000.0);
+  for (int trial = 0; trial < 16; ++trial) {
+    const bool step = trial % 2 == 0;
+    const bool zero_tail = trial % 4 < 2;
+    std::vector<double> rates;
+    while (rates.size() < 400) {
+      if (step)
+        rates.insert(rates.end(), plateau(gen), levels[level(gen)]);
+      else
+        rates.push_back(noisy(gen));
+    }
+    rates.back() = zero_tail ? 0.0 : (trial % 8 < 4 ? 0.5 : 1400.0);
+    const LoadTrace trace(std::move(rates));
+    const auto n = static_cast<TimePoint>(trace.size());
+    for (const double headroom : {1.0, 1.1}) {
+      ReactiveScheduler scheduler(design(), headroom);
+      const auto bucket = [&](TimePoint t) {
+        return cuts.index_for(std::min(trace.at(t) * headroom, max_rate));
+      };
+      for (TimePoint now = 0; now < n + 3; ++now) {
+        TimePoint expected = kNever;
+        for (TimePoint t = now + 1; now < n && t <= n; ++t)
+          if (bucket(t) != bucket(now)) {
+            expected = t;
+            break;
+          }
+        ASSERT_EQ(scheduler.decision_stable_until(now, trace), expected)
+            << "trial=" << trial << " headroom=" << headroom
+            << " now=" << now;
+      }
+    }
+  }
 }
 
 TEST(HysteresisScheduler, ScaleUpImmediateScaleDownDelayed) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <type_traits>
@@ -373,6 +374,50 @@ TEST(Logging, ThresholdFilters) {
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_EQ(err.find("should not appear"), std::string::npos);
   EXPECT_NE(err.find("should appear"), std::string::npos);
+  set_log_level(before);
+}
+
+/// Counts how often a log line formats it.
+struct FormatCounter {
+  int* formatted;
+};
+std::ostream& operator<<(std::ostream& os, const FormatCounter& c) {
+  ++*c.formatted;
+  return os << "counted";
+}
+
+TEST(Logging, FilteredLinesFormatNothing) {
+  const LogLevel before = log_level();
+  int formatted = 0;
+  set_log_level(LogLevel::kWarn);
+  log_debug() << FormatCounter{&formatted};
+  log_info() << "t=" << 1 << FormatCounter{&formatted};
+  EXPECT_EQ(formatted, 0);
+  set_log_level(LogLevel::kDebug);
+  testing::internal::CaptureStderr();
+  log_debug() << FormatCounter{&formatted};
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(formatted, 1);
+  EXPECT_NE(err.find("[bml DEBUG] counted"), std::string::npos);
+  set_log_level(LogLevel::kOff);
+  log_error() << FormatCounter{&formatted};
+  EXPECT_EQ(formatted, 1);
+  set_log_level(before);
+}
+
+TEST(Logging, EnabledFollowsTheThreshold) {
+  const LogLevel before = log_level();
+  const LogLevel levels[] = {LogLevel::kDebug, LogLevel::kInfo,
+                             LogLevel::kWarn, LogLevel::kError,
+                             LogLevel::kOff};
+  for (const LogLevel threshold : levels) {
+    set_log_level(threshold);
+    for (const LogLevel level : levels)
+      EXPECT_EQ(log_enabled(level), level != LogLevel::kOff &&
+                                        static_cast<int>(level) >=
+                                            static_cast<int>(threshold))
+          << static_cast<int>(threshold) << " " << static_cast<int>(level);
+  }
   set_log_level(before);
 }
 
