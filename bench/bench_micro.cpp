@@ -435,7 +435,7 @@ BENCHMARK(BM_SimulatorWeekNoisyObserved)->Unit(benchmark::kMillisecond);
 // iteration: the exact decision walks over the whole week are timed along
 // with the replay. CI holds seasonal, which slides four windows, to <= 8x
 // oracle-max, and linear-trend, which slides its least-squares sums and
-// refits its 600 s window at every consult, to <= 20x.
+// decides most consults from their rounding enclosure, to <= 20x.
 void BM_SimulatorWeekNoisyPredictor(benchmark::State& state,
                                     const std::string& predictor) {
   auto d = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
@@ -465,6 +465,39 @@ BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyPredictor, last-value,
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyPredictor, linear-trend,
                   std::string("linear-trend"))
+    ->Unit(benchmark::kMillisecond);
+
+// The event-driven noisy week under the schedulers with call history, a
+// fresh one every iteration, as the registry builds them over the oracle:
+// hysteresis bounds itself by its inner BML scheduler and its hold;
+// cost-aware, and BML over the stateful EWMA predictor, are consulted
+// every second.
+void BM_SimulatorWeekNoisyScheduler(benchmark::State& state,
+                                    const std::string& scheduler_name,
+                                    const std::string& predictor) {
+  auto d = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
+  const Simulator simulator(d->candidates());
+  const LoadTrace trace = noisy_week_trace();
+  const std::string name = "app";
+  for (auto _ : state) {
+    const std::unique_ptr<Scheduler> scheduler =
+        make_scheduler(scheduler_name, {}, d, make_predictor(predictor, {}, 1),
+                       QosClass::kTolerant);
+    const std::vector<Simulator::WorkloadView> views{Simulator::WorkloadView{
+        &name, &trace, scheduler.get(), QosClass::kTolerant, 1.0}};
+    benchmark::DoNotOptimize(simulator.run(views));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(trace.size()));
+}
+BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyScheduler, hysteresis,
+                  std::string("hysteresis"), std::string("oracle-max"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyScheduler, cost-aware,
+                  std::string("cost-aware"), std::string("oracle-max"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulatorWeekNoisyScheduler, bml-ewma,
+                  std::string("bml"), std::string("ewma"))
     ->Unit(benchmark::kMillisecond);
 
 // The steady week with an active runtime fault model (machine crashes

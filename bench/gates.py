@@ -27,9 +27,11 @@ GATES = [
     ("BM_SimulatorWeekNoisyObserved", "BM_SimulatorWeekNoisyEventDriven",
      "real_time", "<=", 4.0),
     # Predictor cursor walks: seasonal slides four windows where
-    # oracle-max slides one (probing predict() every second costs ~150x);
-    # linear-trend slides its least-squares sums (4.5-9.8x, 46-57x when
-    # it refit 600 samples per walked second).
+    # oracle-max slides one (2.8-3.1x; probing predict() every second
+    # costs ~150x); linear-trend slides its least-squares sums and
+    # decides consults from their rounding enclosure (3.1-3.4x; 4.5-9.8x
+    # when every consult refit its 600 s window, 46-57x when every walked
+    # second did).
     ("BM_SimulatorWeekNoisyPredictor/seasonal",
      "BM_SimulatorWeekNoisyPredictor/oracle-max", "real_time", "<=", 8.0),
     ("BM_SimulatorWeekNoisyPredictor/linear-trend",
@@ -54,6 +56,9 @@ GATES = [
 # Recorded in BENCH_micro.json for the performance trajectory, not gated.
 RECORDED = ["BM_SimulatorWeekSteadyEventDriven",
             "BM_SimulatorWeekNoisyPredictor/moving-max",
+            "BM_SimulatorWeekNoisyScheduler/hysteresis",
+            "BM_SimulatorWeekNoisyScheduler/cost-aware",
+            "BM_SimulatorWeekNoisyScheduler/bml-ewma",
             "BM_WorldCupTraceGeneration"]
 SECONDS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 

@@ -164,6 +164,8 @@ void SimMetrics::merge(const SimMetrics& other) {
     span_end_causes[i] += other.span_end_causes[i];
   scheduler_consults += other.scheduler_consults;
   decisions_applied += other.decisions_applied;
+  predict_refits += other.predict_refits;
+  predict_walk_seconds += other.predict_walk_seconds;
   merge_frontier_advances += other.merge_frontier_advances;
   merge_apps_max = std::max(merge_apps_max, other.merge_apps_max);
   preemptions += other.preemptions;
@@ -181,6 +183,8 @@ void SimMetrics::export_to(MetricsRegistry& out) const {
                     span_end_causes[i]);
   out.add_counter("sim.scheduler_consults", scheduler_consults);
   out.add_counter("sim.decisions_applied", decisions_applied);
+  out.add_counter("sim.predict.refits", predict_refits);
+  out.add_counter("sim.predict.walk_seconds", predict_walk_seconds);
   out.add_counter("sim.merge.frontier_advances", merge_frontier_advances);
   out.max_gauge("sim.merge.apps_max", static_cast<double>(merge_apps_max));
   out.add_counter("sim.preemptions", preemptions);

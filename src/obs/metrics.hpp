@@ -172,6 +172,10 @@ struct SimMetrics {
   /// Merged decisions that changed the cluster target (== reconfigurations
   /// started).
   std::uint64_t decisions_applied = 0;
+  /// Work ledger of the schedulers' prediction cursors (PredictionWork):
+  /// linear-trend window refits, and seconds stepped one at a time.
+  std::uint64_t predict_refits = 0;
+  std::uint64_t predict_walk_seconds = 0;
   /// Fused k-way merge instrumentation (multi-app event-driven path):
   /// frontier cursor advances (RLE runs consumed across all apps, seeding
   /// included) and the largest app count any merge ran with.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -115,12 +116,22 @@ class SteppingCursor : public PredictionCursor {
     return self().evaluate(t);
   }
 
+  [[nodiscard]] PredictionBounds bounds(TimePoint t) final {
+    const ReqRate v = self().evaluate(t);
+    return {v, v};
+  }
+
   [[nodiscard]] TimePoint first_outside(TimePoint t, ReqRate lo,
                                         ReqRate hi) final {
+    const TimePoint from = t;
     while (t < settled_from_) {
       const ReqRate v = self().evaluate(++t);
-      if (v < lo || !(v < hi)) return t;
+      if (v < lo || !(v < hi)) {
+        work_.walk_seconds += static_cast<std::uint64_t>(t - from);
+        return t;
+      }
     }
+    work_.walk_seconds += static_cast<std::uint64_t>(t - from);
     return std::numeric_limits<TimePoint>::max();
   }
 
@@ -145,8 +156,19 @@ class WindowMaxCursor final : public PredictionCursor {
     return window_.value(t);
   }
 
+  [[nodiscard]] PredictionBounds bounds(TimePoint t) override {
+    const ReqRate v = window_.value(t);
+    return {v, v};
+  }
+
   [[nodiscard]] TimePoint first_outside(TimePoint t, ReqRate lo,
                                         ReqRate hi) override {
+    // The samples read one at a time below (crossed blocks not counted).
+    TimePoint stepped = 0;
+    const auto walked = [&](TimePoint at) {
+      work_.walk_seconds += static_cast<std::uint64_t>(stepped);
+      return at;
+    };
     const TimeSeries& series = trace_.series();
     const auto n = static_cast<TimePoint>(series.size());
     const std::span<const double> x = series.values();
@@ -183,15 +205,16 @@ class WindowMaxCursor final : public PredictionCursor {
         continue;
       }
       for (; next < block_end; ++next) {
+        ++stepped;
         const double v = x[static_cast<std::size_t>(next)];
-        if (!(v < hi)) return next - end_ + 1;
+        if (!(v < hi)) return walked(next - end_ + 1);
         anchor = v >= lo ? next : anchor;
-        if (anchor <= next - width) return anchor - begin_ + 1;
+        if (anchor <= next - width) return walked(anchor - begin_ + 1);
       }
     }
     // Only the implicit zeros enter from here on.
-    if (lo <= 0.0) return std::numeric_limits<TimePoint>::max();
-    return anchor - begin_ + 1;
+    if (lo <= 0.0) return walked(std::numeric_limits<TimePoint>::max());
+    return walked(anchor - begin_ + 1);
   }
 
  private:
@@ -327,6 +350,38 @@ ReqRate trend_prediction(const LoadTrace& trace, TimePoint now, TimePoint n,
                    trace.at(now - 1)});
 }
 
+/// The first time past the trace end from which the linear-trend
+/// prediction is 0 for good: the first t > size whose window holds at
+/// least three zeros per trace sample (n >= 4 m below), or size + window,
+/// where it holds zeros alone. Past the end every sample that enters the
+/// window is 0, so n, the window's width, grows and m, the trace samples
+/// still in it, shrinks: once reached, the condition holds.
+///
+/// Why the prediction is 0 there. Let the window hold n samples at
+/// x = 0 .. n - 1, the first m of them from the trace, with sum Y. Y = 0
+/// makes every sum exactly 0, and so the prediction. Otherwise n >= 4,
+/// and in real arithmetic Z = sum x y <= (m - 1) Y, so
+/// n Z - X Y <= n Y (2m - 1 - n) / 2 <= -n^2 Y / 4 for X = n (n - 1) / 2,
+/// the slope (over D = n^2 (n^2 - 1) / 12) is at most -3 Y / n^2, and
+/// ext = Y / n + slope ((n - 1) / 2 + h) < 0 for a horizon h >= 0.
+/// predict() computes it with rounding (u = 2^-53, first order in u, as
+/// in LinearTrendCursor's enclosure, whose n <= 2^43 gives n u <=
+/// 2^-10). Its sums of the nonnegative terms y, x y, x and x^2 are within
+/// a relative n u of the exact ones, and its denominator within 14 n u,
+/// so the computed slope lies in [-10 Y / n^2, -2.9 Y / n^2]. The
+/// intercept (sy - slope sx) / n then lies within 11 u Y of
+/// (Y + |slope| X) / n, and slope x_end within 21 u Y (n - 1 + h) / n^2
+/// of its exact product, so before its last rounding the extrapolation
+/// is at most (Y / n^2) (1.45 - 0.45 n + 11 u n^2 + 21 u n)
+/// + (Y h / n^2) (21 u - 2.9) < 0 for 4 <= n <= 2^43. Rounding keeps it
+/// <= 0, and the last observed value is 0 past the end, so predict()
+/// returns max(0, ext, 0) = 0.
+TimePoint trend_zero_from(TimePoint size, TimePoint window, Seconds horizon) {
+  if (!(horizon >= 0.0)) return size + window;
+  if (4 * size <= window) return std::max(size + 1, 4 * size);
+  return size + (3 * window + 3) / 4;
+}
+
 /// Cursor of the linear-trend predictor. It holds predict()'s sums for one
 /// time p and moves them a second at a time, so first_outside() costs O(1)
 /// per second:
@@ -337,11 +392,13 @@ ReqRate trend_prediction(const LoadTrace& trace, TimePoint now, TimePoint n,
 ///   Y' = (Y - y_out) + y_in and Z' = (Z + n y_in) - Y' for Y = sum y and
 ///   Z = sum x y. sx and sxx depend on n alone and keep predict()'s
 ///   values. Rounding parts Y and Z from predict()'s by a bounded amount,
-///   so first_outside() steps on only where an enclosure of the
-///   prediction lies wholly inside [lo, hi), returns where it lies wholly
-///   outside, and refits otherwise.
-/// A refit computes the sums afresh with predict()'s loop: after `window`
-/// slides, at a time out of sequence, and wherever value() reads slid
+///   so an enclosure of the prediction answers bounds(), and
+///   first_outside() steps on only where the enclosure lies wholly inside
+///   [lo, hi), returns where it lies wholly outside, and refits otherwise.
+/// A query at a later time slides there when the enclosure still covers
+/// it. A refit computes the sums afresh with predict()'s loop: after
+/// `window` slides, at a time the sums cannot reach by appends or slides,
+/// where the enclosure cannot decide, and wherever value() reads slid
 /// sums, so value() always answers from predict()'s sums.
 class LinearTrendCursor final : public PredictionCursor {
  public:
@@ -354,15 +411,36 @@ class LinearTrendCursor final : public PredictionCursor {
                    (1.0 + std::abs(static_cast<double>(window) - 1.0 +
                                    horizon) /
                               static_cast<double>(window))),
-        // Past size + window the window holds only the implicit zeros.
-        settled_from_(static_cast<TimePoint>(trace.size()) + window) {}
+        settled_from_(trend_zero_from(static_cast<TimePoint>(trace.size()),
+                                      window, horizon)) {}
 
   [[nodiscard]] ReqRate value(TimePoint t) override {
+    // A one-point interval is the value itself.
+    if (t != latest_time_ || latest_.lo != latest_.hi) {
+      if (t > p_ && t <= window_)
+        move_to(t);  // appends: the sums slide only past window_
+      else if (t != p_ || !exact_)
+        refit(t);
+      latest_time_ = t;
+      const ReqRate v = prediction();
+      latest_ = {v, v};
+    }
+    return latest_.lo;
+  }
+
+  [[nodiscard]] PredictionBounds bounds(TimePoint t) override {
     if (t != latest_time_) {
       move_to(t);
-      if (!exact_) refit(t);
       latest_time_ = t;
-      latest_ = prediction();
+      if (!exact_) {
+        if (const std::optional<PredictionBounds> b = enclose()) {
+          latest_ = *b;
+          return latest_;
+        }
+        refit(t);
+      }
+      const ReqRate v = prediction();
+      latest_ = {v, v};
     }
     return latest_;
   }
@@ -372,23 +450,20 @@ class LinearTrendCursor final : public PredictionCursor {
     while (t < settled_from_) {
       move_to(++t);
       if (!exact_) {
-        const double ext =
-            sums_.extrapolate(static_cast<double>(window_), horizon_);
-        const double r = enclosure_ * y_bound_;
-        if (std::isfinite(ext + r)) {
-          // max(0, ext, last) is monotone in ext, so these bound predict().
-          const ReqRate last = rate_at(rates_, t - 1);
-          const ReqRate below = std::max({0.0, ext - r, last});
-          const ReqRate above = std::max({0.0, ext + r, last});
-          if (above < lo || !(below < hi)) return t;
-          if (below >= lo && above < hi) continue;
+        if (const std::optional<PredictionBounds> b = enclose()) {
+          if (b->hi < lo || !(b->lo < hi)) {
+            latest_time_ = t;
+            latest_ = *b;
+            return t;
+          }
+          if (b->lo >= lo && b->hi < hi) continue;
         }
         refit(t);
       }
       const ReqRate v = prediction();
       if (v < lo || !(v < hi)) {
         latest_time_ = t;
-        latest_ = v;
+        latest_ = {v, v};
         return t;
       }
     }
@@ -433,15 +508,18 @@ class LinearTrendCursor final : public PredictionCursor {
   // would do; K = 2048 leaves 7x slack, which costs only refits.
   static constexpr double kEnclosureK = 2048.0;
 
-  /// Brings the sums to time t: exact appends while the window grows, one
-  /// slide for the next second, a refit otherwise.
+  /// Brings the sums to time t: exact appends while the window grows,
+  /// slides to a later time within the enclosure's reach, a refit
+  /// otherwise.
   void move_to(TimePoint t) {
     if (t == p_) return;
     if (t > p_ && t <= window_) {
+      work_.walk_seconds += static_cast<std::uint64_t>(t - p_);
       sums_.add(trace_, 0, p_, t);
       p_ = t;
-    } else if (t == p_ + 1 && p_ >= window_ && slides_ < window_) {
-      slide();
+    } else if (t > p_ && p_ >= window_ && t - p_ <= window_ - slides_) {
+      work_.walk_seconds += static_cast<std::uint64_t>(t - p_);
+      while (p_ < t) slide();
     } else {
       refit(t);
     }
@@ -461,12 +539,26 @@ class LinearTrendCursor final : public PredictionCursor {
 
   /// predict()'s sums at t, from its own loop.
   void refit(TimePoint t) {
+    ++work_.refits;
     const TimePoint begin = std::max<TimePoint>(0, t - window_);
     sums_ = TrendSums{};
     sums_.add(trace_, begin, begin, t);
     p_ = t;
     slides_ = 0;
     exact_ = true;
+  }
+
+  /// An interval holding predict()'s value at p_, from slid sums;
+  /// nullopt where the enclosure is not finite.
+  [[nodiscard]] std::optional<PredictionBounds> enclose() const {
+    const double ext =
+        sums_.extrapolate(static_cast<double>(window_), horizon_);
+    const double r = enclosure_ * y_bound_;
+    if (!std::isfinite(ext + r)) return std::nullopt;
+    // max(0, ext, last) is monotone in ext, so these bound predict().
+    const ReqRate last = rate_at(rates_, p_ - 1);
+    return PredictionBounds{std::max({0.0, ext - r, last}),
+                            std::max({0.0, ext + r, last})};
   }
 
   /// predict()'s value at p_; the sums must be exact.
@@ -487,7 +579,7 @@ class LinearTrendCursor final : public PredictionCursor {
   TimePoint slides_ = 0;  // since the sums were last exact
   double y_bound_ = 0.0;  // Yb: the largest sum y since then
   TimePoint latest_time_ = -1;
-  ReqRate latest_ = 0.0;
+  PredictionBounds latest_;  // holds the value at latest_time_
 };
 
 }  // namespace

@@ -20,19 +20,49 @@
 
 namespace bml {
 
+/// An interval [lo, hi] that holds a prediction.
+struct PredictionBounds {
+  ReqRate lo = 0.0;
+  ReqRate hi = 0.0;
+};
+
+/// Deterministic work counters of a prediction cursor, for the metrics
+/// work ledger: `refits` counts linear-trend window refits (O(window)
+/// each), `walk_seconds` the seconds a cursor stepped one at a time (its
+/// first_outside() walks, and linear-trend's slides and appends to a
+/// later query).
+struct PredictionWork {
+  std::uint64_t refits = 0;
+  std::uint64_t walk_seconds = 0;
+
+  PredictionWork& operator+=(const PredictionWork& other) {
+    refits += other.refits;
+    walk_seconds += other.walk_seconds;
+    return *this;
+  }
+};
+
 /// Forward cursor over one pure predictor's output on one trace and
 /// horizon: value(t) == predict(trace, t, horizon), bit for bit, for every
 /// t >= 0 in any order. It is built for the scheduler's decision walks,
 /// which query non-decreasing times: stepping a second costs the
 /// sliding-window and linear-trend predictors O(1) amortised with no
 /// per-second arrays, and any other query one range-max lookup per window
-/// (linear-trend: one least-squares fit). The cursor reads the trace it
+/// (linear-trend: one least-squares fit, or slides to a later time that
+/// its rounding enclosure still covers). The cursor reads the trace it
 /// was built on, which must outlive it.
 class PredictionCursor {
  public:
   virtual ~PredictionCursor() = default;
 
   [[nodiscard]] virtual ReqRate value(TimePoint t) = 0;
+
+  /// An interval that holds value(t), for a caller that needs only which
+  /// side of a cut value(t) falls on. Exact cursors answer the point
+  /// [value(t), value(t)]; linear-trend may answer the rounding enclosure
+  /// of its slid sums where value(t) would refit. A caller whose cut
+  /// falls inside the interval reads value(t).
+  [[nodiscard]] virtual PredictionBounds bounds(TimePoint t) = 0;
 
   /// Given value(t) in [lo, hi): the first time after `t` whose value
   /// falls outside [lo, hi), or max() when none does. This is the
@@ -41,6 +71,12 @@ class PredictionCursor {
   /// computing every value in between.
   [[nodiscard]] virtual TimePoint first_outside(TimePoint t, ReqRate lo,
                                                 ReqRate hi) = 0;
+
+  /// The work this cursor has done so far.
+  [[nodiscard]] const PredictionWork& work() const { return work_; }
+
+ protected:
+  PredictionWork work_;
 };
 
 /// Interface: predicted *maximum* load over [now, now + horizon).
@@ -145,10 +181,12 @@ class LinearTrendPredictor final : public Predictor {
   [[nodiscard]] ReqRate predict(const LoadTrace& trace, TimePoint now,
                                 Seconds horizon) override;
   /// Keeps predict()'s least-squares sums and moves them a second at a
-  /// time: exact appends while the window grows, O(1) slides checked
-  /// against a rounding-error enclosure once it is full, and an O(window)
-  /// refit where the enclosure cannot decide and wherever value() is read
-  /// after slides.
+  /// time: exact appends while the window grows, O(1) slides once it is
+  /// full, whose rounding-error enclosure answers bounds() and most
+  /// first_outside() steps, and an O(window) refit where the enclosure
+  /// cannot decide, wherever value() is read after slides, and after
+  /// `window` slides. Past the trace end its walks stop once the window
+  /// holds 3 zeros per sample, from where the prediction is 0.
   [[nodiscard]] std::unique_ptr<PredictionCursor> cursor(
       const LoadTrace& trace, Seconds horizon) const override;
   [[nodiscard]] std::string name() const override { return "linear-trend"; }

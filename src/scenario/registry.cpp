@@ -306,6 +306,9 @@ LoadTrace make_trace(const std::string& name,
                        spike_seed);
   }
   reader.finish();
+  // An empty trace would replay no second and report everything served.
+  if (trace.empty())
+    throw std::runtime_error("trace " + name + ": the trace is empty");
   return trace;
 }
 

@@ -264,8 +264,13 @@ void ScenarioSpec::set(const std::string& key, const std::string& value) {
     (void)parse_coordinator_mode(value);  // validate now, fail loudly here
     coordinator = value;
   } else if (key == "coordinator.budget") {
-    if (value != "design-max")
-      (void)parse_number(key, value);  // numbers validate now, fail loudly
+    // Numbers validate now, fail loudly. The coordinator reads a budget
+    // <= 0 as none, which clamps nothing: the `sum` mode, not a budget.
+    if (value != "design-max" && !(parse_number(key, value) > 0.0))
+      throw std::runtime_error(
+          "scenario: coordinator.budget must be > 0 or design-max (an "
+          "unclamped fleet is coordinator = sum), got '" +
+          value + "'");
     coordinator_budget = value;
   } else if (key.starts_with("catalog.")) {
     catalog_params[key.substr(8)] = value;

@@ -145,7 +145,7 @@ HysteresisScheduler::HysteresisScheduler(std::shared_ptr<Scheduler> inner,
   if (!inner_) throw std::invalid_argument("HysteresisScheduler: null inner");
   if (!design_)
     throw std::invalid_argument("HysteresisScheduler: null design");
-  if (hold_ < 0.0)
+  if (!(hold_ >= 0.0))
     throw std::invalid_argument("HysteresisScheduler: hold must be >= 0");
 }
 
@@ -184,6 +184,29 @@ std::optional<Combination> HysteresisScheduler::decide(
     down_since_ = -1;
   }
   return current_;
+}
+
+TimePoint HysteresisScheduler::decision_stable_until(TimePoint now,
+                                                    const LoadTrace& trace) {
+  // The inner decision holds until the inner bound, so a bound that a hold
+  // expiry cut short still holds at the next consult: no walk twice.
+  if (&trace != inner_trace_ || trace.size() != inner_size_ ||
+      now < inner_from_ || now >= inner_until_) {
+    inner_trace_ = &trace;
+    inner_size_ = trace.size();
+    inner_from_ = now;
+    inner_until_ = inner_->decision_stable_until(now, trace);
+  }
+  const TimePoint inner = inner_until_;
+  if (down_since_ < 0) return inner;
+  // decide() follows the pending scale-down at the first second s with
+  // static_cast<Seconds>(s - down_since_) >= hold_: s - down_since_ =
+  // ceil(hold_) while every whole number up to it is a double. A longer
+  // hold needs at least 2^52 s, which bounds it early, never late.
+  constexpr Seconds kExact = 0x1p52;
+  const auto held = static_cast<TimePoint>(hold_ <= kExact ? std::ceil(hold_)
+                                                           : kExact);
+  return std::min(inner, std::max(now + 1, down_since_ + held));
 }
 
 Combination HysteresisScheduler::initial_combination(const LoadTrace& trace) {

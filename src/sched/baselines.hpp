@@ -105,6 +105,7 @@ class ReactiveScheduler final : public Scheduler {
 /// lower idle power for `hold` consecutive seconds.
 class HysteresisScheduler final : public Scheduler {
  public:
+  /// `hold` >= 0; +infinity never follows a scale-down.
   HysteresisScheduler(std::shared_ptr<Scheduler> inner,
                       std::shared_ptr<const BmlDesign> design, Seconds hold);
 
@@ -112,6 +113,15 @@ class HysteresisScheduler final : public Scheduler {
       TimePoint now, const LoadTrace& trace) override;
   [[nodiscard]] Combination initial_combination(
       const LoadTrace& trace) override;
+  /// The inner scheduler's bound, or the first second at which a pending
+  /// scale-down's hold expires when that comes first. Before both, decide()
+  /// sees the same inner decision, so it returns the current combination
+  /// and leaves its state as it is.
+  [[nodiscard]] TimePoint decision_stable_until(
+      TimePoint now, const LoadTrace& trace) override;
+  [[nodiscard]] PredictionWork prediction_work() const override {
+    return inner_->prediction_work();
+  }
   [[nodiscard]] std::string name() const override;
 
  private:
@@ -122,6 +132,11 @@ class HysteresisScheduler final : public Scheduler {
   bool primed_ = false;
   TimePoint down_since_ = -1;
   Combination pending_down_;
+  // The inner scheduler's last bound, asked at inner_from_ on this trace.
+  const LoadTrace* inner_trace_ = nullptr;
+  std::size_t inner_size_ = 0;
+  TimePoint inner_from_ = 0;
+  TimePoint inner_until_ = 0;
 };
 
 }  // namespace bml

@@ -33,6 +33,7 @@ void BmlScheduler::bind(const LoadTrace& trace) {
   if (&trace == bound_trace_ && trace.size() == bound_size_) return;
   bound_trace_ = &trace;
   bound_size_ = trace.size();
+  if (cursor_) retired_work_ += cursor_->work();
   cursor_ = predictor_->cursor(trace, window_);
 }
 
@@ -45,6 +46,22 @@ ReqRate BmlScheduler::target_rate(const LoadTrace& trace, TimePoint now) {
   bind(trace);
   return target_rate(cursor_ ? cursor_->value(now)
                              : predictor_->predict(trace, now, window_));
+}
+
+ReqRate BmlScheduler::decision_rate(const LoadTrace& trace, TimePoint now) {
+  bind(trace);
+  if (cursor_ == nullptr) return target_rate(trace, now);
+  // The target rate is monotone in the prediction and a bucket is one run
+  // of equal table entries, so when both ends of the interval land in one
+  // bucket, every prediction inside it (the exact one among them) does.
+  const PredictionBounds b = cursor_->bounds(now);
+  const ReqRate lo = target_rate(b.lo);
+  if (b.lo == b.hi) return lo;
+  const DecisionThresholds* cuts = design_->decision_thresholds();
+  if (cuts != nullptr &&
+      cuts->index_for(lo) == cuts->index_for(target_rate(b.hi)))
+    return lo;
+  return target_rate(cursor_->value(now));
 }
 
 ReqRate BmlScheduler::prediction_edge(double grid) const {
@@ -63,7 +80,7 @@ ReqRate BmlScheduler::prediction_edge(double grid) const {
 
 std::optional<Combination> BmlScheduler::decide(TimePoint now,
                                                 const LoadTrace& trace) {
-  return design_->ideal_combination(target_rate(trace, now));
+  return design_->ideal_combination(decision_rate(trace, now));
 }
 
 TimePoint BmlScheduler::decision_stable_until(TimePoint now,
@@ -71,8 +88,8 @@ TimePoint BmlScheduler::decision_stable_until(TimePoint now,
   bind(trace);
   const DecisionThresholds* cuts = design_->decision_thresholds();
   if (cursor_ == nullptr || cuts == nullptr) return now + 1;
-  const auto [grid_lo, grid_hi] = cuts->bucket_grid_range(
-      cuts->index_for(target_rate(cursor_->value(now))));
+  const auto [grid_lo, grid_hi] =
+      cuts->bucket_grid_range(cuts->index_for(decision_rate(trace, now)));
   return cursor_->first_outside(now, prediction_edge(grid_lo),
                                 prediction_edge(grid_hi));
 }
@@ -81,6 +98,12 @@ Combination BmlScheduler::initial_combination(const LoadTrace& trace) {
   const ReqRate first_load = trace.empty() ? 0.0 : trace.at(0);
   const ReqRate rate = std::max(target_rate(trace, 0), first_load);
   return design_->ideal_combination(std::min(rate, design_->max_rate()));
+}
+
+PredictionWork BmlScheduler::prediction_work() const {
+  PredictionWork work = retired_work_;
+  if (cursor_) work += cursor_->work();
+  return work;
 }
 
 std::string BmlScheduler::name() const {

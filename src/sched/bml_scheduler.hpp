@@ -14,8 +14,11 @@
 //
 // With a pure predictor (one that offers a PredictionCursor) the decision
 // at t is the threshold bucket of the prediction at t, a function of the
-// trace alone. The scheduler then answers decision_stable_until exactly,
-// by walking the cursor to the first second whose bucket differs. The
+// trace alone. The scheduler reads it from the cursor's bounds(t): when
+// both ends of that interval fall in one bucket, either end decides, and
+// only an interval that straddles a cut costs the exact value(t) (for
+// linear-trend, a refit). It answers decision_stable_until exactly, by
+// walking the cursor to the first second whose bucket differs. The
 // event-driven simulator asks once per decision run and skips the
 // scheduler until the bound, so no second is walked twice. Only
 // decision_stable_until walks, so the per-second reference loop, which
@@ -57,6 +60,9 @@ class BmlScheduler final : public Scheduler {
   [[nodiscard]] Combination initial_combination(
       const LoadTrace& trace) override;
 
+  /// The work of every cursor this scheduler has built.
+  [[nodiscard]] PredictionWork prediction_work() const override;
+
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] Seconds window() const { return window_; }
 
@@ -71,6 +77,10 @@ class BmlScheduler final : public Scheduler {
   [[nodiscard]] ReqRate target_rate(ReqRate predicted) const;
   /// The target rate at `now`.
   [[nodiscard]] ReqRate target_rate(const LoadTrace& trace, TimePoint now);
+  /// A target rate in the threshold bucket of the one at `now`, so with
+  /// its ideal combination: from the cursor's bounds where they settle
+  /// the bucket, else the exact target rate.
+  [[nodiscard]] ReqRate decision_rate(const LoadTrace& trace, TimePoint now);
   /// The smallest prediction whose target rate reaches grid index `grid`
   /// (+inf when none does): a bucket edge mapped back to predictions, so
   /// the walk compares raw predictions.
@@ -84,6 +94,7 @@ class BmlScheduler final : public Scheduler {
   const LoadTrace* bound_trace_ = nullptr;
   std::size_t bound_size_ = 0;
   std::unique_ptr<PredictionCursor> cursor_;  // null: stateful predictor
+  PredictionWork retired_work_;  // of the cursors replaced by bind()
 };
 
 }  // namespace bml

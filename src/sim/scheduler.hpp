@@ -18,6 +18,7 @@
 #include <string>
 
 #include "core/combination.hpp"
+#include "predict/predictor.hpp"
 #include "trace/trace.hpp"
 #include "util/units.hpp"
 
@@ -44,17 +45,25 @@ class Scheduler {
   /// First time strictly after `now` at which decide() may return a
   /// decision different from the one it returned at `now`. The
   /// event-driven simulator asks once per decision run, right after
-  /// decide(now), and skips this scheduler's consults until the bound:
-  /// every second in between must decide the same, however often the
-  /// fleet changes meanwhile. Schedulers whose decisions depend on their
-  /// own call history (hysteresis, cost-aware, BML over a stateful
-  /// predictor) must see every consult, so they keep the default of
-  /// now + 1, which degrades gracefully to per-second consultation.
+  /// decide(now), and skips this scheduler's consults until the bound,
+  /// however often the fleet changes meanwhile. So a bound is valid only
+  /// if every call it skips, in any subset the per-second loop would
+  /// make, would return the decision of `now` and leave the scheduler's
+  /// state as it is: a scheduler with call history bounds itself by the
+  /// first call that could change that history (hysteresis: its inner
+  /// scheduler's bound, or a pending scale-down's hold expiry). One that
+  /// cannot tell (cost-aware, BML over a stateful predictor) keeps the
+  /// default of now + 1, which degrades gracefully to per-second
+  /// consultation.
   [[nodiscard]] virtual TimePoint decision_stable_until(
       TimePoint now, const LoadTrace& trace) {
     (void)trace;
     return now + 1;
   }
+
+  /// The work this scheduler's prediction cursors have done so far (the
+  /// metrics work ledger); zero for a scheduler without one.
+  [[nodiscard]] virtual PredictionWork prediction_work() const { return {}; }
 
   [[nodiscard]] virtual std::string name() const = 0;
 };

@@ -202,6 +202,9 @@ struct Run {
   /// cluster state (see Scheduler), so nothing the cluster does makes an
   /// entry stale: each one holds until it expires.
   std::vector<TimePoint> consult_until;
+  /// The schedulers' prediction work before the run: the metrics count
+  /// what the run adds to it.
+  PredictionWork work_at_start;
   /// The On fleet's compiled power curve (fixed within a span).
   FleetPowerCurve power_curve;
   /// Runtime crash/repair state; disengaged unless the fault model's
@@ -544,9 +547,17 @@ void account_lifecycle_span(Run& run, TimePoint span) {
     if (run.active[i]) run.app_active_seconds[i] += span;
 }
 
+/// The prediction work of every view's scheduler so far.
+PredictionWork prediction_work(const std::vector<WorkloadView>& views) {
+  PredictionWork work;
+  for (const WorkloadView& v : views) work += v.scheduler->prediction_work();
+  return work;
+}
+
 Run make_run(const Catalog& candidates, const SimulatorOptions& options,
              std::shared_ptr<const DispatchPlan> plan,
              const std::vector<WorkloadView>& views) {
+  const PredictionWork work_at_start = prediction_work(views);
   const std::size_t kinds = candidates.size();
   std::vector<double> shares;
   std::vector<int> priorities;
@@ -592,6 +603,7 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
     joined += v.scheduler->name();
   }
   run.result.scheduler_name = std::move(joined);
+  run.work_at_start = work_at_start;
   run.state.current_target = std::move(initial);
   run.state.deferred_offs.assign(kinds, 0);
   run.proposals = std::move(proposals);
@@ -740,6 +752,12 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
 void finalize_run(Run& run, const std::vector<WorkloadView>& views,
                   MultiSimulationResult& out) {
   SimulationResult& r = run.result;
+  if (r.metrics.enabled) {
+    const PredictionWork work = prediction_work(views);
+    r.metrics.predict_refits += work.refits - run.work_at_start.refits;
+    r.metrics.predict_walk_seconds +=
+        work.walk_seconds - run.work_at_start.walk_seconds;
+  }
   r.compute_energy = run.meter.compute_energy();
   r.reconfiguration_energy = run.meter.reconfiguration_energy();
   r.per_day_compute = run.meter.per_day_compute();

@@ -46,6 +46,8 @@ LoadTrace diurnal_trace(const DiurnalOptions& options, std::size_t days) {
   if (options.trough_fraction < 0.0 || options.trough_fraction > 1.0)
     throw std::invalid_argument(
         "diurnal_trace: trough_fraction must be in [0,1]");
+  if (!(options.noise >= 0.0))
+    throw std::invalid_argument("diurnal_trace: noise must be >= 0");
   Rng rng(options.seed);
   std::vector<double> rates;
   rates.reserve(days * static_cast<std::size_t>(kSecondsPerDay));
@@ -97,6 +99,8 @@ LoadTrace worldcup_like_trace(const WorldCupOptions& options) {
   if (options.tournament_end_day < options.tournament_start_day)
     throw std::invalid_argument(
         "worldcup_like_trace: tournament must end after it starts");
+  if (!(options.noise >= 0.0))
+    throw std::invalid_argument("worldcup_like_trace: noise must be >= 0");
   // Every burst must fit in one day, or its start offset has an empty
   // range to be drawn from. Written so that NaN fails too.
   const auto require = [](bool ok, const char* what) {

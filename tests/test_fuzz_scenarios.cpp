@@ -100,8 +100,7 @@ std::string random_workload(Rng& rng, bool top_level, int shared_domains = 0,
   // fractional, so the linear-trend cursor runs while its window grows,
   // while it slides, and where it falls back to exact fits. Below the
   // trace length they are log-uniform and, on the noisy day, under
-  // 1200 s: the per-second reference refits the linear-trend window every
-  // second. A quarter of the smooth traces get a window past their end.
+  // 1200 s. A quarter of the smooth traces get a window past their end.
   if (predictor == "linear-trend" || predictor == "moving-max") {
     const double longest = trace == "diurnal" ? 1200.0 : duration;
     const double window =

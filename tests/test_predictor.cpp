@@ -480,6 +480,154 @@ TEST(PredictionCursor, EqualsPredictForEveryPurePredictor) {
   }
 }
 
+// bounds(t) always holds predict(t): every pure predictor, every trace,
+// queried every second, with jumps and restarts, and at the second a walk
+// returns (where linear-trend answers from the enclosure it left by).
+// An exact cursor answers the point, and so does linear-trend's whenever
+// its interval is one value wide.
+TEST(PredictionCursor, BoundsHoldPredict) {
+  constexpr Seconds kHorizon = 50.0;
+  constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
+  for (const auto& [trace_name, trace] : cursor_traces()) {
+    if (trace.size() > 100'000) continue;  // the short traces cover it
+    for (const CursorCase& c : cursor_cases()) {
+      if (trace.size() > c.longest_trace) continue;
+      const auto n = static_cast<TimePoint>(trace.size());
+      const TimePoint end = n + c.lookback + 10;
+      const std::unique_ptr<Predictor> reference = c.make();
+      std::vector<ReqRate> expected;
+      for (TimePoint t = 0; t <= end; ++t)
+        expected.push_back(reference->predict(trace, t, kHorizon));
+      const bool exact = c.name.find("linear-trend") == std::string::npos;
+      const auto check = [&](PredictionCursor& cursor, TimePoint t) {
+        const ReqRate want = expected[static_cast<std::size_t>(t)];
+        const PredictionBounds b = cursor.bounds(t);
+        ASSERT_LE(b.lo, want) << "t=" << t;
+        ASSERT_GE(b.hi, want) << "t=" << t;
+        if (exact || b.lo == b.hi) {
+          ASSERT_EQ(b.lo, want) << "t=" << t;
+        }
+        if (exact) {
+          ASSERT_EQ(b.hi, want) << "t=" << t;
+        }
+      };
+      for (const std::string kind : {"contiguous", "skipping", "restarted"}) {
+        SCOPED_TRACE(c.name + " on " + trace_name + ", " + kind);
+        const std::unique_ptr<PredictionCursor> cursor =
+            c.make()->cursor(trace, kHorizon);
+        for (const TimePoint t : query_sequence(kind, end)) {
+          check(*cursor, t);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+      // As the scheduler walks: bounds at t, a walk over a band of width
+      // 40 around the value, bounds where it returns.
+      SCOPED_TRACE(c.name + " on " + trace_name + ", walked");
+      const std::unique_ptr<PredictionCursor> cursor =
+          c.make()->cursor(trace, kHorizon);
+      for (TimePoint t = 0; t <= end;) {
+        check(*cursor, t);
+        if (::testing::Test::HasFatalFailure()) return;
+        const ReqRate v = expected[static_cast<std::size_t>(t)];
+        const TimePoint next = cursor->first_outside(t, v - 20.0, v + 20.0);
+        if (next == kNever) break;
+        t = next;
+      }
+    }
+  }
+}
+
+/// The first second from which the linear-trend prediction is 0 for good
+/// past the trace end: the window holds at least three zeros per trace
+/// sample.
+TimePoint trend_zero_from(TimePoint size, TimePoint window) {
+  for (TimePoint t = size + 1;; ++t) {
+    const TimePoint n = std::min(t, window);
+    const TimePoint m = std::max<TimePoint>(0, size - (t - n));
+    if (n >= 4 * m) return t;
+  }
+}
+
+// Past the trace end a linear-trend walk ends: from the second the window
+// holds three zeros per trace sample the prediction is 0 for good, so a
+// band holding 0 is never left and any other band has been left by then.
+// Checked against predict() at every second up to size + window (from
+// where the window holds only zeros), on short traces with windows 4 to
+// 50 times their length, for walks from before and after the end.
+TEST(LinearTrendCursor, WalksPastTheEndStopWhereThePredictionStaysZero) {
+  constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
+  constexpr ReqRate kInf = std::numeric_limits<ReqRate>::infinity();
+  std::vector<double> noisy;
+  for (int i = 0; i < 45; ++i) noisy.push_back(300.0 + 97.0 * ((i * 37) % 11));
+  std::vector<double> rising;
+  for (int i = 0; i < 30; ++i) rising.push_back(10.0 * i);
+  const std::vector<std::pair<std::string, LoadTrace>> traces = {
+      {"noisy", LoadTrace(noisy)},
+      {"rising", LoadTrace(rising)},
+      {"step", step_trace({{500.0, 20.0}, {0.0, 20.0}})},
+      {"spike", step_trace({{1.0, 10.0}, {1e12, 1.0}, {1.0, 10.0}})},
+      // The data's weight at its end keeps the prediction above 0 well
+      // past twice the trace length.
+      {"late-spike", step_trace({{1.0, 29.0}, {1000.0, 1.0}})},
+  };
+  for (const auto& [name, trace] : traces) {
+    const auto size = static_cast<TimePoint>(trace.size());
+    for (const TimePoint factor : {4, 7, 13, 50}) {
+      for (const Seconds horizon : {0.0, 50.0, 378.0}) {
+        SCOPED_TRACE(name + ", window " + std::to_string(factor) +
+                     "x, horizon " + std::to_string(horizon));
+        const TimePoint window = factor * size;
+        LinearTrendPredictor predictor(static_cast<Seconds>(window));
+        const TimePoint end = size + window + 2;
+        std::vector<ReqRate> expected;
+        for (TimePoint t = 0; t <= end; ++t)
+          expected.push_back(predictor.predict(trace, t, horizon));
+        const TimePoint zero_from = trend_zero_from(size, window);
+        for (TimePoint t = zero_from; t <= end; ++t)
+          ASSERT_EQ(expected[static_cast<std::size_t>(t)], 0.0) << "t=" << t;
+
+        const std::unique_ptr<PredictionCursor> cursor =
+            predictor.cursor(trace, horizon);
+        for (TimePoint t = std::max<TimePoint>(0, size - 8); t <= end;
+             t += 1 + t % 5) {
+          const ReqRate v = expected[static_cast<std::size_t>(t)];
+          const std::pair<ReqRate, ReqRate> bands[] = {
+              {v, std::nextafter(v, kInf)},
+              {0.0, v + 1.0},
+              {0.5 * v, 2.0 * v + 1.0},
+              {v, kInf},
+          };
+          for (const auto& [lo, hi] : bands) {
+            if (v < lo || !(v < hi)) continue;
+            TimePoint want = kNever;
+            for (TimePoint u = t + 1; u <= end && want == kNever; ++u) {
+              const ReqRate w = expected[static_cast<std::size_t>(u)];
+              if (w < lo || !(w < hi)) want = u;
+            }
+            ASSERT_EQ(cursor->value(t), v) << "t=" << t;
+            const std::uint64_t walked = cursor->work().walk_seconds;
+            ASSERT_EQ(cursor->first_outside(t, lo, hi), want)
+                << "t=" << t << " band [" << lo << ", " << hi << ")";
+            // The walk stepped no further than where the value settles.
+            ASSERT_LE(cursor->work().walk_seconds - walked,
+                      static_cast<std::uint64_t>(
+                          std::max<TimePoint>(zero_from - t, 0)))
+                << "t=" << t;
+          }
+        }
+      }
+    }
+  }
+  // The spec that walked for seconds: a 7,200 s step trace under a 1e9 s
+  // window. From its end a walk in a band holding 0 steps to 4 x 7,200.
+  const LoadTrace step = step_trace({{500.0, 3600.0}, {0.0, 3600.0}});
+  const std::unique_ptr<PredictionCursor> cursor =
+      LinearTrendPredictor(1e9).cursor(step, 378.0);
+  ASSERT_EQ(cursor->value(7200), 0.0);
+  EXPECT_EQ(cursor->first_outside(7200, 0.0, 1.0), kNever);
+  EXPECT_LE(cursor->work().walk_seconds, 4u * 7200u);
+}
+
 TEST(PredictionCursor, StatefulPredictorsHaveNone) {
   const LoadTrace trace({1.0, 2.0, 3.0});
   EXPECT_EQ(EwmaPredictor(0.5).cursor(trace, 10.0), nullptr);

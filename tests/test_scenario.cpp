@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -371,6 +372,29 @@ TEST(ScenarioSpec, ParsesFaultKeysAndRoundTrips) {
   const ScenarioSpec plain;
   EXPECT_EQ(write_scenario(plain).find("faults.seed"), std::string::npos);
   EXPECT_EQ(parse_scenario(write_scenario(plain)), plain);
+}
+
+TEST(ScenarioSpec, NonPositiveCoordinatorBudgetIsANamedError) {
+  // The coordinator reads a budget <= 0 as none: `partitioned` with a
+  // budget of -5 ran unclamped, as `sum` does, without a word.
+  for (const char* text :
+       {"coordinator = partitioned\ncoordinator.budget = -5\n",
+        "coordinator.budget = 0\n",
+        "sweep coordinator.budget = 3500,-5\n"}) {
+    try {
+      (void)parse_scenario(text);
+      FAIL() << "expected std::runtime_error for: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("coordinator.budget"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parse_scenario("coordinator.budget = 0.5\n").coordinator_budget,
+            "0.5");
+  EXPECT_EQ(
+      parse_scenario("coordinator.budget = design-max\n").coordinator_budget,
+      "design-max");
 }
 
 TEST(ScenarioSpec, NumericKeysRejectTrailingGarbageNamingTheKey) {
@@ -1208,6 +1232,39 @@ TEST(Registry, NegativeCountsAreErrorsNotWraps) {
       (void)make_trace("worldcup_like", {{"tournament_start_day", "-4"}}, 1),
       std::runtime_error);
   EXPECT_THROW((void)make_predictor("oracle-max", {{"error_seed", "-2"}}, 1),
+               std::runtime_error);
+}
+
+TEST(Registry, NegativeNoiseAndEmptyTracesAreNamedErrors) {
+  // A negative noise would silently drop the noise, and an empty trace
+  // would replay no second and report every request served.
+  for (const char* generator : {"diurnal", "worldcup_like"}) {
+    try {
+      (void)make_trace(generator, {{"noise", "-1"}}, 1);
+      FAIL() << "expected std::invalid_argument for " << generator;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("noise"), std::string::npos)
+          << e.what();
+    }
+  }
+  const std::tuple<const char*, const char*, const char*> empty[] = {
+      {"diurnal", "days", "0"},
+      {"constant", "duration", "0"},
+      {"step", "segments", "500:0;20:0.5"},
+  };
+  for (const auto& [generator, key, value] : empty) {
+    try {
+      (void)make_trace(generator, {{key, value}}, 1);
+      FAIL() << "expected std::runtime_error for " << generator;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(generator), std::string::npos) << what;
+      EXPECT_NE(what.find("empty"), std::string::npos) << what;
+    }
+  }
+  // The same through a spec.
+  EXPECT_THROW((void)run_scenario(parse_scenario(
+                   "trace = diurnal\ntrace.days = 0\n")),
                std::runtime_error);
 }
 

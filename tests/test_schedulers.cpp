@@ -3,9 +3,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sched/baselines.hpp"
@@ -150,6 +154,139 @@ TEST(BmlScheduler, DecisionStableUntilIsExactAtBucketEdges) {
       }
     }
   }
+}
+
+// An oracle the decision paths do not share: for each pure predictor,
+// decide(t) is the ideal combination of predict()'s target rate at every
+// second asked, whether asked every second, with forward jumps shorter
+// and longer than the predictor's window, with repeats, or at the bounds
+// decision_stable_until returns. The per-second loop and the fast path
+// both decide from the cursor's bounds(), so their equivalence alone
+// would not catch a wrong bucket.
+TEST(BmlScheduler, DecidesAsPredictDoesForEveryPurePredictor) {
+  DiurnalOptions noisy_options;
+  noisy_options.peak = 2600.0;
+  noisy_options.noise = 0.3;
+  noisy_options.seed = 5;
+  DiurnalOptions smooth_options = noisy_options;
+  smooth_options.noise = 0.0;
+  const LoadTrace noisy_day = diurnal_trace(noisy_options, 1);
+  const LoadTrace smooth_day = diurnal_trace(smooth_options, 1);
+  std::vector<double> noisy, smooth;
+  for (TimePoint t = 0; t < 2400; ++t) {
+    noisy.push_back(noisy_day.at(t + 40'000));
+    smooth.push_back(smooth_day.at(10 * t));
+  }
+  std::vector<StepSegment> steps;
+  for (int i = 0; i < 24; ++i)
+    steps.push_back({100.0 + 277.0 * ((i * 7) % 10), 60.0 + 40.0 * (i % 4)});
+  const std::pair<const char*, LoadTrace> traces[] = {
+      {"noisy", LoadTrace(noisy)},
+      {"step", step_trace(steps)},
+      {"smooth", LoadTrace(smooth)},
+  };
+  const std::pair<const char*, std::function<std::shared_ptr<Predictor>()>>
+      predictors[] = {
+          {"oracle-max", [] { return std::make_shared<OracleMaxPredictor>(); }},
+          {"last-value", [] { return std::make_shared<LastValuePredictor>(); }},
+          {"moving-max",
+           [] { return std::make_shared<MovingMaxPredictor>(90.0); }},
+          {"linear-trend-60",
+           [] { return std::make_shared<LinearTrendPredictor>(60.0); }},
+          {"linear-trend-600",
+           [] { return std::make_shared<LinearTrendPredictor>(600.0); }},
+          {"seasonal",
+           [] { return std::make_shared<SeasonalPredictor>(900.0, 1.1); }},
+      };
+  for (const auto& [trace_name, trace] : traces) {
+    const auto n = static_cast<TimePoint>(trace.size());
+    for (const auto& [predictor_name, make] : predictors) {
+      for (const QosClass qos : {QosClass::kTolerant, QosClass::kCritical}) {
+        const std::shared_ptr<Predictor> reference = make();
+        const Seconds window = BmlScheduler::default_window(*design());
+        std::vector<Combination> expected;
+        for (TimePoint t = 0; t < n; ++t)
+          expected.push_back(design()->ideal_combination(
+              std::min(reference->predict(trace, t, window) *
+                           headroom_factor(qos),
+                       design()->max_rate())));
+        // Every second; jumps of 1 to 700 s around the windows of 60 and
+        // 600 s, each time asked twice; and the walk's own bounds.
+        std::vector<std::vector<TimePoint>> sequences(2);
+        for (TimePoint t = 0; t < n; ++t) sequences[0].push_back(t);
+        const TimePoint jumps[] = {1, 3, 59, 61, 2, 599, 601, 700, 1, 7};
+        std::size_t j = 0;
+        for (TimePoint t = 0; t < n; t += jumps[j++ % std::size(jumps)]) {
+          sequences[1].push_back(t);
+          sequences[1].push_back(t);
+        }
+        for (std::size_t k = 0; k <= sequences.size(); ++k) {
+          SCOPED_TRACE(std::string(predictor_name) + " on " + trace_name +
+                       (qos == QosClass::kCritical ? ", critical" : "") +
+                       ", sequence " + std::to_string(k));
+          BmlScheduler scheduler(design(), make(), 0.0, qos);
+          if (k < sequences.size()) {
+            for (const TimePoint t : sequences[k])
+              ASSERT_EQ(*scheduler.decide(t, trace),
+                        expected[static_cast<std::size_t>(t)])
+                  << "t=" << t;
+            continue;
+          }
+          for (TimePoint t = 0; t < n;) {
+            ASSERT_EQ(*scheduler.decide(t, trace),
+                      expected[static_cast<std::size_t>(t)])
+                << "t=" << t;
+            const TimePoint next = scheduler.decision_stable_until(t, trace);
+            ASSERT_GT(next, t);
+            for (TimePoint u = t + 1; u < std::min(next, n); ++u)
+              ASSERT_EQ(expected[static_cast<std::size_t>(u)],
+                        expected[static_cast<std::size_t>(t)])
+                  << "u=" << u << " inside [" << t << ", " << next << ")";
+            t = next;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A straddle that must fall back to the exact value: a 1e15 spike in
+// linear-trend's window inflates the rounding enclosure of the sums it
+// slides, so for a while after the spike has left, the enclosure around a
+// prediction of ~1,000 req/s is ~1,900 req/s wide and spans several
+// threshold buckets. decide() must refit there (one refit per straddle)
+// and still decide as predict() does.
+TEST(BmlScheduler, StraddlingBoundsFallBackToTheExactValue) {
+  std::vector<double> rates(400, 1000.0);
+  rates[100] = 1e15;
+  const LoadTrace trace(rates);
+  const DecisionThresholds& cuts = *design()->decision_thresholds();
+  const auto target = [](ReqRate predicted) {
+    return std::min(predicted, design()->max_rate());
+  };
+  BmlScheduler scheduler(design(),
+                         std::make_shared<LinearTrendPredictor>(60.0));
+  LinearTrendPredictor reference(60.0);
+  // The same queries on a twin cursor show where the scheduler straddles.
+  const std::unique_ptr<PredictionCursor> twin =
+      reference.cursor(trace, scheduler.window());
+  int straddles = 0;
+  for (TimePoint t = 0; t < static_cast<TimePoint>(trace.size()); ++t) {
+    const PredictionBounds b = twin->bounds(t);
+    const bool straddle =
+        cuts.index_for(target(b.lo)) != cuts.index_for(target(b.hi));
+    if (straddle) (void)twin->value(t);
+    const std::uint64_t refits = scheduler.prediction_work().refits;
+    ASSERT_EQ(*scheduler.decide(t, trace),
+              design()->ideal_combination(
+                  target(reference.predict(trace, t, scheduler.window()))))
+        << "t=" << t;
+    if (straddle) {
+      ++straddles;
+      EXPECT_EQ(scheduler.prediction_work().refits, refits + 1) << "t=" << t;
+    }
+  }
+  EXPECT_GT(straddles, 0);
 }
 
 TEST(BmlScheduler, Validation) {
@@ -330,6 +467,63 @@ TEST(HysteresisScheduler, AbortedScaleDownResetsHold) {
   EXPECT_EQ(*scheduler.decide(130, trace), big);
 }
 
+// Hysteresis bounds itself: the inner scheduler's bound, or a pending
+// scale-down's hold expiry. A run that consults it only at its bounds
+// decides as a run that consults it every second, at every second; and
+// leaves the same state, which copies of both runs, consulted every
+// second from each bound on, show by deciding alike. Holds of 0, 300 and
+// 300.5 s (the expiry is the ceiling), and 1e300 s and +inf, which never
+// expire and must not reach an overflowing cast.
+TEST(HysteresisScheduler, BoundedConsultsMatchPerSecondConsults) {
+  DiurnalOptions options;
+  options.peak = 2600.0;
+  options.noise = 0.3;
+  options.seed = 3;
+  const LoadTrace day = diurnal_trace(options, 1);
+  std::vector<double> rates;
+  for (TimePoint t = 0; t < 3000; ++t) rates.push_back(day.at(t + 30'000));
+  // A sharp drop, so scale-downs stay pending for whole holds.
+  rates.insert(rates.end(), 900, 40.0);
+  const LoadTrace trace(rates);
+  const auto n = static_cast<TimePoint>(trace.size());
+  for (const Seconds hold :
+       {0.0, 300.0, 300.5, 1e300, std::numeric_limits<Seconds>::infinity()}) {
+    SCOPED_TRACE("hold " + std::to_string(hold));
+    const auto make = [&] {
+      return HysteresisScheduler(
+          std::make_shared<BmlScheduler>(design(),
+                                         std::make_shared<MovingMaxPredictor>(
+                                             60.0)),
+          design(), hold);
+    };
+    HysteresisScheduler every = make();
+    HysteresisScheduler bounded = make();
+    ASSERT_EQ(every.initial_combination(trace),
+              bounded.initial_combination(trace));
+    std::optional<Combination> held;
+    TimePoint next = 0;
+    int consults = 0;
+    for (TimePoint t = 0; t < n; ++t) {
+      const std::optional<Combination> wanted = every.decide(t, trace);
+      if (t < next) {
+        ASSERT_EQ(wanted, held) << "t=" << t << " before the bound " << next;
+        continue;
+      }
+      ++consults;
+      held = bounded.decide(t, trace);
+      ASSERT_EQ(held, wanted) << "t=" << t;
+      HysteresisScheduler every_copy = every;
+      HysteresisScheduler bounded_copy = bounded;
+      for (TimePoint u = t + 1; u < std::min(n, t + 700); ++u)
+        ASSERT_EQ(every_copy.decide(u, trace), bounded_copy.decide(u, trace))
+            << "state differs after the consult at t=" << t << ", u=" << u;
+      next = bounded.decision_stable_until(t, trace);
+      ASSERT_GT(next, t);
+    }
+    EXPECT_LT(consults, n / 4);
+  }
+}
+
 TEST(HysteresisScheduler, Validation) {
   auto inner = std::make_shared<ReactiveScheduler>(design());
   EXPECT_THROW(HysteresisScheduler(nullptr, design(), 10.0),
@@ -337,6 +531,9 @@ TEST(HysteresisScheduler, Validation) {
   EXPECT_THROW(HysteresisScheduler(inner, nullptr, 10.0),
                std::invalid_argument);
   EXPECT_THROW(HysteresisScheduler(inner, design(), -1.0),
+               std::invalid_argument);
+  EXPECT_THROW(HysteresisScheduler(inner, design(),
+                                   std::numeric_limits<Seconds>::quiet_NaN()),
                std::invalid_argument);
 }
 
