@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -656,13 +657,97 @@ constexpr const char kBmlBuildType[] = "release";
 constexpr const char kBmlBuildType[] = "debug";
 #endif
 
+/// Collects every run a RunSpecifiedBenchmarks call reports, for the
+/// paired mode below.
+class PairReporter : public benchmark::BenchmarkReporter {
+ public:
+  struct Reading {
+    std::string name;
+    double real_seconds;  // per iteration
+    double items_per_second;
+  };
+
+  bool ReportContext(const Context&) override { return true; }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      const auto items = run.counters.find("items_per_second");
+      readings.push_back(
+          {run.benchmark_name(),
+           run.real_accumulated_time / static_cast<double>(run.iterations),
+           items == run.counters.end() ? 0.0 : items->second.value});
+      std::fprintf(stderr, "%-52s %12.6f ms\n", readings.back().name.c_str(),
+                   readings.back().real_seconds * 1e3);
+    }
+  }
+
+  std::vector<Reading> readings;
+};
+
+/// Paired mode, `--abba=NUM,DEN`: times the two named benchmarks
+/// alternately in this one process, NUM DEN DEN NUM per round for
+/// kAbbaRounds rounds, each a full google-benchmark run, and prints the
+/// readings in run order as JSON on stdout. Adjacent readings form a pair,
+/// so the host's drift between phases cancels out of each pair's ratio;
+/// bench/gates.py checks the median of those ratios.
+constexpr int kAbbaRounds = 5;
+
+int run_abba(const std::string& pair) {
+  const std::size_t comma = pair.find(',');
+  if (comma == std::string::npos) {
+    std::fprintf(stderr, "bench_micro: --abba wants NUM,DEN\n");
+    return 2;
+  }
+  const std::string names[2] = {pair.substr(0, comma),
+                                pair.substr(comma + 1)};
+  PairReporter reporter;
+  for (int r = 0; r < kAbbaRounds; ++r) {
+    for (const int which : {0, 1, 1, 0}) {
+      const std::size_t before = reporter.readings.size();
+      benchmark::RunSpecifiedBenchmarks(&reporter,
+                                        "^" + names[which] + "$");
+      if (reporter.readings.size() != before + 1) {
+        std::fprintf(stderr, "bench_micro: --abba: '%s' names no single "
+                             "benchmark\n", names[which].c_str());
+        return 2;
+      }
+    }
+  }
+  std::printf("{\"readings\": [");
+  for (std::size_t i = 0; i < reporter.readings.size(); ++i) {
+    const PairReporter::Reading& x = reporter.readings[i];
+    std::printf("%s\n  {\"name\": \"%s\", \"real_time_s\": %.9g, "
+                "\"items_per_second\": %.9g}",
+                i == 0 ? "" : ",", x.name.c_str(), x.real_seconds,
+                x.items_per_second);
+  }
+  std::printf("\n]}\n");
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
+  // The paired mode's own flag, taken out before the unknown-flag check.
+  std::string abba;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--abba=", 0) == 0) {
+      abba = arg.substr(7);
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("bml_build_type", kBmlBuildType);
-  benchmark::RunSpecifiedBenchmarks();
+  int status = 0;
+  if (abba.empty()) {
+    benchmark::RunSpecifiedBenchmarks();
+  } else {
+    status = run_abba(abba);
+  }
   benchmark::Shutdown();
-  return 0;
+  return status;
 }

@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""The ratio gates of a Release bench_micro, as one table, checked on the
-medians of five repetitions so that one noisy run cannot fail (or pass) a
-gate.
+"""The ratio gates of a Release bench_micro, as one table, each read from
+paired timings so that the host's drift between phases cancels out of each
+ratio: one bench_micro process times a gate's numerator and denominator
+alternately, A B B A per round for five rounds (`bench_micro --abba=A,B`),
+and the gate checks the median of the ten per-pair ratios.
 
-  bench/gates.py run BENCH_MICRO [REPORT]  run every gated benchmark once
-                                           into REPORT (gates.json), check
-  bench/gates.py check REPORT              check an existing report
+  bench/gates.py run BENCH_MICRO [REPORT]  time every gate in pairs into
+                                           REPORT (gates.json), check
+  bench/gates.py check REPORT              check a report from `run`
   bench/gates.py require REPORT            fail if a gated or recorded
-                                           benchmark is missing from it
+                                           benchmark is missing from a
+                                           google-benchmark report
 """
 import json
+import statistics
 import subprocess
 import sys
 
 # (numerator, denominator, metric, direction, bound): the ratio of the two
-# medians. An items_per_second gate bounds a speedup from below, a
+# sides. An items_per_second gate bounds a speedup from below, a
 # real_time gate a cost factor from above.
 GATES = [
     # The fast path against the per-second reference on the noisy 7-day
@@ -60,7 +64,7 @@ RECORDED = ["BM_SimulatorWeekSteadyEventDriven",
             "BM_SimulatorWeekNoisyScheduler/cost-aware",
             "BM_SimulatorWeekNoisyScheduler/bml-ewma",
             "BM_WorldCupTraceGeneration"]
-SECONDS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
+MIN_TIME = "0.25"  # seconds per timing
 
 
 def gated_names():
@@ -68,25 +72,29 @@ def gated_names():
 
 
 def check(report):
-    medians = {b["run_name"]: b for b in report["benchmarks"]
-               if b.get("aggregate_name") == "median"}
-
-    def value(name, metric):
-        b = medians[name]
-        return b[metric] * (SECONDS[b["time_unit"]]
-                            if metric == "real_time" else 1.0)
-
+    """Each gate's median over its pairs of adjacent readings."""
     passed = True
     for num, den, metric, direction, bound in GATES:
-        if num not in medians or den not in medians:
-            print(f"FAIL {num} / {den}: no median in the report")
+        entry = next((g for g in report["gates"]
+                      if g["numerator"] == num and g["denominator"] == den),
+                     None)
+        if entry is None:
+            print(f"FAIL {num} / {den}: not in the report")
             passed = False
             continue
-        ratio = value(num, metric) / value(den, metric)
+        key = "real_time_s" if metric == "real_time" else metric
+        readings = entry["readings"]
+        ratios = []
+        for a, b in zip(readings[0::2], readings[1::2]):
+            side = {a["name"]: a[key], b["name"]: b[key]}
+            ratios.append(side[num] / side[den])
+        ratio = statistics.median(ratios)
         ok = ratio >= bound if direction == ">=" else ratio <= bound
         passed &= ok
         print(f"{'ok  ' if ok else 'FAIL'} {num} / {den} ({metric}) = "
-              f"{ratio:.2f}x (required: {direction} {bound:g}x)")
+              f"{ratio:.2f}x, median of {len(ratios)} pairs "
+              f"({min(ratios):.2f}-{max(ratios):.2f}x) "
+              f"(required: {direction} {bound:g}x)")
     return passed
 
 
@@ -100,15 +108,22 @@ def require(report):
     return not missing
 
 
+def run(bench):
+    gates = []
+    for num, den, *_ in GATES:
+        out = subprocess.run([bench, f"--abba={num},{den}",
+                              f"--benchmark_min_time={MIN_TIME}"],
+                             check=True, stdout=subprocess.PIPE, text=True)
+        gates.append({"numerator": num, "denominator": den,
+                      "readings": json.loads(out.stdout)["readings"]})
+    return {"gates": gates}
+
+
 def main(argv):
     if len(argv) in (2, 3) and argv[0] == "run":
         out = argv[2] if len(argv) == 3 else "gates.json"
-        names = "|".join(gated_names())
-        subprocess.run([argv[1], f"--benchmark_filter=^({names})$",
-                        "--benchmark_repetitions=5",
-                        "--benchmark_report_aggregates_only=true",
-                        f"--benchmark_out={out}",
-                        "--benchmark_out_format=json"], check=True)
+        with open(out, "w") as f:
+            json.dump(run(argv[1]), f, indent=1)
     elif len(argv) == 2 and argv[0] in ("check", "require"):
         out = argv[1]
     else:

@@ -166,6 +166,7 @@ void SimMetrics::merge(const SimMetrics& other) {
   decisions_applied += other.decisions_applied;
   predict_refits += other.predict_refits;
   predict_walk_seconds += other.predict_walk_seconds;
+  walk_sub_runs += other.walk_sub_runs;
   merge_frontier_advances += other.merge_frontier_advances;
   merge_apps_max = std::max(merge_apps_max, other.merge_apps_max);
   preemptions += other.preemptions;
@@ -185,6 +186,7 @@ void SimMetrics::export_to(MetricsRegistry& out) const {
   out.add_counter("sim.decisions_applied", decisions_applied);
   out.add_counter("sim.predict.refits", predict_refits);
   out.add_counter("sim.predict.walk_seconds", predict_walk_seconds);
+  out.add_counter("sim.walk.sub_runs", walk_sub_runs);
   out.add_counter("sim.merge.frontier_advances", merge_frontier_advances);
   out.max_gauge("sim.merge.apps_max", static_cast<double>(merge_apps_max));
   out.add_counter("sim.preemptions", preemptions);

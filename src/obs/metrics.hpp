@@ -176,6 +176,9 @@ struct SimMetrics {
   /// linear-trend window refits, and seconds stepped one at a time.
   std::uint64_t predict_refits = 0;
   std::uint64_t predict_walk_seconds = 0;
+  /// Work ledger of the span walks (sim/span_walk.hpp): the constant-load
+  /// sub-runs both walks integrated, counted per span.
+  std::uint64_t walk_sub_runs = 0;
   /// Fused k-way merge instrumentation (multi-app event-driven path):
   /// frontier cursor advances (RLE runs consumed across all apps, seeding
   /// included) and the largest app count any merge ran with.

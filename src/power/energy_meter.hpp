@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -90,21 +91,30 @@ class EnergyMeter {
     /// add_span(compute, transition, seconds) for `seconds` >= 0.
     void add(Watts compute, std::int64_t seconds) {
       if (seconds > day_left_) {
-        close();
-        meter_->add_span(compute, transition_,
-                         static_cast<std::size_t>(seconds));
-        load();
+        add_across_days(compute, seconds);
         return;
       }
-      const Joules compute_e = compute * step_ * static_cast<double>(seconds);
+      add_in_day(compute, seconds);
       const Joules transition_e =
           transition_step_ * static_cast<double>(seconds);
-      compute_ += compute_e;
-      day_compute_ += compute_e;
       reconf_ += transition_e;
       day_reconf_ += transition_e;
-      day_left_ -= seconds;
     }
+
+    /// add() for a meter opened with no transition power, whose
+    /// reconfiguration adds would each add +0.0 to a non-negative sum and
+    /// so leave its bits as they are: the compute channel only.
+    void add_compute(Watts compute, std::int64_t seconds) {
+      assert(transition_ == 0.0);
+      if (seconds > day_left_) {
+        add_across_days(compute, seconds);
+        return;
+      }
+      add_in_day(compute, seconds);
+    }
+
+    /// The transition power the span was opened with.
+    Watts transition() const { return transition_; }
 
     void close() const {
       // Inside the day window the tick is where the seconds left end.
@@ -120,6 +130,20 @@ class EnergyMeter {
     }
 
    private:
+    void add_in_day(Watts compute, std::int64_t seconds) {
+      const Joules compute_e = compute * step_ * static_cast<double>(seconds);
+      compute_ += compute_e;
+      day_compute_ += compute_e;
+      day_left_ -= seconds;
+    }
+
+    /// A run past the open day bucket goes through add_span itself.
+    void add_across_days(Watts compute, std::int64_t seconds) {
+      close();
+      meter_->add_span(compute, transition_, static_cast<std::size_t>(seconds));
+      load();
+    }
+
     /// Copies the meter out. Outside the cached day window (a fresh meter,
     /// or a tick at the day's end) no bucket is open and day_left_ is 0,
     /// so the next non-empty add() takes add_span's path.

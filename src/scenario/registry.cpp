@@ -70,6 +70,16 @@ class ParamReader {
     return static_cast<std::uint64_t>(v);
   }
 
+  /// A scheduler window, whose 0 selects the scheduler's default: a
+  /// negative one is an error, not a second spelling of the default.
+  [[nodiscard]] double get_window(const std::string& key) {
+    const double v = get_double(key, 0.0);
+    if (v < 0.0)
+      throw std::runtime_error(context_ + ": bad value for '" + key +
+                               "': must be >= 0 (0 = the default window)");
+    return v;
+  }
+
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) {
     const auto it = params_.find(key);
     if (it == params_.end()) return fallback;
@@ -369,18 +379,17 @@ std::unique_ptr<Scheduler> make_scheduler(
   std::unique_ptr<Scheduler> scheduler;
   if (name == "bml") {
     scheduler = std::make_unique<BmlScheduler>(
-        design, std::move(predictor), reader.get_double("window", 0.0), qos);
+        design, std::move(predictor), reader.get_window("window"), qos);
   } else if (name == "cost-aware") {
     scheduler = std::make_unique<CostAwareScheduler>(
         design, std::move(predictor), ApplicationModel{}, MigrationModel{},
-        reader.get_double("window", 0.0),
-        reader.get_double("payback_window", 0.0));
+        reader.get_window("window"), reader.get_window("payback_window"));
   } else if (name == "reactive") {
     scheduler = std::make_unique<ReactiveScheduler>(
         design, reader.get_double("headroom", 1.0));
   } else if (name == "hysteresis") {
     auto inner = std::make_shared<BmlScheduler>(
-        design, std::move(predictor), reader.get_double("window", 0.0), qos);
+        design, std::move(predictor), reader.get_window("window"), qos);
     scheduler = std::make_unique<HysteresisScheduler>(
         std::move(inner), design, reader.get_double("hold", 300.0));
   } else if (name == "static-max") {

@@ -118,6 +118,29 @@ struct DegradeModel {
   [[nodiscard]] bool enabled() const { return overload_factor > 0.0; }
 };
 
+/// Serving state of one constant-load slice under the degrade model:
+/// spill-over above rated capacity is absorbed up to
+/// `overload_factor * capacity`, each absorbed req/s serving only
+/// (1 - penalty) effectively; spill beyond the absorption limit is simply
+/// unserved. Power is untouched — the fleet curve already saturates at
+/// rated capacity, so the contention penalty is capacity-side only.
+struct DegradedCap {
+  ReqRate effective;  // capacity QoS is scored against
+  ReqRate lost_rate;  // capacity lost to the contention penalty, req/s
+  bool overloaded;    // offered load exceeded rated capacity
+};
+
+[[nodiscard]] inline DegradedCap degraded_capacity(const DegradeModel& model,
+                                                   ReqRate load,
+                                                   ReqRate capacity) {
+  if (!(load > capacity)) return DegradedCap{capacity, 0.0, false};
+  const ReqRate over = load - capacity;
+  const ReqRate limit = capacity * model.overload_factor;
+  const ReqRate absorbed = over < limit ? over : limit;
+  return DegradedCap{capacity + absorbed * (1.0 - model.penalty),
+                     absorbed * model.penalty, true};
+}
+
 /// Aggregate machine counts by state, one Combination per state.
 struct ClusterSnapshot {
   Combination on;

@@ -4,9 +4,9 @@
 // #segments); that is fine for occasional lookups but the decision-granular
 // simulator iterates *every* constant-value run of the trace inside each
 // batched span. CompiledTrace adds a cursor API over the trace's own
-// arrays so a monotone walk over the runs costs amortised O(1) per run —
-// no binary searches, no virtual dispatch, no TimeSeries indirection in
-// the hot loop.
+// arrays: run_at seats a cursor at any second, and next_run steps it from
+// one run to the next in O(1) — no binary searches, no virtual dispatch,
+// no TimeSeries indirection in the hot loop.
 //
 // Layout: the trace is held once. LoadTrace owns the samples and one
 // run-length index, the packed 32-bit *end* of every run
@@ -69,16 +69,6 @@ class CompiledTrace {
     return seg == 0 ? 0 : static_cast<TimePoint>(ends_[seg - 1]);
   }
 
-  /// Rate at `t`; 0 at or beyond the end (mirrors LoadTrace::at, values
-  /// are bit-identical). O(1).
-  [[nodiscard]] ReqRate value_at(TimePoint t) const;
-
-  /// First second after `t` whose value differs from value_at(t); same
-  /// contract as LoadTrace::next_change (the implicit 0 beyond the end
-  /// counts as a change unless the tail already holds 0, in which case the
-  /// result is "never"). O(log #segments).
-  [[nodiscard]] TimePoint next_change(TimePoint t) const;
-
   /// Value and run end at `t`, amortised O(1) across a walk with
   /// non-decreasing `t` (the cursor re-seats itself by binary search when
   /// `t` moved backwards). Throws std::invalid_argument on negative `t`.
@@ -99,11 +89,13 @@ class CompiledTrace {
 
   /// The run that starts at `t`, the end of the cursor's current run — the
   /// same as run_at(cursor, t) for a walk that has just reached that end,
-  /// without the re-seating checks. The k-way merge advances its frontier
-  /// with it.
+  /// without the re-seating checks. The cursor always steps one run on:
+  /// past a non-zero tail onto the implicit zero run, index
+  /// segment_count(), so a walk's run count is its cursor's index delta.
+  /// The span walks (sim/span_walk.hpp) step with it.
   [[nodiscard]] Run next_run(Cursor& cursor, TimePoint t) const {
-    if (t >= size()) return Run{0.0, kNeverChanges};
     ++cursor.seg;
+    if (t >= size()) return Run{0.0, kNeverChanges};
     return Run{samples_[static_cast<std::size_t>(t)],
                run_end(ends_, cursor.seg)};
   }

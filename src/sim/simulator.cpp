@@ -9,6 +9,7 @@
 
 #include "sim/compiled_trace.hpp"
 #include "sim/fault_timeline.hpp"
+#include "sim/span_walk.hpp"
 #include "util/logging.hpp"
 
 namespace bml {
@@ -183,18 +184,9 @@ struct Run {
   /// Scratch: per-app offered load / capacity allocation this span.
   std::vector<ReqRate> loads;
   std::vector<ReqRate> alloc;
-  /// Fused k-way merge frontier (multi-app fast path): each app's current
-  /// run end, parallel to `loads` (which doubles as the frontier's value
-  /// array inside advance_span).
-  std::vector<TimePoint> run_ends;
-  /// Working state of the k-way merge: each active app's QoS tracker and
-  /// energy meter, held open across the span (see advance_span).
-  struct OpenApp {
-    std::size_t app;
-    QosTracker::OpenSpan qos;
-    EnergyMeter::OpenSpan energy;
-  };
-  std::vector<OpenApp> open_apps;
+  /// The merged walk's frontier: one lane per active app (see
+  /// sim/span_walk.hpp), rebuilt at every span.
+  std::vector<MergeLane> lanes;
   /// Consult cache: each app's cached decision_stable_until; entries <= now
   /// force a real decide(). Only the event-driven path fills it (after the
   /// merge, while no reconfiguration is in flight), so the per-second
@@ -267,7 +259,7 @@ struct Run {
   /// re-partitions capacity through the normal decision path. A fixed
   /// tenant set is this model with every app active and no events;
   /// `lifecycle_enabled` (any view with arrive > 0 or depart >= 0) only
-  /// routes fixed single-app runs through the fused walk of advance_span.
+  /// routes a single-app run through the merged walk of advance_span.
   bool lifecycle_enabled = false;
   std::vector<char> active;
   std::size_t active_count = 0;
@@ -425,28 +417,6 @@ void account_spare_span(Run& run, TimePoint span) {
     run.total_spare_energy += e;
   }
   if (any) run.total_spare_seconds += span;
-}
-
-/// Serving state of one constant-load slice under the degrade model:
-/// spill-over above rated capacity is absorbed up to
-/// `overload_factor * capacity`, each absorbed req/s serving only
-/// (1 - penalty) effectively; spill beyond the absorption limit is simply
-/// unserved. Power is untouched — the fleet curve already saturates at
-/// rated capacity, so the contention penalty is capacity-side only.
-struct DegradedCap {
-  ReqRate effective;  // capacity QoS is scored against
-  ReqRate lost_rate;  // capacity lost to the contention penalty, req/s
-  bool overloaded;    // offered load exceeded rated capacity
-};
-
-DegradedCap degraded_capacity(const DegradeModel& model, ReqRate load,
-                              ReqRate capacity) {
-  if (!(load > capacity)) return DegradedCap{capacity, 0.0, false};
-  const ReqRate over = load - capacity;
-  const ReqRate limit = capacity * model.overload_factor;
-  const ReqRate absorbed = over < limit ? over : limit;
-  return DegradedCap{capacity + absorbed * (1.0 - model.penalty),
-                     absorbed * model.penalty, true};
 }
 
 /// Accrues the overload accounting over `span` seconds of a slice with
@@ -636,7 +606,6 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
   run.app_qos.resize(views.size());
   run.loads.assign(views.size(), 0.0);
   run.alloc.assign(views.size(), 0.0);
-  run.run_ends.assign(views.size(), 0);
   run.consult_until.assign(views.size(), -1);
   run.slo_budget.assign(views.size(), -1.0);
   for (std::size_t i = 0; i < views.size(); ++i) {
@@ -1340,13 +1309,10 @@ std::size_t longest_trace(const std::vector<WorkloadView>& views) {
 }
 
 /// Advances [begin, end) with a fixed fleet (no transition completes and no
-/// decision is applied inside): walks the intersection of the workloads'
-/// compiled-trace runs, so a span over a per-second-noisy trace costs one
-/// iteration per constant-value sub-run instead of one per second. Each
-/// sub-run's power, QoS and per-app attribution are closed-form: the
-/// cluster-wide totals accumulate in registers (QosSpanTotals and the
-/// integrated compute energy), and the per-app accumulators stay open
-/// across the span (QosTracker::OpenSpan, EnergyMeter::OpenSpan).
+/// decision is applied inside) through the span walks (sim/span_walk.hpp):
+/// a single workload walks its own trace runs into the cluster-wide
+/// accumulators, several walk the intersection of their runs and attribute
+/// each sub-run to the active apps.
 ///
 /// Returns the time actually advanced to (== `end` normally). With the
 /// degrade model enabled, an overload entry/exit inside the span stops
@@ -1362,178 +1328,51 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
   // constant, and the compute power is the compiled fleet curve of the
   // per-run load (within a few ulp of Cluster::compute_power — inside
   // the 1e-9 equivalence contract).
-  const ReqRate capacity_now = run.cluster.on_capacity();
-  const Watts transition = run.cluster.transition_power();
   run.cluster.compile_power_curve(run.power_curve);
-  const bool deg = run.degrade.enabled();
-  bool first = true;
-  bool span_over = false;
-
+  const SpanFleet fleet{run.cluster.on_capacity(),
+                        run.cluster.transition_power(), &run.power_curve,
+                        run.degrade};
+  SpanWork work;
+  TimePoint reached;
   // Single-workload runs skip per-run attribution entirely: with one app
   // the capacity, compute and transition shares are all exactly 1.0, so
   // the per-app accumulators would replay the cluster-wide streams
   // bit-for-bit — run_event_driven copies them at the end instead.
   if (views.size() == 1 && !run.lifecycle_enabled) {
-    // Fully fused single-workload walk — the innermost loop of the whole
-    // simulator on noisy traces. QoS totals and the compute-energy
-    // integral accumulate in registers and flush once per span through
-    // the aggregate kernels; no scratch rows, no second pass. (The meter
-    // runs at step 1.0, so power * seconds is the integrated energy.)
-    const CompiledTrace& trace = compiled[0];
-    CompiledTrace::Cursor& cursor = cursors[0];
-    QosSpanTotals totals;
-    Joules compute_e = 0.0;
-    TimePoint cur = begin;
-    while (cur < end) {
-      const CompiledTrace::Run r = trace.run_at(cursor, cur);
-      const TimePoint sub_end = r.end < end ? r.end : end;
-      const TimePoint len = sub_end - cur;
-      const auto seconds = static_cast<double>(len);
-      ReqRate cap_eff = capacity_now;
-      if (deg) {
-        const DegradedCap dc =
-            degraded_capacity(run.degrade, r.value, capacity_now);
-        if (first) {
-          span_over = dc.overloaded;
-          first = false;
-        } else if (dc.overloaded != span_over) {
-          end = cur;
-          break;
-        }
-        cap_eff = dc.effective;
-        if (dc.overloaded) {
-          run.loads[0] = r.value;
-          account_overload(views, run, r.value, dc.lost_rate, len);
-        }
+    reached = walk_one_span(
+        compiled[0], cursors[0], begin, end, fleet, run.qos, run.meter, work,
+        [&](ReqRate load, ReqRate lost_rate, TimePoint len) {
+          run.loads[0] = load;
+          account_overload(views, run, load, lost_rate, len);
+        });
+  } else {
+    // One lane per active app; an inactive app offers 0.0 to the overload
+    // accounting and nothing to the merge (see span_walk.hpp).
+    run.lanes.clear();
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      if (!run.active[i]) {
+        run.loads[i] = 0.0;
+        continue;
       }
-      totals.add(r.value, cap_eff, len);
-      compute_e += run.power_curve.power_at(r.value) * seconds;
-      cur = sub_end;
+      run.lanes.emplace_back(i, compiled[i], cursors[i], begin,
+                             run.app_qos[i], run.app_meters[i],
+                             fleet.transition * run.transition_shares[i]);
     }
-    run.qos.record_totals(totals);
-    run.meter.add_integrated_span(compute_e, transition,
-                                  static_cast<std::size_t>(totals.seconds));
-    return end;
-  }
-  // Fused k-way merge over the apps' compiled RLE streams: one frontier
-  // entry per app (current value in run.loads, current run end in
-  // run.run_ends). Each shared sub-run is the intersection of the apps'
-  // current runs, and only the cursors whose run ends exactly at the
-  // sub-run boundary advance — so each app's stream is consumed once
-  // per span instead of being re-probed once per sub-run. The sub-run
-  // arithmetic is operation-for-operation the reference loop's
-  // attribute_second: the total sums fresh in app order, and the quotient
-  // loads[i] / total is split_capacity's capacity split and the compute
-  // share at once (with no load offered, the equal splits over all apps
-  // and over the active ones). Each active app's QosTracker and
-  // EnergyMeter are open across the span and take exactly record_span's
-  // and add_span's operations per sub-run, so every accumulator stays
-  // bit-identical.
-  const std::size_t k = views.size();
-  std::uint64_t advances = 0;
-  run.open_apps.clear();
-  for (std::size_t i = 0; i < k; ++i) {
-    // Inactive tenants hold a zero-load frontier entry pinned to the
-    // span end: their cursor is never probed, the 0.0 still sums in app
-    // order (bit-identical to the reference gather), and the advance
-    // loop below can never re-seat them (run end == span end).
-    if (!run.active[i]) {
-      run.loads[i] = 0.0;
-      run.run_ends[i] = end;
-      continue;
-    }
-    const CompiledTrace::Run r = compiled[i].run_at(cursors[i], begin);
-    run.loads[i] = r.value;
-    run.run_ends[i] = r.end;
-    ++advances;
-    run.open_apps.push_back(Run::OpenApp{
-        i, QosTracker::OpenSpan(run.app_qos[i]),
-        EnergyMeter::OpenSpan(run.app_meters[i],
-                              transition * run.transition_shares[i])});
-  }
-  const double equal_alloc = 1.0 / static_cast<double>(k);
-  const double equal_compute =
-      run.open_apps.empty()
-          ? 0.0
-          : 1.0 / static_cast<double>(run.active_count);
-
-  // The cluster-wide totals fold into the tracker and the meter every
-  // kFlushChunk sub-runs, which fixes their summation order (and so the
-  // pinned bytes). Day attribution is unaffected: spans never straddle
-  // days (the caller clamps them).
-  constexpr std::size_t kFlushChunk = 512;
-  QosSpanTotals totals;
-  Joules compute_e = 0.0;
-  std::size_t chunk_runs = 0;
-  const auto flush = [&] {
-    run.qos.record_totals(totals);
-    run.meter.add_integrated_span(compute_e, transition,
-                                  static_cast<std::size_t>(totals.seconds));
-    totals = QosSpanTotals{};
-    compute_e = 0.0;
-    chunk_runs = 0;
-  };
-  TimePoint cur = begin;
-  while (cur < end) {
-    TimePoint sub_end = end;
-    ReqRate total = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      total += run.loads[i];
-      if (run.run_ends[i] < sub_end) sub_end = run.run_ends[i];
-    }
-    const TimePoint len = sub_end - cur;
-    const auto seconds = static_cast<double>(len);
-    ReqRate cap_eff = capacity_now;
-    if (deg) {
-      const DegradedCap dc =
-          degraded_capacity(run.degrade, total, capacity_now);
-      if (first) {
-        span_over = dc.overloaded;
-        first = false;
-      } else if (dc.overloaded != span_over) {
-        end = cur;
-        break;
-      }
-      cap_eff = dc.effective;
-      if (dc.overloaded) account_overload(views, run, total, dc.lost_rate, len);
-    }
-    const Watts compute = run.power_curve.power_at(total);
-    totals.add(total, cap_eff, len);
-    compute_e += compute * seconds;
-    if (++chunk_runs == kFlushChunk) flush();
-    if (total > 0.0) {
-      for (Run::OpenApp& a : run.open_apps) {
-        const double share = run.loads[a.app] / total;
-        a.qos.record(run.loads[a.app], cap_eff * share, len);
-        a.energy.add(compute * share, len);
-      }
-    } else {
-      for (Run::OpenApp& a : run.open_apps) {
-        a.qos.record(run.loads[a.app], cap_eff * equal_alloc, len);
-        a.energy.add(compute * equal_compute, len);
-      }
-    }
-    cur = sub_end;
-    if (cur >= end) break;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (run.run_ends[i] == cur) {
-        const CompiledTrace::Run r = compiled[i].next_run(cursors[i], cur);
-        run.loads[i] = r.value;
-        run.run_ends[i] = r.end;
-        ++advances;
-      }
+    reached = walk_merged_span(
+        run.lanes, views.size(), begin, end, fleet, run.qos, run.meter, work,
+        [&](std::span<const MergeLane> lanes, ReqRate total,
+            ReqRate lost_rate, TimePoint len) {
+          for (const MergeLane& l : lanes) run.loads[l.app] = l.load;
+          account_overload(views, run, total, lost_rate, len);
+        });
+    if (metrics) {
+      metrics->merge_frontier_advances += work.frontier_advances;
+      if (views.size() > metrics->merge_apps_max)
+        metrics->merge_apps_max = views.size();
     }
   }
-  if (metrics) {
-    metrics->merge_frontier_advances += advances;
-    if (k > metrics->merge_apps_max) metrics->merge_apps_max = k;
-  }
-  if (chunk_runs > 0) flush();
-  for (const Run::OpenApp& a : run.open_apps) {
-    a.qos.close();
-    a.energy.close();
-  }
-  return end;
+  if (metrics) metrics->walk_sub_runs += work.sub_runs;
+  return reached;
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // CompiledTrace must be an exact run-length view of its LoadTrace:
 // identical values (to the bit), identical next-change semantics
 // (including the implicit-zero tail rule), and a cursor walk that agrees
-// with point queries whether it moves forward second-by-second, steps
-// from run to run, jumps across runs, or is re-seated backwards. Both
-// answer as the samples read one second at a time do.
+// with the trace's point queries whether it moves forward
+// second-by-second, steps from run to run, jumps across runs, is seated
+// fresh, or is re-seated backwards. All answer as the samples read one
+// second at a time do.
 #include "sim/compiled_trace.hpp"
 
 #include <gtest/gtest.h>
@@ -59,21 +60,33 @@ void expect_mirrors(const LoadTrace& trace) {
   for (TimePoint t = 0; t < compiled.size() + 3; ++t) {
     const TimePoint next = naive_next_change(x, t);
     EXPECT_FALSE(std::signbit(trace.at(t))) << "t=" << t;
-    EXPECT_EQ(bits(compiled.value_at(t)), bits(trace.at(t))) << "t=" << t;
     EXPECT_EQ(trace.next_change(t), next) << "t=" << t;
-    EXPECT_EQ(compiled.next_change(t), next) << "t=" << t;
     const CompiledTrace::Run run = compiled.run_at(cursor, t);
     EXPECT_EQ(bits(run.value), bits(trace.at(t))) << "t=" << t;
     EXPECT_EQ(run.end, next) << "t=" << t;
+    // A fresh cursor seats itself by search and answers the same.
+    CompiledTrace::Cursor fresh;
+    const CompiledTrace::Run seated = compiled.run_at(fresh, t);
+    EXPECT_EQ(bits(seated.value), bits(run.value)) << "t=" << t;
+    EXPECT_EQ(seated.end, next) << "t=" << t;
   }
-  // Run by run: next_run at each run's end answers as run_at does.
+  // Run by run: next_run at each run's end answers as run_at does, and
+  // the cursor's index counts the runs walked — past a non-zero tail it
+  // steps onto the implicit zero run, index segment_count().
   CompiledTrace::Cursor stepping;
   CompiledTrace::Run run = compiled.run_at(stepping, 0);
+  std::size_t walked = x.empty() ? 0 : 1;
   while (run.end != kNever) {
     const TimePoint t = run.end;
     run = compiled.next_run(stepping, t);
+    ++walked;
     EXPECT_EQ(bits(run.value), bits(trace.at(t))) << "t=" << t;
     EXPECT_EQ(run.end, naive_next_change(x, t)) << "t=" << t;
+  }
+  if (!x.empty()) {
+    EXPECT_EQ(stepping.seg + 1, walked);
+    EXPECT_EQ(stepping.seg, x.back() == 0.0 ? compiled.segment_count() - 1
+                                            : compiled.segment_count());
   }
   Rng rng(x.size());
   CompiledTrace::Cursor jumping;
@@ -105,15 +118,19 @@ TEST(CompiledTrace, ZeroTailNeverChanges) {
   const LoadTrace trace = step_trace({{10.0, 4.0}, {0.0, 4.0}});
   const CompiledTrace compiled(trace);
   // Inside the zero tail the implicit 0 beyond the end is not a change.
-  EXPECT_EQ(compiled.next_change(5), kNever);
   CompiledTrace::Cursor cursor;
   EXPECT_EQ(compiled.run_at(cursor, 5).end, kNever);
+  EXPECT_EQ(compiled.run_at(cursor, 9).end, kNever);
 }
 
 TEST(CompiledTrace, NonZeroTailChangesAtEnd) {
   const LoadTrace trace = constant_trace(7.0, 6.0);
   const CompiledTrace compiled(trace);
-  EXPECT_EQ(compiled.next_change(2), static_cast<TimePoint>(trace.size()));
+  CompiledTrace::Cursor cursor;
+  EXPECT_EQ(compiled.run_at(cursor, 2).end,
+            static_cast<TimePoint>(trace.size()));
+  EXPECT_EQ(compiled.run_at(cursor, 6).value, 0.0);
+  EXPECT_EQ(compiled.run_at(cursor, 6).end, kNever);
 }
 
 TEST(CompiledTrace, EmptyTrace) {
@@ -122,8 +139,6 @@ TEST(CompiledTrace, EmptyTrace) {
        {CompiledTrace(empty), CompiledTrace()}) {
     EXPECT_TRUE(compiled.empty());
     EXPECT_EQ(compiled.segment_count(), 0u);
-    EXPECT_EQ(compiled.value_at(0), 0.0);
-    EXPECT_EQ(compiled.next_change(0), kNever);
     CompiledTrace::Cursor cursor;
     EXPECT_EQ(compiled.run_at(cursor, 0).value, 0.0);
     EXPECT_EQ(compiled.run_at(cursor, 0).end, kNever);
@@ -161,8 +176,6 @@ TEST(CompiledTrace, NegativeTimeThrows) {
   const LoadTrace trace = constant_trace(1.0, 5.0);
   const CompiledTrace compiled(trace);
   CompiledTrace::Cursor cursor;
-  EXPECT_THROW((void)compiled.value_at(-1), std::invalid_argument);
-  EXPECT_THROW((void)compiled.next_change(-1), std::invalid_argument);
   EXPECT_THROW((void)compiled.run_at(cursor, -1), std::invalid_argument);
 }
 

@@ -146,6 +146,39 @@ TEST(EnergyMeter, OpenSpanOnADayBoundary) {
   EXPECT_EQ(open.per_day_compute().size(), 2u);
 }
 
+TEST(EnergyMeter, OpenSpanAddComputeIsAddWithoutTransition) {
+  // Opened with no transition power, add_compute() skips the
+  // reconfiguration adds, each of which would add +0.0: the meter keeps
+  // the bits of add(), day crossings and empty runs included.
+  std::mt19937_64 gen(27);
+  std::uniform_real_distribution<double> power(0.0, 900.0);
+  std::uniform_int_distribution<std::int64_t> seconds(0, 40'000);
+  EnergyMeter compute_only(1.0);
+  EnergyMeter both(1.0);
+  both.add_span(3.0, 7.5, 100);  // a non-zero reconfiguration sum
+  compute_only.add_span(3.0, 7.5, 100);
+  for (int span = 0; span < 50; ++span) {
+    EnergyMeter::OpenSpan a(compute_only, 0.0);
+    EnergyMeter::OpenSpan b(both, 0.0);
+    for (int r = 0; r < 20; ++r) {
+      const Watts w = power(gen);
+      const std::int64_t s = seconds(gen);
+      a.add_compute(w, s);
+      b.add(w, s);
+    }
+    a.close();
+    b.close();
+    expect_same_bits(compute_only, both);
+  }
+  EXPECT_GT(both.per_day_compute().size(), 10u);
+  // The skip is only exact without transition power; a debug build
+  // checks the precondition.
+  EnergyMeter meter(1.0);
+  EnergyMeter::OpenSpan open(meter, 2.0);
+  EXPECT_EQ(open.transition(), 2.0);
+  EXPECT_DEBUG_DEATH(open.add_compute(1.0, 1), "transition_ == 0");
+}
+
 TEST(EnergyMeter, OpenSpanRejectsNegativeTransition) {
   EnergyMeter meter(1.0);
   EXPECT_THROW(EnergyMeter::OpenSpan(meter, -1.0), std::invalid_argument);

@@ -79,6 +79,11 @@ std::string random_workload(Rng& rng, bool top_level, int shared_domains = 0,
       rng, std::vector<std::string>{"bml", "reactive", "hysteresis",
                                     "cost-aware"});
   os << "scheduler = " << scheduler << '\n';
+  // The predictor's window: the default (0), half of it, and a
+  // fractional one past it.
+  if (scheduler != "reactive" && rng.chance(0.3))
+    os << "scheduler.window = "
+       << pick(rng, std::vector<std::string>{"0", "189", "1000.5"}) << '\n';
   // Cost-aware with its payback check off, short and long.
   if (scheduler == "cost-aware")
     os << "scheduler.payback_window = "

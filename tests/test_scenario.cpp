@@ -1221,6 +1221,43 @@ TEST(Registry, BadParameterValueThrows) {
   }
 }
 
+TEST(Registry, NegativeSchedulerWindowIsANamedError) {
+  // A window <= 0 selects the default, so -1 used to run as 0 does: a
+  // one-day diurnal sweep over scheduler.window = -1,378,0 gave three
+  // equal rows.
+  auto design = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
+  for (const auto& [scheduler, key] :
+       {std::pair{"bml", "window"}, std::pair{"hysteresis", "window"},
+        std::pair{"cost-aware", "window"},
+        std::pair{"cost-aware", "payback_window"}}) {
+    try {
+      (void)make_scheduler(scheduler, {{key, "-1"}}, design,
+                           make_predictor("oracle-max", {}, 1),
+                           QosClass::kTolerant);
+      FAIL() << "expected std::runtime_error for " << scheduler << " " << key;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + std::string(key) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    // 0 still selects the default.
+    EXPECT_NE(make_scheduler(scheduler, {{key, "0"}}, design,
+                             make_predictor("oracle-max", {}, 1),
+                             QosClass::kTolerant),
+              nullptr);
+  }
+  const ScenarioSpec spec = parse_scenario(
+      "trace = diurnal\ntrace.days = 1\nsweep scheduler.window = "
+      "-1,378,0\n");
+  try {
+    (void)run_sweep(spec, {.threads = 1});
+    FAIL() << "expected std::runtime_error for the -1 row";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("window"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Registry, NegativeCountsAreErrorsNotWraps) {
   try {
     (void)make_trace("diurnal", {{"days", "-1"}}, 1);
