@@ -145,8 +145,37 @@ void DispatchPlan::compile_fleet(std::span<const int> counts,
     pre_full += a.count * a.max_power;
   }
   out.table_end_ = out.bounds_.empty() ? 0.0 : out.bounds_.back();
-  out.bounds_.resize(std::bit_ceil(out.bounds_.size()),
-                     std::numeric_limits<ReqRate>::infinity());
+  const std::size_t padded = std::bit_ceil(out.bounds_.size());
+  out.bounds_.resize(padded, std::numeric_limits<ReqRate>::infinity());
+  out.depth_ = static_cast<unsigned>(std::countr_zero(padded));
+}
+
+Watts FleetPowerCurve::general_power(ReqRate rate) const {
+  ReqRate remaining = rate;
+  Watts power = 0.0;
+  for (const Active& a : active_) {
+    if (remaining > 0.0) {
+      const ReqRate assigned = remaining < a.capacity ? remaining : a.capacity;
+      remaining -= assigned;
+      const int full = static_cast<int>(assigned / a.perf);
+      const ReqRate partial = assigned - full * a.perf;
+      power += full * a.max_power;
+      const int idle_machines = a.count - full - (partial > 0.0 ? 1 : 0);
+      if (partial > 0.0) {
+        if (a.linear) {
+          const ReqRate r = partial > a.perf ? a.perf : partial;
+          power += a.idle + a.slope * r;
+        } else {
+          power += a.model->power_at(partial);
+        }
+      }
+      power += idle_machines * a.idle;
+    } else {
+      // Exactly what the reference loop adds once remaining hit 0.0.
+      power += a.count * a.idle;
+    }
+  }
+  return power;
 }
 
 void DispatchPlan::dispatch_into(std::span<const int> counts, ReqRate rate,

@@ -20,6 +20,9 @@
 // caller-owned DispatchResult scratch.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -40,11 +43,16 @@ namespace bml {
 ///     load): power(rate) = base_k + slope_k * rate inside piece k, where
 ///     k is the number of piece bounds <= rate. A branch-free binary
 ///     search over the bounds, padded to a power of two with +inf, finds
-///     k in log2(#pieces) steps — no division, no data-dependent branch.
-///     The table stops at the first non-linear (piecewise PowerModel)
-///     architecture and is capped at kMaxPieces; and
+///     k in depth() = log2(#padded bounds) steps — no division, no
+///     data-dependent branch. The table stops at the first non-linear
+///     (piecewise PowerModel) architecture and is capped at kMaxPieces, so
+///     depth() is at most kMaxDepth; and
 ///   * the active (non-zero-count) architectures in dispatch order, the
-///     general loop for rates past the table.
+///     general loop for rate 0 and for rates at or past the table's end.
+/// The search is one function template, lookup<kDepth>, unrolled for a
+/// fixed depth: a span walk picks the instantiation once per span
+/// (with_depth) and calls it per run, and power_at dispatches to the same
+/// code per call.
 /// The curve holds no lookup state: power_at(rate) is a pure function of
 /// the compiled fleet and the rate, whatever was queried before.
 /// Results match DispatchPlan::power_at for the same counts within
@@ -62,49 +70,81 @@ class FleetPowerCurve {
  public:
   FleetPowerCurve() = default;
 
-  /// Power of the compiled fleet serving `rate` (negative rates are the
-  /// caller's bug; the simulator's loads are validated non-negative).
-  [[nodiscard]] Watts power_at(ReqRate rate) const {
+  /// Most pieces the affine table holds, and the search steps they take.
+  static constexpr std::size_t kMaxPieces = 64;
+  static constexpr unsigned kMaxDepth = 6;
+  static_assert(std::size_t{1} << kMaxDepth == kMaxPieces);
+
+  /// Search steps of a lookup: log2 of the padded bound count (0 for a
+  /// table of at most one piece, kMaxDepth for 33-64 pieces).
+  [[nodiscard]] unsigned depth() const { return depth_; }
+
+  /// The last piece's bound (0 with no pieces): rates at or above it, and
+  /// rate 0, take the general loop.
+  [[nodiscard]] ReqRate table_end() const { return table_end_; }
+
+  /// Affine piece k covers rate in [bound k-1, bound k) (piece 0 starts
+  /// just above 0): j machines of the piece's architecture fully
+  /// loaded, one partial, everything later idle.
+  struct Piece {
+    Watts base = 0.0;
+    double slope = 0.0;
+  };
+  /// The compiled piece table, for inspection.
+  [[nodiscard]] std::span<const Piece> pieces() const { return pieces_; }
+
+  /// power_at for a curve of depth kDepth (== depth()): the piece search
+  /// unrolled into kDepth selects. Adds one to `fallbacks` when the
+  /// general loop answers.
+  template <unsigned kDepth>
+  [[nodiscard]] Watts lookup(ReqRate rate, std::uint64_t& fallbacks) const {
+    assert(kDepth == depth_);
     if (rate > 0.0 && rate < table_end_) {
-      // k = the number of bounds <= rate. The answer lies in [0, size),
-      // as the last real bound (table_end_) exceeds rate; each step halves
-      // that range with a select, not a branch.
+      // k = the number of bounds <= rate. The answer lies in
+      // [0, 2^kDepth), as the last real bound (table_end_) exceeds rate;
+      // each step halves that range with a select, not a branch.
       const ReqRate* bounds = bounds_.data();
       std::size_t k = 0;
-      for (std::size_t half = bounds_.size() / 2; half > 0; half /= 2)
+#pragma GCC unroll 8
+      for (std::size_t half = std::size_t{1} << kDepth >> 1; half > 0;
+           half /= 2)
         k += bounds[k + half - 1] <= rate ? half : 0;
       return pieces_[k].base + pieces_[k].slope * rate;
     }
-    ReqRate remaining = rate;
-    Watts power = 0.0;
-    for (const Active& a : active_) {
-      if (remaining > 0.0) {
-        const ReqRate assigned =
-            remaining < a.capacity ? remaining : a.capacity;
-        remaining -= assigned;
-        const int full = static_cast<int>(assigned / a.perf);
-        const ReqRate partial = assigned - full * a.perf;
-        power += full * a.max_power;
-        const int idle_machines = a.count - full - (partial > 0.0 ? 1 : 0);
-        if (partial > 0.0) {
-          if (a.linear) {
-            const ReqRate r = partial > a.perf ? a.perf : partial;
-            power += a.idle + a.slope * r;
-          } else {
-            power += a.model->power_at(partial);
-          }
-        }
-        power += idle_machines * a.idle;
-      } else {
-        // Exactly what the reference loop adds once remaining hit 0.0.
-        power += a.count * a.idle;
-      }
+    ++fallbacks;
+    return general_power(rate);
+  }
+
+  /// Returns f.template operator()<kDepth>() for this curve's depth: the
+  /// one switch a span walk pays per span to call lookup<kDepth>.
+  template <class F>
+  decltype(auto) with_depth(F&& f) const {
+    switch (depth_) {
+      case 0: return f.template operator()<0>();
+      case 1: return f.template operator()<1>();
+      case 2: return f.template operator()<2>();
+      case 3: return f.template operator()<3>();
+      case 4: return f.template operator()<4>();
+      case 5: return f.template operator()<5>();
+      default: return f.template operator()<kMaxDepth>();
     }
-    return power;
+  }
+
+  /// Power of the compiled fleet serving `rate` (negative rates are the
+  /// caller's bug; the simulator's loads are validated non-negative).
+  [[nodiscard]] Watts power_at(ReqRate rate) const {
+    std::uint64_t fallbacks = 0;
+    return with_depth([&]<unsigned kDepth>() {
+      return lookup<kDepth>(rate, fallbacks);
+    });
   }
 
  private:
   friend class DispatchPlan;
+
+  /// The general loop: every active architecture in dispatch order.
+  [[nodiscard]] Watts general_power(ReqRate rate) const;
+
   struct Active {
     ReqRate perf = 0.0;
     ReqRate capacity = 0.0;  // count * perf
@@ -117,20 +157,11 @@ class FleetPowerCurve {
   };
   std::vector<Active> active_;
 
-  /// Affine piece k covers rate in [bounds_[k-1], bounds_[k]) (piece 0
-  /// starts just above 0): j machines of the piece's architecture fully
-  /// loaded, one partial, everything later idle.
-  struct Piece {
-    Watts base = 0.0;
-    double slope = 0.0;
-  };
-  static constexpr std::size_t kMaxPieces = 64;
   std::vector<Piece> pieces_;
   /// Exclusive upper bound of each piece, ascending, padded with +inf to
-  /// a power-of-two size for the search.
+  /// 2^depth_ entries for the search.
   std::vector<ReqRate> bounds_;
-  /// The last piece's bound (0 with no pieces): rates at or above it, and
-  /// rate 0, take the general loop.
+  unsigned depth_ = 0;
   ReqRate table_end_ = 0.0;
 };
 

@@ -167,6 +167,7 @@ void SimMetrics::merge(const SimMetrics& other) {
   predict_refits += other.predict_refits;
   predict_walk_seconds += other.predict_walk_seconds;
   walk_sub_runs += other.walk_sub_runs;
+  walk_power_fallbacks += other.walk_power_fallbacks;
   merge_frontier_advances += other.merge_frontier_advances;
   merge_apps_max = std::max(merge_apps_max, other.merge_apps_max);
   preemptions += other.preemptions;
@@ -187,6 +188,7 @@ void SimMetrics::export_to(MetricsRegistry& out) const {
   out.add_counter("sim.predict.refits", predict_refits);
   out.add_counter("sim.predict.walk_seconds", predict_walk_seconds);
   out.add_counter("sim.walk.sub_runs", walk_sub_runs);
+  out.add_counter("sim.walk.power_fallbacks", walk_power_fallbacks);
   out.add_counter("sim.merge.frontier_advances", merge_frontier_advances);
   out.max_gauge("sim.merge.apps_max", static_cast<double>(merge_apps_max));
   out.add_counter("sim.preemptions", preemptions);

@@ -177,8 +177,12 @@ struct SimMetrics {
   std::uint64_t predict_refits = 0;
   std::uint64_t predict_walk_seconds = 0;
   /// Work ledger of the span walks (sim/span_walk.hpp): the constant-load
-  /// sub-runs both walks integrated, counted per span.
+  /// sub-runs both walks integrated, counted per span, and the power
+  /// lookups of those sub-runs that the fleet curve's piece table could not
+  /// answer (rate 0, or at or above the table's end), which took its
+  /// general loop.
   std::uint64_t walk_sub_runs = 0;
+  std::uint64_t walk_power_fallbacks = 0;
   /// Fused k-way merge instrumentation (multi-app event-driven path):
   /// frontier cursor advances (RLE runs consumed across all apps, seeding
   /// included) and the largest app count any merge ran with.

@@ -70,11 +70,13 @@ class EnergyMeter {
   /// arithmetic on the copies, and close() writes them back, so the meter
   /// is bit-identical to calling add_span for each run. A run that
   /// reaches past the current day goes through add_span itself (closing
-  /// and reopening around it). The constructor checks `transition`; add()
-  /// checks nothing, as its caller passes validated, non-negative powers.
-  /// The event-driven simulator keeps one open per active app across a
-  /// span's sub-runs. The meter must not be touched between opening and
-  /// close().
+  /// and reopening around it). When a whole sequence of runs fits the
+  /// open day (fits(its seconds)), its runs can skip the day-window check
+  /// and count (kInDay = true), and take_day() takes their seconds at
+  /// once. The constructor checks `transition`; add() checks nothing, as
+  /// its caller passes validated, non-negative powers. The event-driven
+  /// simulator keeps one open per active app across a span's sub-runs.
+  /// The meter must not be touched between opening and close().
   class OpenSpan {
    public:
     OpenSpan(EnergyMeter& meter, Watts transition)
@@ -89,11 +91,11 @@ class EnergyMeter {
     }
 
     /// add_span(compute, transition, seconds) for `seconds` >= 0.
+    /// kInDay: the run is part of a sequence that fits() the open day,
+    /// whose seconds take_day() takes.
+    template <bool kInDay = false>
     void add(Watts compute, std::int64_t seconds) {
-      if (seconds > day_left_) {
-        add_across_days(compute, seconds);
-        return;
-      }
+      if (!enter_day<kInDay>(compute, seconds)) return;
       add_in_day(compute, seconds);
       const Joules transition_e =
           transition_step_ * static_cast<double>(seconds);
@@ -104,14 +106,21 @@ class EnergyMeter {
     /// add() for a meter opened with no transition power, whose
     /// reconfiguration adds would each add +0.0 to a non-negative sum and
     /// so leave its bits as they are: the compute channel only.
+    template <bool kInDay = false>
     void add_compute(Watts compute, std::int64_t seconds) {
       assert(transition_ == 0.0);
-      if (seconds > day_left_) {
-        add_across_days(compute, seconds);
-        return;
-      }
+      if (!enter_day<kInDay>(compute, seconds)) return;
       add_in_day(compute, seconds);
     }
+
+    /// Whether `seconds` more fit the open day bucket.
+    [[nodiscard]] bool fits(std::int64_t seconds) const {
+      return seconds <= day_left_;
+    }
+
+    /// Takes `seconds` of the open day at once: the seconds of a sequence
+    /// of runs that fit() it and were added with kInDay.
+    void take_day(std::int64_t seconds) { day_left_ -= seconds; }
 
     /// The transition power the span was opened with.
     Watts transition() const { return transition_; }
@@ -130,11 +139,25 @@ class EnergyMeter {
     }
 
    private:
+    /// Takes a run's seconds of the open day, or adds a run that reaches
+    /// past it through add_span and returns false. With kInDay the caller
+    /// takes the seconds (take_day) and the run fits.
+    template <bool kInDay>
+    bool enter_day(Watts compute, std::int64_t seconds) {
+      if constexpr (!kInDay) {
+        if (seconds > day_left_) {
+          add_across_days(compute, seconds);
+          return false;
+        }
+        day_left_ -= seconds;
+      }
+      return true;
+    }
+
     void add_in_day(Watts compute, std::int64_t seconds) {
       const Joules compute_e = compute * step_ * static_cast<double>(seconds);
       compute_ += compute_e;
       day_compute_ += compute_e;
-      day_left_ -= seconds;
     }
 
     /// A run past the open day bucket goes through add_span itself.

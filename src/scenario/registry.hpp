@@ -51,7 +51,7 @@
 // (app/workload.hpp) over the shared design.
 //
 // Fault keys (sim/cluster.hpp FaultModel; all sweepable):
-//   faults.boot_time_jitter(0)   boot-duration noise sigma
+//   faults.boot_time_jitter(0)   boot-duration noise sigma, <= 10
 //   faults.boot_failure_prob(0)  probability a boot fails and retries
 //   faults.mtbf(0)               mean seconds between runtime failure
 //                                strikes per fault domain per arch

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "sched/coordinator.hpp"
+#include "sim/cluster.hpp"
 #include "sim/qos.hpp"
 #include "util/csv.hpp"
 
@@ -210,6 +211,12 @@ void ScenarioSpec::set(const std::string& key, const std::string& value) {
     event_driven = parse_bool(key, value);
   } else if (key == "faults.boot_time_jitter") {
     boot_time_jitter = parse_fraction(key, value);
+    if (boot_time_jitter > FaultModel::kMaxBootTimeJitter) {
+      std::ostringstream os;
+      os << "scenario: " << key << " must be <= "
+         << FaultModel::kMaxBootTimeJitter << ", got '" << value << "'";
+      throw std::runtime_error(os.str());
+    }
   } else if (key == "faults.boot_failure_prob") {
     boot_failure_prob = parse_fraction(key, value);
   } else if (key == "faults.mtbf") {

@@ -154,10 +154,11 @@ struct ScenarioSpec {
   bool graceful_off = true;
   bool event_driven = true;
   /// Fault injection (sim/cluster.hpp FaultModel): the boot-path channel
-  /// (`faults.boot_time_jitter`, `faults.boot_failure_prob`) and the
-  /// runtime crash/repair channel (`faults.mtbf`, `faults.mttr` — mean
-  /// seconds between failure strikes per fault domain per architecture,
-  /// and mean repair seconds; 0 disables).
+  /// (`faults.boot_time_jitter`, at most FaultModel::kMaxBootTimeJitter =
+  /// 10, and `faults.boot_failure_prob`) and the runtime crash/repair
+  /// channel (`faults.mtbf`, `faults.mttr` — mean seconds between failure
+  /// strikes per fault domain per architecture, and mean repair seconds; 0
+  /// disables).
   double boot_time_jitter = 0.0;
   double boot_failure_prob = 0.0;
   double fault_mtbf = 0.0;

@@ -32,18 +32,13 @@ int StaticMaxScheduler::machines_for(ReqRate rate) const {
 
 std::optional<Combination> StaticMaxScheduler::decide(
     TimePoint /*now*/, const LoadTrace& trace) {
-  // Constant fleet: always the globally sized combination.
-  if (cached_trace_ != &trace) {
-    cached_machines_ = machines_for(trace.peak());
-    cached_trace_ = &trace;
-  }
-  return homogeneous(arch_index_, cached_machines_);
+  // Constant fleet: always the globally sized combination (peak() reads
+  // the trace's range-max index: two block scans and a table lookup).
+  return homogeneous(arch_index_, machines_for(trace.peak()));
 }
 
 Combination StaticMaxScheduler::initial_combination(const LoadTrace& trace) {
-  cached_machines_ = machines_for(trace.peak());
-  cached_trace_ = &trace;
-  return homogeneous(arch_index_, cached_machines_);
+  return homogeneous(arch_index_, machines_for(trace.peak()));
 }
 
 TimePoint StaticMaxScheduler::decision_stable_until(TimePoint /*now*/,

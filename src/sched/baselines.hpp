@@ -47,9 +47,6 @@ class StaticMaxScheduler final : public Scheduler {
  private:
   ArchitectureProfile big_;
   std::size_t arch_index_;
-  // trace.peak() scans the whole series; cache it per trace.
-  const void* cached_trace_ = nullptr;
-  int cached_machines_ = 0;
 };
 
 /// Homogeneous fleet re-dimensioned each day for the daily peak (oracle

@@ -15,7 +15,9 @@ Cluster::Cluster(Catalog candidates, const Combination& initial,
   if (!plan_) plan_ = std::make_shared<DispatchPlan>(candidates_);
   if (plan_->arch_kinds() != candidates_.size())
     throw std::invalid_argument("Cluster: plan does not match catalog");
-  if (faults_.boot_time_jitter < 0.0 || faults_.boot_failure_prob < 0.0 ||
+  if (!(faults_.boot_time_jitter >= 0.0 &&
+        faults_.boot_time_jitter <= FaultModel::kMaxBootTimeJitter) ||
+      faults_.boot_failure_prob < 0.0 ||
       faults_.boot_failure_prob > 1.0 || faults_.mtbf < 0.0 ||
       faults_.mttr < 0.0 || faults_.groups < 0 || faults_.group_mtbf < 0.0 ||
       faults_.group_mttr < 0.0 || faults_.crews < 0)

@@ -61,7 +61,12 @@ namespace bml {
 ///
 /// Deterministic per seed.
 struct FaultModel {
+  /// Boot-duration noise: a boot lasts its nominal time times
+  /// max(0.25, 1 + N(0, boot_time_jitter)). At most kMaxBootTimeJitter.
   double boot_time_jitter = 0.0;
+  /// The largest boot_time_jitter. Rng's polar normal draws stay below
+  /// 12.2 in magnitude, so a boot lasts at most ~123 nominal boot times.
+  static constexpr double kMaxBootTimeJitter = 10.0;
   double boot_failure_prob = 0.0;
   /// Mean seconds between runtime failure strikes per fault domain per
   /// architecture; 0 disables runtime faults.

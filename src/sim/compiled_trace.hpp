@@ -100,6 +100,18 @@ class CompiledTrace {
                run_end(ends_, cursor.seg)};
   }
 
+  /// next_run for a walk that stays inside the trace (`t` < size()),
+  /// without its trace-end and zero-tail checks: the run end is read as
+  /// packed, so a zero tail ends at kRunNeverEnds = 2^32 - 1, past every
+  /// second of a trace (LoadTrace holds at most 2^32 - 2). A walk that
+  /// clamps run ends at its own end, at most size(), reads the same
+  /// sub-runs as through next_run.
+  [[nodiscard]] Run next_run_inside(Cursor& cursor, TimePoint t) const {
+    ++cursor.seg;
+    return Run{samples_[static_cast<std::size_t>(t)],
+               static_cast<TimePoint>(ends_[cursor.seg])};
+  }
+
  private:
   /// "The value holds forever" sentinel.
   static constexpr TimePoint kNeverChanges =

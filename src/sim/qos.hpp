@@ -102,17 +102,19 @@ class QosTracker {
       throw std::invalid_argument("QosTracker: negative load or capacity");
     if (seconds < 0) throw std::invalid_argument("QosTracker: negative span");
     if (seconds == 0) return;  // an empty run must not touch the worst
+    stats_.total_seconds += seconds;
     accumulate(stats_, load, capacity, seconds);
   }
 
   /// The tracker's stats held open across a sequence of record_span calls:
   /// the constructor copies them out, record() performs record_span's
-  /// arithmetic on the copy, and close() writes it back, so the stats are
-  /// bit-identical to calling record_span for each run. record() checks
-  /// nothing: its caller passes validated, non-negative values and runs of
-  /// at least one second. The event-driven simulator keeps one open per
-  /// active app across a span's sub-runs. The tracker must not be touched
-  /// between opening and close().
+  /// arithmetic on the copy but for the seconds count, and close(seconds)
+  /// adds the runs' seconds at once and writes the copy back, so the stats
+  /// are bit-identical to calling record_span for each run. record()
+  /// checks nothing: its caller passes validated, non-negative values and
+  /// runs of at least one second. The event-driven simulator keeps one
+  /// open per active app across a span's sub-runs. The tracker must not be
+  /// touched between opening and close().
   class OpenSpan {
    public:
     explicit OpenSpan(QosTracker& tracker)
@@ -120,7 +122,11 @@ class QosTracker {
     void record(ReqRate load, ReqRate capacity, std::int64_t seconds) {
       accumulate(stats_, load, capacity, seconds);
     }
-    void close() const { tracker_->stats_ = stats_; }
+    /// `seconds`: the sum of the recorded runs' seconds.
+    void close(std::int64_t seconds) {
+      stats_.total_seconds += seconds;
+      tracker_->stats_ = stats_;
+    }
 
    private:
     QosTracker* tracker_;
@@ -140,10 +146,10 @@ class QosTracker {
   [[nodiscard]] const QosStats& stats() const { return stats_; }
 
  private:
-  /// record_span's arithmetic on `stats` for a non-empty run, unchecked.
+  /// record_span's arithmetic on `stats` for a non-empty run, unchecked,
+  /// but for the seconds count.
   static void accumulate(QosStats& stats, ReqRate load, ReqRate capacity,
                          std::int64_t seconds) {
-    stats.total_seconds += seconds;
     stats.offered_requests += load * static_cast<double>(seconds);
     const double shortfall = load - capacity;
     if (shortfall > 0.0) {

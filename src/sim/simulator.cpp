@@ -1371,7 +1371,10 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
         metrics->merge_apps_max = views.size();
     }
   }
-  if (metrics) metrics->walk_sub_runs += work.sub_runs;
+  if (metrics) {
+    metrics->walk_sub_runs += work.sub_runs;
+    metrics->walk_power_fallbacks += work.power_fallbacks;
+  }
   return reached;
 }
 

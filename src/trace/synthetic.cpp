@@ -26,17 +26,22 @@ LoadTrace constant_trace(ReqRate rate, Seconds duration) {
   if (rate < 0.0) throw std::invalid_argument("constant_trace: rate < 0");
   if (duration < 0.0)
     throw std::invalid_argument("constant_trace: duration < 0");
+  check_trace_seconds("constant_trace: duration", duration);
   return LoadTrace(
       std::vector<double>(static_cast<std::size_t>(duration), rate));
 }
 
 LoadTrace step_trace(const std::vector<StepSegment>& segments) {
-  std::vector<double> rates;
+  double seconds = 0.0;
   for (const StepSegment& s : segments) {
     if (s.rate < 0.0 || s.duration < 0.0)
       throw std::invalid_argument("step_trace: negative rate or duration");
-    rates.insert(rates.end(), static_cast<std::size_t>(s.duration), s.rate);
+    seconds += std::floor(s.duration);
   }
+  check_trace_seconds("step_trace: the segments' duration", seconds);
+  std::vector<double> rates;
+  for (const StepSegment& s : segments)
+    rates.insert(rates.end(), static_cast<std::size_t>(s.duration), s.rate);
   return LoadTrace(std::move(rates));
 }
 
@@ -48,6 +53,8 @@ LoadTrace diurnal_trace(const DiurnalOptions& options, std::size_t days) {
         "diurnal_trace: trough_fraction must be in [0,1]");
   if (!(options.noise >= 0.0))
     throw std::invalid_argument("diurnal_trace: noise must be >= 0");
+  check_trace_seconds("diurnal_trace: " + std::to_string(days) + " days",
+                      static_cast<double>(days) * kSecondsPerDay);
   Rng rng(options.seed);
   std::vector<double> rates;
   rates.reserve(days * static_cast<std::size_t>(kSecondsPerDay));
@@ -70,6 +77,7 @@ LoadTrace diurnal_trace(const DiurnalOptions& options, std::size_t days) {
 LoadTrace flash_crowd_trace(const FlashCrowdOptions& options) {
   if (options.duration <= 0.0)
     throw std::invalid_argument("flash_crowd_trace: duration must be > 0");
+  check_trace_seconds("flash_crowd_trace: duration", options.duration);
   std::vector<double> rates;
   const auto n = static_cast<std::size_t>(options.duration);
   rates.reserve(n);
@@ -94,6 +102,9 @@ LoadTrace flash_crowd_trace(const FlashCrowdOptions& options) {
 LoadTrace worldcup_like_trace(const WorldCupOptions& options) {
   if (options.days == 0)
     throw std::invalid_argument("worldcup_like_trace: days must be > 0");
+  check_trace_seconds(
+      "worldcup_like_trace: " + std::to_string(options.days) + " days",
+      static_cast<double>(options.days) * kSecondsPerDay);
   if (options.peak <= 0.0)
     throw std::invalid_argument("worldcup_like_trace: peak must be > 0");
   if (options.tournament_end_day < options.tournament_start_day)

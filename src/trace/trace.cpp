@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -11,8 +12,20 @@
 
 namespace bml {
 
+static_assert(LoadTrace::kMaxSeconds + 1 == kRunNeverEnds,
+              "every run end of a trace is below the never-ends mark");
+
+void check_trace_seconds(const std::string& what, double seconds) {
+  if (std::floor(seconds) <= static_cast<double>(LoadTrace::kMaxSeconds))
+    return;
+  std::ostringstream os;
+  os << what << " is " << seconds << " s, past the " << LoadTrace::kMaxSeconds
+     << " s a LoadTrace holds";
+  throw std::invalid_argument(os.str());
+}
+
 LoadTrace::LoadTrace(std::vector<double> rates) {
-  if (rates.size() >= static_cast<std::size_t>(kRunNeverEnds))
+  if (rates.size() > kMaxSeconds)
     throw std::invalid_argument(
         "LoadTrace: trace too long for packed 32-bit run ends");
   // One branch-free pass validates, folds -0.0 into +0.0 (so every sample
@@ -70,7 +83,11 @@ TimePoint LoadTrace::next_change(TimePoint t) const {
   return run_end(run_ends_, run_index(run_ends_, idx));
 }
 
-ReqRate LoadTrace::peak() const { return series_.empty() ? 0.0 : series_.max(); }
+ReqRate LoadTrace::peak() const {
+  // The range-max index answers the whole trace exactly (the plain scan
+  // below 4 blocks); 0 for an empty trace.
+  return series_.max_over(0, series_.size());
+}
 
 ReqRate LoadTrace::mean() const {
   return series_.empty() ? 0.0 : series_.mean();

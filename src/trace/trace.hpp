@@ -25,11 +25,14 @@ namespace bml {
 /// 1 Hz request-rate series with day-level helpers.
 class LoadTrace {
  public:
+  /// The longest trace, in seconds (~136 years): the run ends are packed
+  /// in 32 bits, and 2^32 - 1 stands for a run that never ends.
+  static constexpr std::size_t kMaxSeconds = 4'294'967'294;
+
   LoadTrace() = default;
   /// Throws std::invalid_argument when any rate is negative or non-finite,
-  /// or when the trace is too long for 32-bit run ends (>= 2^32 - 1
-  /// seconds, ~136 years). Stores -0.0 as +0.0, so every sample of a
-  /// constant run carries the same bits.
+  /// or when the trace has more than kMaxSeconds samples. Stores -0.0 as
+  /// +0.0, so every sample of a constant run carries the same bits.
   explicit LoadTrace(std::vector<double> rates);
 
   [[nodiscard]] std::size_t size() const { return series_.size(); }
@@ -51,6 +54,7 @@ class LoadTrace {
   /// run ends are indexed at construction.
   [[nodiscard]] TimePoint next_change(TimePoint t) const;
 
+  /// Largest rate (0 for an empty trace), read from the range-max index.
   [[nodiscard]] ReqRate peak() const;
   [[nodiscard]] ReqRate mean() const;
 
@@ -83,5 +87,12 @@ class LoadTrace {
   TimeSeries series_;
   std::vector<std::uint32_t> run_ends_;
 };
+
+/// Throws std::invalid_argument("<what> is <seconds> s, past the ... a
+/// LoadTrace holds") when `seconds` of trace, whose whole part a generator
+/// would allocate, exceed LoadTrace::kMaxSeconds (or are NaN). Generators
+/// call it before they allocate a sample, so an over-long request is a
+/// named error, not an allocation failure.
+void check_trace_seconds(const std::string& what, double seconds);
 
 }  // namespace bml

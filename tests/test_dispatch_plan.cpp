@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arch/catalog.hpp"
@@ -223,6 +226,83 @@ TEST(FleetPowerCurve, AgreesWithPlanAtPieceBounds) {
     }
   }
   EXPECT_EQ(piece_bounds(real_catalog(), {2, 3, 4, 9, 80}).size(), 64u);
+}
+
+/// What the loop search over the padded bounds answered for a rate
+/// inside the table: the piece k = the number of bounds <= rate (counted
+/// here one by one), evaluated as base_k + slope_k * rate.
+Watts loop_search(const FleetPowerCurve& curve,
+                  const std::vector<double>& bounds, ReqRate rate) {
+  std::size_t k = 0;
+  for (const double b : bounds) k += b <= rate ? 1 : 0;
+  return curve.pieces()[k].base + curve.pieces()[k].slope * rate;
+}
+
+TEST(FleetPowerCurve, LookupAtEveryDepthMatchesTheLoopSearch) {
+  // Real-catalog fleets of 1, 2, 3-4, 5-8, 9-16, 17-32 and 33-64 pieces
+  // (each size class and both of its ends), one past the 64-piece cap,
+  // and a piecewise-model architecture that ends the table early: the
+  // per-depth lookup picks the loop search's piece, so it answers with
+  // its bits, and only rate 0 and rates at or past the table's end take
+  // the general loop, each counted once.
+  const Catalog real = real_catalog();
+  // The last two: 64 pieces (the cap) and 2 (the piecewise model).
+  const unsigned expected_depth[] = {0, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 6, 1};
+  std::vector<ProbeFleet> fleets;
+  for (const int pieces : {1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64}) {
+    // Dispatch order fills Raspberry Pis, then Paravance, then
+    // Chromebooks: split the pieces across the three.
+    const int paravance = pieces >= 2 ? 1 : 0;
+    const int chromebook = pieces / 3;
+    fleets.push_back(
+        {real, {paravance, 0, 0, chromebook, pieces - paravance - chromebook}});
+  }
+  fleets.push_back({real, std::vector<int>{2, 3, 4, 9, 80}});
+  fleets.push_back(probe_fleets().back());  // the piecewise model
+  ASSERT_EQ(fleets.size(), std::size(expected_depth));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t f = 0; f < fleets.size(); ++f) {
+    const ProbeFleet& fleet = fleets[f];
+    const DispatchPlan plan(fleet.catalog);
+    FleetPowerCurve curve;
+    plan.compile_fleet(fleet.counts, curve);
+    const std::vector<double> bounds =
+        piece_bounds(fleet.catalog, fleet.counts);
+    SCOPED_TRACE("fleet of " + std::to_string(bounds.size()) + " pieces");
+    ASSERT_EQ(curve.pieces().size(), bounds.size());
+    EXPECT_EQ(curve.depth(), expected_depth[f]);
+    EXPECT_EQ(curve.table_end(), bounds.back());
+    std::vector<double> rates{0.0, curve.table_end(),
+                              std::nextafter(curve.table_end(), inf),
+                              curve.table_end() + 100.0};
+    const std::vector<double> probes = probe_rates(fleet);
+    rates.insert(rates.end(), probes.begin(), probes.end());
+    std::uint64_t expected_fallbacks = 0;
+    std::uint64_t fallbacks = 0;
+    for (const double rate : rates) {
+      const bool in_table = rate > 0.0 && rate < curve.table_end();
+      const Watts looked_up = curve.with_depth([&]<unsigned kDepth>() {
+        return curve.lookup<kDepth>(rate, fallbacks);
+      });
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(looked_up),
+                std::bit_cast<std::uint64_t>(curve.power_at(rate)))
+          << "rate=" << rate;
+      if (in_table) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(looked_up),
+                  std::bit_cast<std::uint64_t>(
+                      loop_search(curve, bounds, rate)))
+            << "rate=" << rate;
+      } else {
+        ++expected_fallbacks;
+        const Watts reference = plan.power_at(fleet.counts, rate);
+        EXPECT_NEAR(looked_up, reference,
+                    1e-12 * std::max(1.0, std::abs(reference)))
+            << "rate=" << rate;
+      }
+    }
+    EXPECT_EQ(fallbacks, expected_fallbacks);
+    EXPECT_GE(expected_fallbacks, 3u);
+  }
 }
 
 TEST(FleetPowerCurve, ResultsDoNotDependOnQueryOrder) {

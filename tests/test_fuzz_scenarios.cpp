@@ -15,12 +15,16 @@
 // domains shared across apps) so the wide fused merge gets fuzzed as hard
 // as the 1-3 app specs; every spec, at any app count, runs the consult
 // cache. The small specs may replay a noisy diurnal day, where
-// linear-trend's cursor slides and falls back to exact fits.
+// linear-trend's cursor slides and falls back to exact fits. A mutation
+// pass then breaks random specs one key at a time: each must end in a
+// named error, never a crash or an unnamed allocation failure.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <exception>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/trace_export.hpp"
@@ -372,6 +376,70 @@ TEST(FuzzScenarios, EveryRandomSpecHoldsTheEquivalenceContract) {
                    reference.apps[a].domain_penalty_lost,
                    "app domain_penalty_lost");
     }
+  }
+}
+
+/// `text` with `line` inserted after its first line, so it is set at the
+/// top level whatever sections follow.
+std::string with_top_level(const std::string& text, const std::string& line) {
+  const std::size_t eol = text.find('\n') + 1;
+  return text.substr(0, eol) + line + '\n' + text.substr(eol);
+}
+
+/// `text` with every workload's trace replaced by a diurnal trace of
+/// `days` days (its other trace keys dropped).
+std::string with_diurnal_days(const std::string& text,
+                              const std::string& days) {
+  std::istringstream in(text);
+  std::ostringstream out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("trace.", 0) == 0) continue;
+    if (line.rfind("trace = ", 0) == 0) {
+      out << "trace = diurnal\ntrace.days = " << days << '\n';
+      continue;
+    }
+    out << line << '\n';
+  }
+  return out.str();
+}
+
+/// Parsing and running `text` must throw an error whose message names
+/// `name`.
+void expect_named_error(const std::string& text, const std::string& name) {
+  SCOPED_TRACE("spec:\n" + text);
+  try {
+    (void)run_scenario(parse_scenario(text));
+    ADD_FAILURE() << "accepted, expected an error naming " << name;
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FuzzScenarios, MutatedSpecsEndInANamedError) {
+  Rng rng(20261020);
+  const std::pair<const char*, const char*> mutations[] = {
+      {"faults.boot_time_jitter = 1e308", "faults.boot_time_jitter"},
+      {"faults.boot_time_jitter = 10.5", "faults.boot_time_jitter"},
+      {"faults.boot_time_jitter = inf", "faults.boot_time_jitter"},
+      {"faults.mtbf = nan", "faults.mtbf"},
+      {"faults.mttr = -5", "faults.mttr"},
+      {"faults.groups = 4294967298", "faults.groups"},
+      {"coordinator.budget = -5", "coordinator.budget"},
+      {"seed = -3", "seed"},
+      {"bogus.key = 1", "bogus.key"},
+      {"[nowhere]", "nowhere"},
+  };
+  for (int i = 0; i < 8; ++i) {
+    const std::string text = random_spec_text(rng, i);
+    for (const auto& [line, name] : mutations)
+      expect_named_error(with_top_level(text, line), name);
+    // Traces past LoadTrace's 2^32 - 2 s are refused before a sample is
+    // allocated; 10^8 days (69 TB of samples) is past what any host can
+    // allocate, so a check moved after the fill fails here, not the host.
+    expect_named_error(with_diurnal_days(text, "100000000"),
+                       "LoadTrace holds");
   }
 }
 

@@ -78,15 +78,17 @@ TEST(QosTracker, OpenSpanMatchesPerRunRecordSpan) {
   QosTracker reference;
   for (int span = 0; span < 200; ++span) {
     QosTracker::OpenSpan held(open);
+    std::int64_t span_seconds = 0;
     for (int r = span_runs(gen); r > 0; --r) {
       // Whole-number loads now and then, so shortfalls tie the worst.
       const ReqRate l = r % 7 == 0 ? 900.0 : load(gen);
       const ReqRate c = r % 5 == 0 ? 800.0 : cap(gen);
       const std::int64_t s = seconds(gen);
       held.record(l, c, s);
+      span_seconds += s;
       reference.record_span(l, c, s);
     }
-    held.close();
+    held.close(span_seconds);
     expect_same_bits(open.stats(), reference.stats());
   }
   EXPECT_GT(open.stats().violation_seconds, 0);

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -23,6 +25,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/sweep.hpp"
 #include "sched/bml_scheduler.hpp"
+#include "sim/cluster.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/wc98.hpp"
 
@@ -1303,6 +1306,71 @@ TEST(Registry, NegativeNoiseAndEmptyTracesAreNamedErrors) {
   EXPECT_THROW((void)run_scenario(parse_scenario(
                    "trace = diurnal\ntrace.days = 0\n")),
                std::runtime_error);
+}
+
+TEST(Registry, TracesPastTheLengthLimitAreNamedErrors) {
+  // LoadTrace holds at most 2^32 - 2 s. Each generator refuses a longer
+  // request by name before it allocates a sample: 100,000 days asked for
+  // 69 GB of samples and ended in an unnamed std::bad_alloc (under a 4 GB
+  // address-space limit), 10^8 days did so anywhere. The lengths below are
+  // ones no host can allocate, so a check moved after the fill fails here
+  // rather than filling memory; the boundary itself is checked through
+  // check_trace_seconds alone.
+  const std::tuple<const char*, const char*, const char*> too_long[] = {
+      {"diurnal", "days", "100000000"},
+      {"worldcup_like", "days", "100000000"},
+      {"constant", "duration", "1e300"},
+      {"flash_crowd", "duration", "1e300"},
+      {"step", "segments", "5:2;6:1e300"},
+  };
+  for (const auto& [generator, key, value] : too_long) {
+    try {
+      (void)make_trace(generator, {{key, value}}, 1);
+      FAIL() << "expected std::invalid_argument for " << generator << " "
+             << key << " = " << value;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(generator), std::string::npos) << what;
+      EXPECT_NE(what.find("4294967294 s a LoadTrace holds"), std::string::npos)
+          << what;
+    }
+  }
+  // The same through a spec.
+  EXPECT_THROW((void)run_scenario(parse_scenario(
+                   "trace = diurnal\ntrace.days = 100000000\n")),
+               std::invalid_argument);
+  // The boundary: the longest trace passes, one second more does not
+  // (49,711 days is 4,295,030,400 s), and neither does a NaN length.
+  EXPECT_NO_THROW(check_trace_seconds("t", 4294967294.5));
+  EXPECT_THROW(check_trace_seconds("t", 4294967295.0), std::invalid_argument);
+  EXPECT_THROW(check_trace_seconds("t", 49711.0 * kSecondsPerDay),
+               std::invalid_argument);
+  EXPECT_THROW(check_trace_seconds("t", std::nan("")), std::invalid_argument);
+}
+
+TEST(ScenarioSpec, BootTimeJitterIsFiniteAndBounded) {
+  // An unbounded jitter let a boot last ~1e308 nominal boot times, and an
+  // infinite boot factor could reach the span loop's integer cast.
+  for (const char* text : {"faults.boot_time_jitter = 1e308\n",
+                           "faults.boot_time_jitter = 10.5\n",
+                           "faults.boot_time_jitter = inf\n",
+                           "sweep faults.boot_time_jitter = 0.1,11\n"}) {
+    try {
+      (void)parse_scenario(text);
+      FAIL() << "expected std::runtime_error for: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("faults.boot_time_jitter"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parse_scenario("faults.boot_time_jitter = 10\n").boot_time_jitter,
+            FaultModel::kMaxBootTimeJitter);
+  // A programmatic fault model past the bound is refused by the cluster.
+  FaultModel faults;
+  faults.boot_time_jitter = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Cluster(real_catalog(), Combination{}, faults),
+               std::invalid_argument);
 }
 
 TEST(Registry, BuildsEveryListedComponent) {

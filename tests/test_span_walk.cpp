@@ -4,10 +4,12 @@
 // (QosTracker::record_span, EnergyMeter::add_span). Every sum must keep
 // its bits — the cluster's and each app's QoS stats, the meters' totals
 // and day buckets, the overload accounting — and the work ledger must
-// count the same sub-runs and frontier advances, over random traces (1 s
-// runs, long runs, zero tails, traces of different lengths), random span
-// cuts (mid-run starts, day ends, the trace end), one to four apps with
-// arrival and departure windows, and degraded-mode serving on and off.
+// count the same sub-runs, frontier advances and power-curve fallbacks,
+// over random traces (1 s runs, long runs, zero tails, traces of different
+// lengths), random span cuts (mid-run starts, day ends, the trace end),
+// fleets whose power curves take every search depth, one to four apps
+// with arrival and departure windows (so a lane's meter can lag the
+// cluster's day), and degraded-mode serving on and off.
 #include "sim/span_walk.hpp"
 
 #include <gtest/gtest.h>
@@ -85,6 +87,12 @@ void expect_same(const EnergyMeter& a, const EnergyMeter& b) {
   }
 }
 
+/// The ledger's power-curve fallbacks: lookups outside (0, table_end()).
+void count_fallback(const FleetPowerCurve& curve, ReqRate rate,
+                    SpanWork& work) {
+  if (!(rate > 0.0 && rate < curve.table_end())) ++work.power_fallbacks;
+}
+
 /// The single-workload walk the kernel replaced, verbatim: run_at for
 /// every run, the sums in locals, one fold per span.
 TimePoint oracle_one(const CompiledTrace& trace, CompiledTrace::Cursor& cursor,
@@ -123,6 +131,7 @@ TimePoint oracle_one(const CompiledTrace& trace, CompiledTrace::Cursor& cursor,
     totals.add(r.value, cap_eff, len);
     compute_e += fleet.power->power_at(r.value) * seconds;
     ++work.sub_runs;
+    count_fallback(*fleet.power, r.value, work);
     cur = sub_end;
   }
   qos.record_totals(totals);
@@ -205,6 +214,7 @@ TimePoint oracle_merged(Apps& apps, const std::vector<char>& active,
     totals.add(total, cap_eff, len);
     compute_e += compute * static_cast<double>(len);
     ++work.sub_runs;
+    count_fallback(*fleet.power, total, work);
     if (++chunk_runs == 512) flush();  // the pinned kFlushChunk
     for (std::size_t i = 0; i < k; ++i) {
       if (!active[i]) continue;
@@ -257,17 +267,33 @@ struct Fleet {
   ReqRate capacity = 0.0;
 };
 
-/// The ideal fleets for a few rates, from the empty one to 6,000 req/s;
+/// The ideal fleets for a few rates, from the empty one to 6,000 req/s,
+/// and fleets of 1, 2, 3, 6, 12, 24 and 48 pieces and one past the
+/// 64-piece cap, so the walks take the power lookup at every search depth;
 /// the curves borrow the plan, which lives as long as they do.
 const std::vector<Fleet>& fleets() {
   static const Catalog catalog = real_catalog();
   static const DispatchPlan plan(catalog);
   static const std::vector<Fleet> out = [] {
     const BmlDesign design = BmlDesign::build(catalog);
-    std::vector<Fleet> built;
+    std::vector<Combination> combos;
     for (const double rate : {0.0, 30.0, 900.0, 2600.0, 6000.0}) {
-      Combination combo = design.ideal_combination(rate);
-      combo.resize(catalog.size());
+      combos.push_back(design.ideal_combination(rate));
+      combos.back().resize(catalog.size());
+    }
+    // Paravance, Taurus, Graphene, Chromebook, Raspberry counts.
+    for (const std::vector<int>& counts :
+         std::vector<std::vector<int>>{{1, 0, 0, 0, 0},
+                                       {2, 0, 0, 0, 0},
+                                       {2, 1, 0, 0, 0},
+                                       {1, 1, 2, 1, 1},
+                                       {1, 1, 2, 4, 4},
+                                       {1, 1, 2, 10, 10},
+                                       {1, 1, 2, 20, 24},
+                                       {2, 3, 4, 9, 80}})
+      combos.emplace_back(counts);
+    std::vector<Fleet> built;
+    for (const Combination& combo : combos) {
       Fleet f;
       plan.compile_fleet(combo.counts(), f.curve);
       f.capacity = capacity(catalog, combo);
@@ -276,6 +302,13 @@ const std::vector<Fleet>& fleets() {
     return built;
   }();
   return out;
+}
+
+TEST(SpanWalk, FleetsTakeEverySearchDepth) {
+  std::vector<char> seen(FleetPowerCurve::kMaxDepth + 1);
+  for (const Fleet& f : fleets()) seen[f.curve.depth()] = 1;
+  for (unsigned d = 0; d <= FleetPowerCurve::kMaxDepth; ++d)
+    EXPECT_TRUE(seen[d]) << "depth " << d;
 }
 
 /// The next span end after `t`: a random length, clamped at the day's end,
@@ -301,11 +334,33 @@ struct Trial {
   std::size_t apps;
   bool windows;
   bool degrade;
+  /// When set, every trace has this many seconds and app i arrives at
+  /// arrive[i] and stays to the end, in place of the random draws.
+  TimePoint seconds = 0;
+  std::vector<TimePoint> arrive = {};
 };
 
-/// Walks one random trial with both walks and compares every sum; returns
-/// how many spans an overload crossing cut short.
-std::size_t run_trial(const Trial& trial, std::uint64_t seed) {
+/// What a trial's spans exercised: spans an overload crossing cut short,
+/// and merged spans by how they met their lanes' meters — fitting every
+/// lane's open day, reaching past an open day, and starting on a day
+/// boundary of a lane that has run before.
+struct Coverage {
+  std::size_t crossings = 0;
+  std::size_t fitting = 0;
+  std::size_t past_a_lane_day = 0;
+  std::size_t on_a_lane_day_start = 0;
+
+  Coverage& operator+=(const Coverage& o) {
+    crossings += o.crossings;
+    fitting += o.fitting;
+    past_a_lane_day += o.past_a_lane_day;
+    on_a_lane_day_start += o.on_a_lane_day_start;
+    return *this;
+  }
+};
+
+/// Walks one random trial with both walks and compares every sum.
+Coverage run_trial(const Trial& trial, std::uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
                std::to_string(trial.apps) + " apps" +
                (trial.windows ? ", windows" : "") +
@@ -318,8 +373,10 @@ std::size_t run_trial(const Trial& trial, std::uint64_t seed) {
   std::vector<LoadTrace> traces;
   for (std::size_t i = 0; i < k; ++i)
     traces.emplace_back(random_samples(
-        rng, static_cast<std::size_t>(rng.uniform_int(
-                 1, rng.chance(0.5) ? 120'000 : 5'000))));
+        rng, trial.seconds > 0
+                 ? static_cast<std::size_t>(trial.seconds)
+                 : static_cast<std::size_t>(rng.uniform_int(
+                       1, rng.chance(0.5) ? 120'000 : 5'000))));
   TimePoint n = 0;
   for (const LoadTrace& t : traces)
     n = std::max(n, static_cast<TimePoint>(t.size()));
@@ -327,7 +384,10 @@ std::size_t run_trial(const Trial& trial, std::uint64_t seed) {
   std::vector<TimePoint> arrive(k, 0);
   std::vector<TimePoint> depart(k, n);
   std::vector<TimePoint> events;
-  if (trial.windows) {
+  if (!trial.arrive.empty()) {
+    arrive = trial.arrive;
+    events = trial.arrive;
+  } else if (trial.windows) {
     for (std::size_t i = 0; i < k; ++i) {
       if (rng.chance(0.7)) arrive[i] = rng.uniform_int(0, n - 1);
       if (rng.chance(0.5)) depart[i] = rng.uniform_int(arrive[i] + 1, n);
@@ -356,8 +416,8 @@ std::size_t run_trial(const Trial& trial, std::uint64_t seed) {
   std::vector<MergeLane> lanes;
   std::vector<char> active(k);
   std::vector<double> shares(k);
-  const bool merged = k > 1 || trial.windows;
-  std::size_t crossings = 0;
+  const bool merged = k > 1 || trial.windows || !trial.arrive.empty();
+  Coverage seen;
   TimePoint t = 0;
   while (t < n) {
     const TimePoint end = next_cut(rng, t, n, events);
@@ -390,6 +450,20 @@ std::size_t run_trial(const Trial& trial, std::uint64_t seed) {
                             fleet, qos_oracle, meter_oracle, over_oracle,
                             work_oracle);
     } else {
+      // A lane meter steps 1 s and has a day bucket open unless its tick
+      // sits on a day boundary (its first span included).
+      bool fits = true;
+      for (std::size_t i = 0; i < k; ++i) {
+        if (!active[i]) continue;
+        const auto ticks = static_cast<TimePoint>(walked.meters[i].elapsed());
+        const TimePoint day_left =
+            ticks % kSecondsPerDay == 0 ? 0
+                                        : kSecondsPerDay - ticks % kSecondsPerDay;
+        if (day_left > 0 && end - t > day_left) ++seen.past_a_lane_day;
+        if (ticks > 0 && day_left == 0) ++seen.on_a_lane_day_start;
+        fits = fits && end - t <= day_left;
+      }
+      if (fits) ++seen.fitting;
       lanes.clear();
       for (std::size_t i = 0; i < k; ++i)
         if (active[i])
@@ -410,8 +484,8 @@ std::size_t run_trial(const Trial& trial, std::uint64_t seed) {
                                work_oracle);
     }
     EXPECT_EQ(reached, expected) << "span [" << t << ", " << end << ")";
-    if (reached != expected) return crossings;
-    if (reached < end) ++crossings;
+    if (reached != expected) return seen;
+    if (reached < end) ++seen.crossings;
     t = reached;
   }
   expect_same(qos_walked.stats(), qos_oracle.stats());
@@ -424,30 +498,47 @@ std::size_t run_trial(const Trial& trial, std::uint64_t seed) {
   }
   EXPECT_EQ(work_walked.sub_runs, work_oracle.sub_runs);
   EXPECT_EQ(work_walked.frontier_advances, work_oracle.frontier_advances);
-  return crossings;
+  EXPECT_EQ(work_walked.power_fallbacks, work_oracle.power_fallbacks);
+  return seen;
 }
 
 TEST(SpanWalk, OneWorkloadMatchesTheRunAtWalkBitForBit) {
-  std::size_t crossings = 0;
+  Coverage seen;
   for (std::uint64_t seed = 1; seed <= 12; ++seed)
-    crossings += run_trial({1, false, seed % 3 == 0}, seed);
-  EXPECT_GT(crossings, 0u);
+    seen += run_trial({1, false, seed % 3 == 0}, seed);
+  EXPECT_GT(seen.crossings, 0u);
 }
 
 TEST(SpanWalk, MergedWalkMatchesTheRunAtWalkBitForBit) {
   // Two to four apps, with and without windows, degrade on every third.
-  std::size_t crossings = 0;
+  Coverage seen;
   for (std::uint64_t seed = 1; seed <= 24; ++seed)
-    crossings +=
-        run_trial({2 + seed % 3, seed % 2 == 0, seed % 3 == 1}, 100 + seed);
-  EXPECT_GT(crossings, 0u);
+    seen += run_trial({2 + seed % 3, seed % 2 == 0, seed % 3 == 1}, 100 + seed);
+  EXPECT_GT(seen.crossings, 0u);
+  EXPECT_GT(seen.fitting, 0u);
 }
 
 TEST(SpanWalk, OneAppWithAWindowTakesTheMergedWalk) {
-  std::size_t crossings = 0;
+  Coverage seen;
   for (std::uint64_t seed = 1; seed <= 8; ++seed)
-    crossings += run_trial({1, true, seed % 2 == 0}, 200 + seed);
-  EXPECT_GT(crossings, 0u);
+    seen += run_trial({1, true, seed % 2 == 0}, 200 + seed);
+  EXPECT_GT(seen.crossings, 0u);
+}
+
+TEST(SpanWalk, MergedSpansThatDoAndDoNotFitALaneDay) {
+  // Three days of three apps. The first is there from the start, so its
+  // meter's days are the cluster's and each day's first span opens it on
+  // a day boundary; the second arrives mid-day, so its meter's day ends
+  // inside a cluster day and a span can reach past it; the third arrives
+  // one second before a cluster day ends.
+  Coverage seen;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed)
+    seen += run_trial({3, false, seed % 2 == 0, 3 * kSecondsPerDay,
+                       {0, 50'000, kSecondsPerDay - 1}},
+                      300 + seed);
+  EXPECT_GT(seen.fitting, 0u);
+  EXPECT_GT(seen.past_a_lane_day, 0u);
+  EXPECT_GT(seen.on_a_lane_day_start, 0u);
 }
 
 TEST(SpanWalk, DegradeStopsAtTheFirstCrossing) {

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.hpp"
+#include "util/time_series.hpp"
 
 namespace bml {
 namespace {
@@ -80,6 +86,36 @@ TEST(LoadTrace, StoresNegativeZeroAsPositiveZero) {
     EXPECT_FALSE(std::signbit(t.at(s))) << "t=" << s;
   EXPECT_EQ(t.run_ends().size(), 3u);
   EXPECT_EQ(t.next_change(0), 2);
+}
+
+TEST(LoadTrace, PeakReadsTheIndex) {
+  // build_max_index builds no index below 4 * kMaxBlock samples, so peak()
+  // scans there and reads the range-max index from there on: either way
+  // it must be max_element's value. Random traces just under and just over
+  // the size, with the maximum anywhere (in a partial head or tail block,
+  // or inside the indexed blocks), and all-zero and one-sample traces.
+  constexpr std::size_t kIndexFrom = 4 * TimeSeries::kMaxBlock;
+  Rng rng(28);
+  for (const std::size_t n : {kIndexFrom - 1, kIndexFrom, kIndexFrom + 1,
+                              kIndexFrom + TimeSeries::kMaxBlock + 7,
+                              std::size_t{100'003}}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> rates(n);
+      for (double& r : rates) r = rng.uniform(0.0, 1000.0);
+      // Ties at the top now and then.
+      if (trial % 4 == 0)
+        rates[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))] =
+            *std::max_element(rates.begin(), rates.end());
+      const double expected = *std::max_element(rates.begin(), rates.end());
+      const LoadTrace t(std::move(rates));
+      EXPECT_EQ(t.peak(), expected) << "n=" << n << " trial " << trial;
+    }
+  }
+  EXPECT_EQ(LoadTrace(std::vector<double>(kIndexFrom + 5, 0.0)).peak(), 0.0);
+  EXPECT_EQ(LoadTrace(std::vector<double>{42.5}).peak(), 42.5);
+  EXPECT_EQ(LoadTrace(std::vector<double>{}).peak(), 0.0);
+  EXPECT_EQ(LoadTrace().peak(), 0.0);
 }
 
 TEST(LoadTrace, EmptyTraceBehaviour) {
