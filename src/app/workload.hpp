@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "power/energy_meter.hpp"
 #include "sim/qos.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/trace.hpp"

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "core/dispatch_plan.hpp"
 
@@ -56,37 +54,6 @@ Watts CombinationTable::power(ReqRate rate) const {
   // "the grid combination serving exactly `rate`", so evaluate it.
   if (static_cast<ReqRate>(idx) == rate) return powers_[idx];
   return plan_.power_at(entries_[idx].counts(), rate);
-}
-
-namespace {
-
-// FNV-1a over the raw count words; combinations are small (one int per
-// architecture kind), so hashing them directly beats building string keys.
-struct CountsHash {
-  std::size_t operator()(const std::vector<int>* counts) const {
-    std::size_t h = 14695981039346656037ull;
-    for (int v : *counts) {
-      h ^= static_cast<std::size_t>(static_cast<unsigned>(v));
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-};
-
-struct CountsEqual {
-  bool operator()(const std::vector<int>* a,
-                  const std::vector<int>* b) const {
-    return *a == *b;
-  }
-};
-
-}  // namespace
-
-std::size_t CombinationTable::distinct_combinations() const {
-  std::unordered_set<const std::vector<int>*, CountsHash, CountsEqual> seen;
-  seen.reserve(entries_.size());
-  for (const Combination& c : entries_) seen.insert(&c.counts());
-  return seen.size();
 }
 
 BmlLinearReference::BmlLinearReference(Watts little_idle, Watts big_peak,

@@ -44,10 +44,6 @@ class CombinationTable {
   }
   [[nodiscard]] const Catalog& candidates() const { return candidates_; }
 
-  /// Number of distinct combinations in the table — the size of the
-  /// reconfiguration state space.
-  [[nodiscard]] std::size_t distinct_combinations() const;
-
   /// Dense-grid accessors for compilers of derived structures
   /// (core/decision_thresholds.hpp): entry `i` answers rate i exactly.
   [[nodiscard]] std::size_t grid_size() const { return entries_.size(); }

@@ -1,29 +1,17 @@
 #include "power/energy_meter.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace bml {
 
-EnergyMeter::EnergyMeter(Seconds step) : step_(step) {
-  if (step_ <= 0.0)
-    throw std::invalid_argument("EnergyMeter: step must be positive");
-}
+namespace {
+constexpr auto kDayTicks = static_cast<std::size_t>(kSecondsPerDay);
+}  // namespace
 
 std::size_t EnergyMeter::refresh_day_slow() {
   if (ticks_ >= day_end_tick_) {
-    current_day_ = static_cast<std::size_t>(step_ *
-                                            static_cast<double>(ticks_) /
-                                            static_cast<double>(kSecondsPerDay));
-    // First tick attributed to the next day: ceil(day_end / step). Always
-    // > ticks_ (ticks_ still maps to current_day_), which keeps the chunk
-    // arithmetic below positive for any step size.
-    const double day_end = (static_cast<double>(current_day_) + 1.0) *
-                           static_cast<double>(kSecondsPerDay);
-    day_end_tick_ =
-        std::max(static_cast<std::size_t>(std::ceil(day_end / step_)),
-                 ticks_ + 1);
+    current_day_ = ticks_ / kDayTicks;
+    day_end_tick_ = (current_day_ + 1) * kDayTicks;
   }
   while (day_compute_.size() <= current_day_) {
     day_compute_.push_back(0.0);
@@ -36,9 +24,8 @@ void EnergyMeter::add_compute_sample(Watts power) {
   if (power < 0.0)
     throw std::invalid_argument("EnergyMeter: negative power sample");
   const std::size_t day = refresh_day();
-  const Joules e = power * step_;
-  compute_energy_ += e;
-  day_compute_[day] += e;
+  compute_energy_ += power;
+  day_compute_[day] += power;
 }
 
 void EnergyMeter::add_reconfiguration_energy(Joules energy) {
@@ -50,12 +37,5 @@ void EnergyMeter::add_reconfiguration_energy(Joules energy) {
 }
 
 void EnergyMeter::tick() { ++ticks_; }
-
-std::vector<Joules> EnergyMeter::per_day_total() const {
-  std::vector<Joules> out(day_compute_.size());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = day_compute_[i] + day_reconf_[i];
-  return out;
-}
 
 }  // namespace bml

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -218,7 +219,7 @@ void ScenarioSpec::set(const std::string& key, const std::string& value) {
       throw std::runtime_error(os.str());
     }
   } else if (key == "faults.boot_failure_prob") {
-    boot_failure_prob = parse_fraction(key, value);
+    boot_failure_prob = parse_slo_target(key, value);
   } else if (key == "faults.mtbf") {
     fault_mtbf = parse_fraction(key, value);
   } else if (key == "faults.mttr") {
@@ -300,6 +301,8 @@ ScenarioSpec parse_scenario(const std::string& text) {
   // Index of the [app] section the cursor is in; top level until the
   // first section.
   std::ptrdiff_t current_app = -1;
+  // The line that set each key of the current section.
+  std::map<std::string, std::size_t> set_on_line;
   while (std::getline(in, line)) {
     ++line_number;
     const std::size_t hash = line.find('#');
@@ -310,6 +313,7 @@ ScenarioSpec parse_scenario(const std::string& text) {
     if (body == "[app]") {
       spec.apps.emplace_back();
       current_app = static_cast<std::ptrdiff_t>(spec.apps.size()) - 1;
+      set_on_line.clear();
       continue;
     }
     if (body.starts_with("[") && body.ends_with("]"))
@@ -332,6 +336,13 @@ ScenarioSpec parse_scenario(const std::string& text) {
     if (key.empty())
       throw std::runtime_error("scenario: line " + std::to_string(line_number) +
                                ": empty key");
+    if (!is_sweep) {
+      const auto [it, first] = set_on_line.emplace(key, line_number);
+      if (!first)
+        throw std::runtime_error(
+            "scenario: line " + std::to_string(line_number) + ": key '" + key +
+            "' is already set on line " + std::to_string(it->second));
+    }
     try {
       if (is_sweep) {
         SweepAxis axis{key, {}};

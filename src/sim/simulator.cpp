@@ -166,7 +166,7 @@ struct Run {
   SimulationResult result;
   Cluster cluster;
   Coordinator coordinator;
-  EnergyMeter meter{1.0};
+  EnergyMeter meter;
   QosTracker qos;
   ReconfigState state;
   /// Last proposal returned by each app's scheduler (its initial
@@ -179,7 +179,7 @@ struct Run {
   /// Reconfiguration-power attribution weights, derived from the
   /// contributions' capacities (equal split when all are empty).
   std::vector<double> transition_shares;
-  std::vector<EnergyMeter> app_meters;
+  std::vector<AppEnergy> app_energy;
   std::vector<QosTracker> app_qos;
   /// Scratch: per-app offered load / capacity allocation this span.
   std::vector<ReqRate> loads;
@@ -602,7 +602,7 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
             });
   run.transition_shares.assign(views.size(), 0.0);
   update_transition_shares(candidates, run);
-  run.app_meters.assign(views.size(), EnergyMeter(1.0));
+  run.app_energy.assign(views.size(), AppEnergy{});
   run.app_qos.resize(views.size());
   run.loads.assign(views.size(), 0.0);
   run.alloc.assign(views.size(), 0.0);
@@ -760,8 +760,8 @@ void finalize_run(Run& run, const std::vector<WorkloadView>& views,
     app.scheduler_name = views[i].scheduler->name();
     app.qos = views[i].qos;
     app.qos_stats = run.app_qos[i].stats();
-    app.compute_energy = run.app_meters[i].compute_energy();
-    app.reconfiguration_energy = run.app_meters[i].reconfiguration_energy();
+    app.compute_energy = run.app_energy[i].compute;
+    app.reconfiguration_energy = run.app_energy[i].reconfiguration;
     if (run.faults.has_value()) {
       const FaultRun& fr = *run.faults;
       const std::size_t d = fr.domain_of[i];
@@ -1214,9 +1214,8 @@ void attribute_second(const std::vector<WorkloadView>& views, Run& run,
     run.app_qos[i].record_span(run.loads[i], run.alloc[i], 1);
     const double compute_share =
         total_load > 0.0 ? run.loads[i] / total_load : 1.0 / n_active;
-    run.app_meters[i].add_span(power.compute * compute_share,
-                               power.transition * run.transition_shares[i],
-                               1);
+    run.app_energy[i].add(power.compute * compute_share,
+                          power.transition * run.transition_shares[i], 1);
   }
 }
 
@@ -1337,7 +1336,8 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
   // Single-workload runs skip per-run attribution entirely: with one app
   // the capacity, compute and transition shares are all exactly 1.0, so
   // the per-app accumulators would replay the cluster-wide streams
-  // bit-for-bit — run_event_driven copies them at the end instead.
+  // bit-for-bit — run_event_driven installs the cluster's QoS stats and
+  // energy totals at the end instead.
   if (views.size() == 1 && !run.lifecycle_enabled) {
     reached = walk_one_span(
         compiled[0], cursors[0], begin, end, fleet, run.qos, run.meter, work,
@@ -1355,7 +1355,7 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
         continue;
       }
       run.lanes.emplace_back(i, compiled[i], cursors[i], begin,
-                             run.app_qos[i], run.app_meters[i],
+                             run.app_qos[i], run.app_energy[i],
                              fleet.transition * run.transition_shares[i]);
     }
     reached = walk_merged_span(
@@ -1581,7 +1581,8 @@ MultiSimulationResult Simulator::run_event_driven(
   // through the k-way merge and attributed normally.)
   if (views.size() == 1 && !run.lifecycle_enabled) {
     run.app_qos[0] = run.qos;
-    run.app_meters[0] = run.meter;
+    run.app_energy[0] = {run.meter.compute_energy(),
+                         run.meter.reconfiguration_energy()};
   }
   MultiSimulationResult out;
   finalize_run(run, views, out);

@@ -15,8 +15,8 @@
 //     at the second following reconfiguration completion ("the next
 //     prediction window starts from reconfiguration completion time");
 //   * compute energy (serving machines) and reconfiguration energy (boot /
-//     shutdown) are metered separately and aggregated per day — both for
-//     the cluster and attributed per application (load-proportional
+//     shutdown) are metered separately: in total and per day for the
+//     cluster, in total for each application (load-proportional
 //     capacity and compute-power splits, provisioned-share reconfiguration
 //     splits; see app/workload.hpp for the attribution rules);
 //   * runtime faults (FaultModel::mtbf/mttr) crash On machines and repair
@@ -46,8 +46,8 @@
 //     load is integrated by the span walks (sim/span_walk.hpp), which step
 //     the traces' run-length segments (a CompiledTrace view each,
 //     sim/compiled_trace.hpp) with the cluster totals in locals and each
-//     app's QoS tracker and energy meter held open across the span
-//     (QosTracker::OpenSpan, EnergyMeter::OpenSpan) — a per-second-noisy
+//     app's QoS stats and two energy sums held open across the span
+//     (QosTracker::OpenSpan, AppEnergy) — a per-second-noisy
 //     trace whose values stay inside one decision-threshold bucket
 //     (core/decision_thresholds.hpp) costs zero scheduler evaluations.
 //     Multi-workload spans intersect the per-workload stability bounds
@@ -69,7 +69,6 @@
 #include "core/dispatch_plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
-#include "power/energy_meter.hpp"
 #include "sched/coordinator.hpp"
 #include "sim/cluster.hpp"
 #include "sim/event_log.hpp"

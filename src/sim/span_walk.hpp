@@ -16,7 +16,8 @@
 // value is the sample there), so a walk over n runs makes no search and no
 // re-seating check. The cluster's sums live in locals and fold into its
 // tracker and meter once per span (per chunk for the merge); each app's
-// sums stay open in its lane for the span.
+// QoS stats and energy sums are copied into its lane for the span and
+// written back when it closes.
 //
 // Per run, each kernel does only what varies per run; what is fixed for
 // the span is decided once per span:
@@ -31,19 +32,9 @@
 //     zero tail), so the merge steps with next_run.
 //   * The lanes' seconds. Each lane's QoS tracker counts the span's
 //     seconds once, when it closes (QosTracker::OpenSpan::close).
-//   * The lanes' day windows. When the span fits every lane meter's open
-//     day (MergedWalk::walk), the lanes add each sub-run without the
-//     day-window check and count, and take the span's seconds off the day
-//     at once (EnergyMeter::OpenSpan::take_day). Any other span — a lane
-//     meter that lags the cluster's days because its app arrived mid-day,
-//     or one opened on a day boundary, where no bucket is open — keeps the
-//     per-sub-run check, which sends a sub-run past the lane's day
-//     through add_span.
 //
 // None of this reorders an accumulator: integer counts are exact in any
-// grouping, and every double below keeps the order it had under the loop
-// search, when each lane counted its own seconds and checked its own day
-// per sub-run.
+// grouping, and every double keeps the order stated below.
 //
 // Operation order. Both kernels perform, for each sub-run in time order,
 // the operations of the per-second reference loop's second
@@ -66,10 +57,10 @@
 //     equal splits 1/k of the capacity (over all k apps) and 1/active of
 //     the compute power. Each lane then takes exactly
 //     QosTracker::record_span(load, capacity * share, len) and
-//     EnergyMeter::add_span(compute * share, transition_i, len), held open
-//     across the span (QosTracker::OpenSpan, EnergyMeter::OpenSpan). While
-//     no lane draws transition power, every transition_i add would be +0.0
-//     to a non-negative sum, so the lanes skip them.
+//     AppEnergy::add(compute * share, transition_i, len), on its open
+//     copies (QosTracker::OpenSpan and the lane's AppEnergy). While no
+//     lane draws transition power, each reconfiguration add is an exact
+//     +0.0.
 //   * Degraded-mode serving: the first sub-run fixes the span's overload
 //     state; the first later sub-run in the other state ends the walk at
 //     its start and integrates nothing of it. Overloaded sub-runs are
@@ -84,7 +75,6 @@
 // only).
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -120,28 +110,45 @@ struct SpanWork {
   std::uint64_t power_fallbacks = 0;
 };
 
+/// An app's attributed energy: the two sums its WorkloadResult reports.
+/// Unlike the cluster's EnergyMeter it keeps no day buckets.
+struct AppEnergy {
+  Joules compute = 0.0;
+  Joules reconfiguration = 0.0;
+
+  /// `seconds` at `compute_power` and `transition_power`: the per-second
+  /// reference adds one second at a time, a merge lane one sub-run.
+  void add(Watts compute_power, Watts transition_power, TimePoint seconds) {
+    const auto s = static_cast<double>(seconds);
+    compute += compute_power * s;
+    reconfiguration += transition_power * s;
+  }
+};
+
 namespace span_walk_detail {
 struct MergedWalk;
 }  // namespace span_walk_detail
 
 /// One active app of a merged walk: its frontier entry (the current run's
-/// load and end, with the cursor that walks its trace) and its QoS tracker
-/// and energy meter held open across the span. Constructing a lane seats
-/// its cursor at the span's first second; walk_merged_span writes the
-/// cursor back and closes the accumulators.
+/// load and end, with the cursor that walks its trace) and copies of its
+/// QoS stats and energy sums, held open across the span. Constructing a
+/// lane seats its cursor at the span's first second; walk_merged_span
+/// writes the cursor and the sums back.
 struct MergeLane {
   /// `transition` is the app's attributed share of the fleet's transition
-  /// power. The tracker, meter and cursor must outlive the walk and must
-  /// not be touched until it returns.
+  /// power. The tracker, energy sums and cursor must outlive the walk and
+  /// must not be touched until it returns.
   MergeLane(std::size_t app_index, const CompiledTrace& trace,
             CompiledTrace::Cursor& cursor, TimePoint begin, QosTracker& qos,
-            EnergyMeter& meter, Watts transition)
+            AppEnergy& energy, Watts transition)
       : app(app_index),
         trace_(trace),
         walk_(cursor),
         cursor_(&cursor),
         qos_(qos),
-        energy_(meter, transition) {
+        energy_(energy),
+        energy_out_(&energy),
+        transition_(transition) {
     const CompiledTrace::Run r = trace_.run_at(walk_, begin);
     seated_ = walk_.seg;
     load = r.value;
@@ -163,7 +170,9 @@ struct MergeLane {
   std::size_t seated_ = 0;
   CompiledTrace::Cursor* cursor_;
   QosTracker::OpenSpan qos_;
-  EnergyMeter::OpenSpan energy_;
+  AppEnergy energy_;
+  AppEnergy* energy_out_;
+  Watts transition_;
 };
 
 /// Sub-runs whose cluster sums fold together in walk_merged_span.
@@ -224,28 +233,7 @@ template <bool kDegrade, unsigned kDepth, class OnOverload>
 
 /// The k-way merge, befriended by MergeLane.
 struct MergedWalk {
-  template <class OnOverload>
-  static TimePoint walk(std::span<MergeLane> lanes, std::size_t apps,
-                        TimePoint begin, TimePoint end,
-                        const SpanFleet& fleet, QosTracker& qos,
-                        EnergyMeter& meter, SpanWork& work,
-                        OnOverload& on_overload) {
-    const TimePoint span = end - begin;
-    const bool in_day =
-        std::all_of(lanes.begin(), lanes.end(), [span](const MergeLane& l) {
-          return l.energy_.fits(span);
-        });
-    return fleet.power->with_depth([&]<unsigned kDepth>() {
-      return in_day ? kernel<kDepth, true>(lanes, apps, begin, end, fleet,
-                                           qos, meter, work, on_overload)
-                    : kernel<kDepth, false>(lanes, apps, begin, end, fleet,
-                                            qos, meter, work, on_overload);
-    });
-  }
-
-  // kInDay: the span fits every lane meter's open day, so the lanes skip
-  // the per-sub-run day check and take its seconds at once.
-  template <unsigned kDepth, bool kInDay, class OnOverload>
+  template <unsigned kDepth, class OnOverload>
   [[gnu::noinline]] static TimePoint kernel(
       std::span<MergeLane> lanes, std::size_t apps, TimePoint begin,
       TimePoint end, const SpanFleet& fleet, QosTracker& qos,
@@ -267,19 +255,14 @@ struct MergedWalk {
     // share `alloc(l)` and compute share `share(l)`, then steps the lanes
     // whose run ends at `next` (none at the span's end) and forms the next
     // frontier.
-    const auto lane_pass = [&]<bool kReconf>(auto alloc, auto share,
-                                             ReqRate cap_eff, Watts compute,
-                                             TimePoint len, TimePoint next) {
+    const auto lane_pass = [&](auto alloc, auto share, ReqRate cap_eff,
+                               Watts compute, TimePoint len, TimePoint next) {
       const TimePoint step_at = next < end ? next : -1;
       ReqRate next_total = 0.0;
       TimePoint next_end = end;
       for (MergeLane& l : lanes) {
         l.qos_.record(l.load, cap_eff * alloc(l), len);
-        if constexpr (kReconf) {
-          l.energy_.add<kInDay>(compute * share(l), len);
-        } else {
-          l.energy_.add_compute<kInDay>(compute * share(l), len);
-        }
+        l.energy_.add(compute * share(l), l.transition_, len);
         if (l.end == step_at) {
           const CompiledTrace::Run r = l.trace_.next_run(l.walk_, step_at);
           l.load = r.value;
@@ -291,26 +274,6 @@ struct MergedWalk {
       total = next_total;
       sub_end = next_end;
     };
-    const auto attribute = [&]<bool kReconf>(ReqRate cap_eff, Watts compute,
-                                             TimePoint len, TimePoint next) {
-      if (total > 0.0) {
-        const ReqRate t = total;
-        const auto proportional = [t](const MergeLane& l) {
-          return l.load / t;
-        };
-        lane_pass.template operator()<kReconf>(proportional, proportional,
-                                               cap_eff, compute, len, next);
-      } else {
-        lane_pass.template operator()<kReconf>(
-            [equal_alloc](const MergeLane&) { return equal_alloc; },
-            [equal_compute](const MergeLane&) { return equal_compute; },
-            cap_eff, compute, len, next);
-      }
-    };
-    const bool reconf =
-        std::any_of(lanes.begin(), lanes.end(), [](const MergeLane& l) {
-          return l.energy_.transition() != 0.0;
-        });
     std::uint64_t fallbacks = 0;
     bool span_over = false;
     bool stopped = false;
@@ -341,10 +304,16 @@ struct MergedWalk {
         totals.add(total, cap_eff, len);
         compute_e += compute * static_cast<double>(len);
         const TimePoint next = sub_end;
-        if (reconf) {
-          attribute.template operator()<true>(cap_eff, compute, len, next);
+        if (total > 0.0) {
+          const ReqRate t = total;
+          const auto proportional = [t](const MergeLane& l) {
+            return l.load / t;
+          };
+          lane_pass(proportional, proportional, cap_eff, compute, len, next);
         } else {
-          attribute.template operator()<false>(cap_eff, compute, len, next);
+          lane_pass([equal_alloc](const MergeLane&) { return equal_alloc; },
+                    [equal_compute](const MergeLane&) { return equal_compute; },
+                    cap_eff, compute, len, next);
         }
         cur = next;
       }
@@ -359,8 +328,7 @@ struct MergedWalk {
       work.frontier_advances += l.walk_.seg - l.seated_ + 1;
       *l.cursor_ = l.walk_;
       l.qos_.close(end - begin);
-      if constexpr (kInDay) l.energy_.take_day(end - begin);
-      l.energy_.close();
+      *l.energy_out_ = l.energy_;
     }
     return end;
   }
@@ -371,8 +339,7 @@ struct MergedWalk {
 /// Integrates [begin, end) of one workload against `fleet` into the
 /// cluster's `qos` and `meter` (the caller's single app takes the same
 /// streams). `end` must not pass the trace's end, and [begin, end) must
-/// lie within the meter's current day; the meter steps 1 s, so a run's
-/// power times its seconds is its energy. `on_overload(load, lost_rate,
+/// lie within the meter's current day. `on_overload(load, lost_rate,
 /// len)` accrues each overloaded sub-run. Returns the second the walk
 /// reached: `end`, or an overload crossing (see the file comment).
 template <class OnOverload>
@@ -409,8 +376,8 @@ TimePoint walk_one_span(const CompiledTrace& trace,
 /// Integrates [begin, end) of the `lanes` (the active apps, in app order,
 /// each seated at `begin`) out of `apps` workloads in all against `fleet`:
 /// the cluster's sums into `qos` and `meter`, each app's attributed share
-/// into its lane's tracker and meter. [begin, end) must lie within the
-/// cluster meter's current day, and that meter steps 1 s.
+/// into its lane's QoS stats and energy sums. [begin, end) must lie within
+/// the cluster meter's current day.
 /// `on_overload(lanes, total, lost_rate, len)` accrues each overloaded
 /// sub-run, reading the apps' loads from the lanes. Returns the second the
 /// walk reached: `end`, or an overload crossing. Closes every lane.
@@ -418,27 +385,24 @@ TimePoint walk_one_span(const CompiledTrace& trace,
 /// One pass over the lanes per sub-run: each lane takes its share of the
 /// sub-run, steps its cursor if its run ends there, and adds its next load
 /// into the next sub-run's total, so the next total sums in app order as
-/// the file comment requires. While no lane draws transition power (most
-/// sub-runs of a day), the lanes skip their reconfiguration adds
-/// (EnergyMeter::OpenSpan::add_compute): calling add() there instead ran
-/// the three-app day ~1.2x and the 1,000-app fleet day ~1.1x slower
-/// (ABBA pairs of binaries on a shared 4-vCPU host). The in-day path
-/// (the file comment) takes 98.6% of the sub-runs of both days and 81% to
-/// 99.99% of each shipped multi-app spec's; with it off, the three-app
-/// day ran 1.06-1.13x and the fleet day 1.10-1.25x slower (medians of six
-/// in-process ABBA runs of ten pairs each, same host; perfbench
-/// `channels` replayed 1.06x as many app-days per second with it, ten
-/// alternating runs each), and counting each
-/// lane's seconds per sub-run instead of once ran the fleet day 1.3x
-/// slower (ten ABBA pairs of binaries, all ten won).
+/// the file comment requires. Counting each lane's seconds per sub-run
+/// instead of once ran the 1,000-app fleet day 1.3x slower (ten ABBA pairs
+/// of binaries on a shared 4-vCPU host, all ten won). Every lane adds its
+/// reconfiguration energy every sub-run: a kernel that skipped those +0.0
+/// adds while no lane drew transition power won 6, 7, 9, 8 and 4 of 10
+/// such pairs on the three-app day (medians 0.91-1.03x of this kernel's
+/// time) and 4, 6, 4, 10 and 4 of 10 on the fleet day (0.96-1.03x) in
+/// five runs, too unsteady a gain to keep a second lane pass for.
 template <class OnOverload>
 TimePoint walk_merged_span(std::span<MergeLane> lanes, std::size_t apps,
                            TimePoint begin, TimePoint end,
                            const SpanFleet& fleet, QosTracker& qos,
                            EnergyMeter& meter, SpanWork& work,
                            OnOverload&& on_overload) {
-  return span_walk_detail::MergedWalk::walk(lanes, apps, begin, end, fleet,
-                                            qos, meter, work, on_overload);
+  return fleet.power->with_depth([&]<unsigned kDepth>() {
+    return span_walk_detail::MergedWalk::kernel<kDepth>(
+        lanes, apps, begin, end, fleet, qos, meter, work, on_overload);
+  });
 }
 
 }  // namespace bml

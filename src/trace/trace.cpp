@@ -104,8 +104,6 @@ ReqRate LoadTrace::day_peak(std::size_t d) const {
   return series_.max_over(d * day, (d + 1) * day);
 }
 
-double LoadTrace::total_requests() const { return series_.integral(); }
-
 std::string LoadTrace::to_csv() const {
   std::ostringstream os;
   os << "rate\n";

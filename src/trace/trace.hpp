@@ -64,9 +64,6 @@ class LoadTrace {
   /// Maximum rate of day `d` (0-based). Throws std::out_of_range.
   [[nodiscard]] ReqRate day_peak(std::size_t d) const;
 
-  /// Total requests over the trace (integral of the rate).
-  [[nodiscard]] double total_requests() const;
-
   [[nodiscard]] const TimeSeries& series() const { return series_; }
 
   /// Packed end of every constant run, ascending: run i covers

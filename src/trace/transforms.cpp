@@ -25,14 +25,6 @@ LoadTrace scale(const LoadTrace& trace, double factor) {
   return LoadTrace(std::move(rates));
 }
 
-LoadTrace clip(const LoadTrace& trace, ReqRate lo, ReqRate hi) {
-  if (lo < 0.0 || hi < lo)
-    throw std::invalid_argument("clip: need 0 <= lo <= hi");
-  auto rates = copy_rates(trace);
-  for (double& r : rates) r = std::clamp(r, lo, hi);
-  return LoadTrace(std::move(rates));
-}
-
 LoadTrace smooth(const LoadTrace& trace, std::size_t window) {
   if (window == 0) throw std::invalid_argument("smooth: window must be >= 1");
   const auto rates = copy_rates(trace);
@@ -60,34 +52,6 @@ LoadTrace slice(const LoadTrace& trace, TimePoint begin, TimePoint end) {
       std::min<std::size_t>(static_cast<std::size_t>(end), rates.size());
   return LoadTrace(std::vector<double>(rates.begin() + static_cast<std::ptrdiff_t>(b),
                                        rates.begin() + static_cast<std::ptrdiff_t>(e)));
-}
-
-LoadTrace concat(const LoadTrace& a, const LoadTrace& b) {
-  auto rates = copy_rates(a);
-  const auto more = copy_rates(b);
-  rates.insert(rates.end(), more.begin(), more.end());
-  return LoadTrace(std::move(rates));
-}
-
-LoadTrace downsample_max(const LoadTrace& trace, std::size_t factor) {
-  if (factor == 0)
-    throw std::invalid_argument("downsample_max: factor must be >= 1");
-  const auto rates = copy_rates(trace);
-  std::vector<double> out;
-  out.reserve(rates.size() / factor + 1);
-  for (std::size_t i = 0; i < rates.size(); i += factor) {
-    const std::size_t end = std::min(rates.size(), i + factor);
-    out.push_back(*std::max_element(
-        rates.begin() + static_cast<std::ptrdiff_t>(i),
-        rates.begin() + static_cast<std::ptrdiff_t>(end)));
-  }
-  return LoadTrace(std::move(out));
-}
-
-LoadTrace quantize(const LoadTrace& trace) {
-  auto rates = copy_rates(trace);
-  for (double& r : rates) r = std::round(r);
-  return LoadTrace(std::move(rates));
 }
 
 LoadTrace compose_seasonality(const LoadTrace& trace,

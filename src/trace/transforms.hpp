@@ -1,8 +1,9 @@
-// Trace transforms: scaling, clipping, smoothing, resampling, slicing.
+// Trace transforms: scaling, smoothing, slicing, seasonality and spikes.
 //
-// Used by tests (shape manipulation), by the prediction-error ablation
-// (smoothed vs raw traces), and by examples that tailor the synthetic
-// workload to a custom catalog.
+// The scenario registry (scenario/registry.cpp) applies compose_seasonality
+// and add_spikes to a generated trace (the trace.seasonal.* and
+// trace.spikes.* keys); scale, smooth and slice are called from the tests
+// only.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +16,6 @@ namespace bml {
 /// Multiplies every rate by `factor` (>= 0).
 [[nodiscard]] LoadTrace scale(const LoadTrace& trace, double factor);
 
-/// Clamps every rate into [lo, hi].
-[[nodiscard]] LoadTrace clip(const LoadTrace& trace, ReqRate lo, ReqRate hi);
-
 /// Centered moving average over a window of `window` seconds (>= 1);
 /// the window is truncated at the trace boundaries.
 [[nodiscard]] LoadTrace smooth(const LoadTrace& trace, std::size_t window);
@@ -25,17 +23,6 @@ namespace bml {
 /// Keeps seconds [begin, end) of the trace.
 [[nodiscard]] LoadTrace slice(const LoadTrace& trace, TimePoint begin,
                               TimePoint end);
-
-/// Concatenates two traces.
-[[nodiscard]] LoadTrace concat(const LoadTrace& a, const LoadTrace& b);
-
-/// Downsamples by an integer factor, each output sample being the *max* of
-/// its input bucket (conservative for capacity planning).
-[[nodiscard]] LoadTrace downsample_max(const LoadTrace& trace,
-                                       std::size_t factor);
-
-/// Rounds every rate to the nearest integer (request counts).
-[[nodiscard]] LoadTrace quantize(const LoadTrace& trace);
 
 /// Multiplies the trace by composed diurnal (24 h) and weekly (7 d)
 /// cosine envelopes: rate(t) *= (1 + Ad*cos(2pi*(t - peak)/86400)) *

@@ -94,24 +94,6 @@ double TimeSeries::integral_over(std::size_t begin, std::size_t end) const {
   return sum * step_;
 }
 
-std::vector<double> TimeSeries::integral_per_window(std::size_t window) const {
-  if (window == 0)
-    throw std::invalid_argument("integral_per_window: window must be > 0");
-  std::vector<double> out;
-  for (std::size_t begin = 0; begin < values_.size(); begin += window)
-    out.push_back(integral_over(begin, begin + window));
-  return out;
-}
-
-std::vector<double> TimeSeries::max_per_window(std::size_t window) const {
-  if (window == 0)
-    throw std::invalid_argument("max_per_window: window must be > 0");
-  std::vector<double> out;
-  for (std::size_t begin = 0; begin < values_.size(); begin += window)
-    out.push_back(max_over(begin, begin + window));
-  return out;
-}
-
 double TimeSeries::max() const {
   if (values_.empty()) throw std::logic_error("TimeSeries::max: empty");
   return *std::max_element(values_.begin(), values_.end());

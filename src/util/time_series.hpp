@@ -71,14 +71,6 @@ class TimeSeries {
   /// Integral over index range [begin, end) clamped to the series length.
   [[nodiscard]] double integral_over(std::size_t begin, std::size_t end) const;
 
-  /// Splits the series into consecutive windows of `window` samples and
-  /// returns the integral of each (last partial window included).
-  [[nodiscard]] std::vector<double> integral_per_window(
-      std::size_t window) const;
-
-  /// Splits into windows of `window` samples, returning each window max.
-  [[nodiscard]] std::vector<double> max_per_window(std::size_t window) const;
-
   [[nodiscard]] double max() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double mean() const;

@@ -32,12 +32,6 @@ using TimePoint = std::int64_t;
 /// Joules -> kilowatt-hours (the usual unit for daily data center energy).
 constexpr double joules_to_kwh(Joules j) { return j / 3.6e6; }
 
-/// kilowatt-hours -> Joules.
-constexpr Joules kwh_to_joules(double kwh) { return kwh * 3.6e6; }
-
-/// Watt-hours -> Joules.
-constexpr Joules wh_to_joules(double wh) { return wh * 3600.0; }
-
 /// Seconds in one day; the World Cup evaluation aggregates per day.
 inline constexpr TimePoint kSecondsPerDay = 86'400;
 

@@ -365,6 +365,9 @@ TEST(FuzzScenarios, EveryRandomSpecHoldsTheEquivalenceContract) {
                 reference.apps[a].qos_stats.violation_seconds);
       expect_close(fast.apps[a].compute_energy,
                    reference.apps[a].compute_energy, "app compute_energy");
+      expect_close(fast.apps[a].reconfiguration_energy,
+                   reference.apps[a].reconfiguration_energy,
+                   "app reconfiguration_energy");
       expect_close(fast.apps[a].spare_energy, reference.apps[a].spare_energy,
                    "app spare_energy");
       expect_close(fast.apps[a].lost_capacity,
@@ -428,6 +431,10 @@ TEST(FuzzScenarios, MutatedSpecsEndInANamedError) {
       {"faults.groups = 4294967298", "faults.groups"},
       {"coordinator.budget = -5", "coordinator.budget"},
       {"seed = -3", "seed"},
+      {"faults.boot_failure_prob = 2", "faults.boot_failure_prob"},
+      // Every random spec sets these, so the inserted line repeats them.
+      {"slo.window = 3600", "slo.window"},
+      {"faults.seed = 5", "faults.seed"},
       {"bogus.key = 1", "bogus.key"},
       {"[nowhere]", "nowhere"},
   };

@@ -78,14 +78,57 @@ std::vector<Workload> demo_workloads() {
   return workloads;
 }
 
-void expect_equivalent_multi(SimulatorOptions options) {
+/// Three days of long runs: one tenant from the start, one arriving
+/// mid-day and one a second before a day ends. The late two stay more
+/// than a day, so their sub-runs run across the days of their own
+/// residency, which no span bound cuts.
+std::vector<Workload> late_arrival_workloads() {
+  std::vector<Workload> workloads;
+  {
+    Workload w;
+    w.name = "frontend";
+    w.trace = step_trace({{400.0, 30000.0},
+                          {1300.0, 40000.0},
+                          {300.0, 60000.0},
+                          {1100.0, 70000.0},
+                          {500.0, 59200.0}});
+    w.scheduler = std::make_unique<BmlScheduler>(
+        design(), std::make_shared<OracleMaxPredictor>());
+    workloads.push_back(std::move(w));
+  }
+  {
+    Workload w;
+    w.name = "api";
+    w.trace = step_trace({{600.0, 120000.0}, {150.0, 139200.0}});
+    w.scheduler = std::make_unique<BmlScheduler>(
+        design(), std::make_shared<MovingMaxPredictor>(378.0));
+    w.arrive = 50'000;
+    workloads.push_back(std::move(w));
+  }
+  {
+    Workload w;
+    w.name = "batch";
+    w.trace = constant_trace(250.0, 3.0 * 86400.0);
+    w.scheduler = std::make_unique<ReactiveScheduler>(design());
+    w.arrive = kSecondsPerDay - 1;
+    workloads.push_back(std::move(w));
+  }
+  return workloads;
+}
+
+/// Runs `make()`'s workloads on both strategies: counts exact, integrals
+/// within 1e-9, cluster-wide and per app, and each strategy's per-app
+/// compute energies sum to its cluster's.
+void expect_equivalent_multi(SimulatorOptions options,
+                             std::vector<Workload> (*make)() =
+                                 demo_workloads) {
   options.event_driven = true;
   const Simulator fast_sim(design()->candidates(), options);
   options.event_driven = false;
   const Simulator reference_sim(design()->candidates(), options);
 
-  auto fast_workloads = demo_workloads();
-  auto reference_workloads = demo_workloads();
+  auto fast_workloads = make();
+  auto reference_workloads = make();
   const MultiSimulationResult fast = fast_sim.run(fast_workloads);
   const MultiSimulationResult reference =
       reference_sim.run(reference_workloads);
@@ -108,10 +151,15 @@ void expect_equivalent_multi(SimulatorOptions options) {
                reference.total.qos.offered_requests, "offered_requests");
 
   ASSERT_EQ(fast.apps.size(), reference.apps.size());
+  Joules fast_compute = 0.0;
+  Joules reference_compute = 0.0;
   for (std::size_t i = 0; i < reference.apps.size(); ++i) {
     const WorkloadResult& f = fast.apps[i];
     const WorkloadResult& r = reference.apps[i];
+    fast_compute += f.compute_energy;
+    reference_compute += r.compute_energy;
     EXPECT_EQ(f.name, r.name);
+    EXPECT_EQ(f.active_seconds, r.active_seconds) << f.name;
     EXPECT_EQ(f.qos_stats.total_seconds, r.qos_stats.total_seconds) << f.name;
     EXPECT_EQ(f.qos_stats.violation_seconds, r.qos_stats.violation_seconds)
         << f.name;
@@ -123,10 +171,14 @@ void expect_equivalent_multi(SimulatorOptions options) {
     expect_close(f.reconfiguration_energy, r.reconfiguration_energy,
                  f.name.c_str());
   }
+  expect_close(fast_compute, fast.total.compute_energy, "fast compute split");
+  expect_close(reference_compute, reference.total.compute_energy,
+               "reference compute split");
 }
 
 TEST(MultiWorkload, FastPathMatchesPerSecondReference) {
   expect_equivalent_multi({});
+  expect_equivalent_multi({}, late_arrival_workloads);
 }
 
 TEST(MultiWorkload, FastPathMatchesReferenceImmediateOff) {

@@ -125,14 +125,20 @@ TEST(ScenarioSpec, BadValuesThrow) {
       (void)parse_scenario("sweep seed = 1,2\nsweep seed = 3,4\n"),
       std::runtime_error);  // duplicate axis
   // Integer keys past INT_MAX are errors naming the key, never a wrapped
-  // value (4294967298 would read as 2, 2147483648 as a negative count).
+  // value (4294967298 would read as 2, 2147483648 as a negative count),
+  // and so is a probability outside [0, 1].
   for (const auto& [text, key] :
        std::vector<std::pair<std::string, std::string>>{
            {"faults.groups = 4294967298\n", "faults.groups"},
            {"churn.max = 2147483648\n", "churn.max"},
            {"obs.sample = 4294967297\n", "obs.sample"},
            {"[app]\nreplicas = 4294967297\n", "app replicas"},
-           {"[app]\npriority = 4294967299\n", "app priority"}}) {
+           {"[app]\npriority = 4294967299\n", "app priority"},
+           {"faults.boot_failure_prob = 2\n", "faults.boot_failure_prob"},
+           {"faults.boot_failure_prob = 1.0000001\n",
+            "faults.boot_failure_prob"},
+           {"faults.boot_failure_prob = -0.5\n",
+            "faults.boot_failure_prob"}}) {
     try {
       (void)parse_scenario(text);
       ADD_FAILURE() << "accepted " << text;
@@ -141,6 +147,34 @@ TEST(ScenarioSpec, BadValuesThrow) {
           << e.what();
     }
   }
+}
+
+TEST(ScenarioSpec, KeySetTwiceInOneSectionIsANamedError) {
+  // The error names the key and both lines, at the top level and within
+  // one [app] section.
+  for (const auto& [text, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"seed = 1\nname = x\nseed = 2\n",
+            "line 3: key 'seed' is already set on line 1"},
+           {"trace.peak = 10\n\ntrace.peak = 10\n",
+            "line 3: key 'trace.peak' is already set on line 1"},
+           {"name = x\n[app]\ntrace = constant\n# comment\ntrace = diurnal\n",
+            "line 5: key 'trace' is already set on line 3"}}) {
+    try {
+      (void)parse_scenario(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  // A key may be set once per section, and a sweep axis may share its
+  // key with a plain assignment.
+  const ScenarioSpec spec = parse_scenario(
+      "name = x\nseed = 1\nsweep seed = 2,3\n[app]\nname = a\n[app]\nname = "
+      "b\n");
+  ASSERT_EQ(spec.apps.size(), 2u);
+  EXPECT_EQ(spec.apps[1].name, "b");
 }
 
 constexpr const char* kMultiAppSpec = R"(name = colocated

@@ -1,15 +1,15 @@
 // The span walks (sim/span_walk.hpp) against the walk they replaced: a
 // walk that re-seats its cursors with CompiledTrace::run_at for every
 // sub-run and attributes each sub-run with the unfused per-run calls
-// (QosTracker::record_span, EnergyMeter::add_span). Every sum must keep
-// its bits — the cluster's and each app's QoS stats, the meters' totals
-// and day buckets, the overload accounting — and the work ledger must
-// count the same sub-runs, frontier advances and power-curve fallbacks,
-// over random traces (1 s runs, long runs, zero tails, traces of different
-// lengths), random span cuts (mid-run starts, day ends, the trace end),
-// fleets whose power curves take every search depth, one to four apps
-// with arrival and departure windows (so a lane's meter can lag the
-// cluster's day), and degraded-mode serving on and off.
+// (QosTracker::record_span and two energy adds). Every sum must keep its
+// bits — the cluster's and each app's QoS stats, the cluster meter's
+// totals and day buckets, each app's two energy sums, the overload
+// accounting — and the work ledger must count the same sub-runs, frontier
+// advances and power-curve fallbacks, over random traces (1 s runs, long
+// runs, zero tails, traces of different lengths), random span cuts
+// (mid-run starts, day ends, the trace end), fleets whose power curves
+// take every search depth, one to four apps with arrival and departure
+// windows (late arrivals included), and degraded-mode serving on and off.
 #include "sim/span_walk.hpp"
 
 #include <gtest/gtest.h>
@@ -72,11 +72,15 @@ void expect_same(const QosStats& a, const QosStats& b) {
   EXPECT_EQ(bits(a.worst_shortfall), bits(b.worst_shortfall));
 }
 
+void expect_same(const AppEnergy& a, const AppEnergy& b) {
+  EXPECT_EQ(bits(a.compute), bits(b.compute));
+  EXPECT_EQ(bits(a.reconfiguration), bits(b.reconfiguration));
+}
+
 void expect_same(const EnergyMeter& a, const EnergyMeter& b) {
   EXPECT_EQ(bits(a.compute_energy()), bits(b.compute_energy()));
   EXPECT_EQ(bits(a.reconfiguration_energy()),
             bits(b.reconfiguration_energy()));
-  EXPECT_EQ(bits(a.elapsed()), bits(b.elapsed()));
   ASSERT_EQ(a.per_day_compute().size(), b.per_day_compute().size());
   for (std::size_t d = 0; d < a.per_day_compute().size(); ++d) {
     EXPECT_EQ(bits(a.per_day_compute()[d]), bits(b.per_day_compute()[d]))
@@ -141,18 +145,18 @@ TimePoint oracle_one(const CompiledTrace& trace, CompiledTrace::Cursor& cursor,
 }
 
 /// The app set of a merged walk: traces, cursors, and each app's tracker
-/// and meter.
+/// and energy sums.
 struct Apps {
   std::vector<CompiledTrace> traces;
   std::vector<CompiledTrace::Cursor> cursors;
   std::vector<QosTracker> qos;
-  std::vector<EnergyMeter> meters;
+  std::vector<AppEnergy> energy;
 };
 
 /// The k-way merge the kernel replaced, re-seating every active app's
 /// cursor with run_at at every sub-run and attributing each sub-run with
-/// record_span and add_span: inactive apps offer 0.0 to the total in app
-/// order, and the cluster sums fold every 512 sub-runs.
+/// record_span and each app's two energy sums: inactive apps offer 0.0 to
+/// the total in app order, and the cluster sums fold every 512 sub-runs.
 TimePoint oracle_merged(Apps& apps, const std::vector<char>& active,
                         const std::vector<double>& transition_shares,
                         TimePoint begin, TimePoint end,
@@ -221,9 +225,10 @@ TimePoint oracle_merged(Apps& apps, const std::vector<char>& active,
       const double alloc = total > 0.0 ? loads[i] / total : equal_alloc;
       const double share = total > 0.0 ? loads[i] / total : equal_compute;
       apps.qos[i].record_span(loads[i], cap_eff * alloc, len);
-      apps.meters[i].add_span(compute * share,
-                              fleet.transition * transition_shares[i],
-                              static_cast<std::size_t>(len));
+      apps.energy[i].compute += compute * share * static_cast<double>(len);
+      apps.energy[i].reconfiguration += fleet.transition *
+                                        transition_shares[i] *
+                                        static_cast<double>(len);
     }
     cur = sub_end;
     if (cur < end)
@@ -340,27 +345,9 @@ struct Trial {
   std::vector<TimePoint> arrive = {};
 };
 
-/// What a trial's spans exercised: spans an overload crossing cut short,
-/// and merged spans by how they met their lanes' meters — fitting every
-/// lane's open day, reaching past an open day, and starting on a day
-/// boundary of a lane that has run before.
-struct Coverage {
-  std::size_t crossings = 0;
-  std::size_t fitting = 0;
-  std::size_t past_a_lane_day = 0;
-  std::size_t on_a_lane_day_start = 0;
-
-  Coverage& operator+=(const Coverage& o) {
-    crossings += o.crossings;
-    fitting += o.fitting;
-    past_a_lane_day += o.past_a_lane_day;
-    on_a_lane_day_start += o.on_a_lane_day_start;
-    return *this;
-  }
-};
-
-/// Walks one random trial with both walks and compares every sum.
-Coverage run_trial(const Trial& trial, std::uint64_t seed) {
+/// Walks one random trial with both walks and compares every sum; returns
+/// the number of spans an overload crossing cut short.
+std::size_t run_trial(const Trial& trial, std::uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
                std::to_string(trial.apps) + " apps" +
                (trial.windows ? ", windows" : "") +
@@ -368,8 +355,7 @@ Coverage run_trial(const Trial& trial, std::uint64_t seed) {
   const std::vector<Fleet>& all_fleets = fleets();
   Rng rng(seed);
   const std::size_t k = trial.apps;
-  // Traces of different lengths, some past a day, so offset app meters
-  // reach their day's end inside a span.
+  // Traces of different lengths, some past a day.
   std::vector<LoadTrace> traces;
   for (std::size_t i = 0; i < k; ++i)
     traces.emplace_back(random_samples(
@@ -403,12 +389,12 @@ Coverage run_trial(const Trial& trial, std::uint64_t seed) {
     for (const LoadTrace& t : traces) a->traces.emplace_back(t);
     a->cursors.resize(k);
     a->qos.resize(k);
-    a->meters.assign(k, EnergyMeter(1.0));
+    a->energy.assign(k, AppEnergy{});
   }
   QosTracker qos_walked;
   QosTracker qos_oracle;
-  EnergyMeter meter_walked(1.0);
-  EnergyMeter meter_oracle(1.0);
+  EnergyMeter meter_walked;
+  EnergyMeter meter_oracle;
   Overload over_walked(k);
   Overload over_oracle(k);
   SpanWork work_walked;
@@ -417,7 +403,7 @@ Coverage run_trial(const Trial& trial, std::uint64_t seed) {
   std::vector<char> active(k);
   std::vector<double> shares(k);
   const bool merged = k > 1 || trial.windows || !trial.arrive.empty();
-  Coverage seen;
+  std::size_t crossings = 0;
   TimePoint t = 0;
   while (t < n) {
     const TimePoint end = next_cut(rng, t, n, events);
@@ -450,25 +436,11 @@ Coverage run_trial(const Trial& trial, std::uint64_t seed) {
                             fleet, qos_oracle, meter_oracle, over_oracle,
                             work_oracle);
     } else {
-      // A lane meter steps 1 s and has a day bucket open unless its tick
-      // sits on a day boundary (its first span included).
-      bool fits = true;
-      for (std::size_t i = 0; i < k; ++i) {
-        if (!active[i]) continue;
-        const auto ticks = static_cast<TimePoint>(walked.meters[i].elapsed());
-        const TimePoint day_left =
-            ticks % kSecondsPerDay == 0 ? 0
-                                        : kSecondsPerDay - ticks % kSecondsPerDay;
-        if (day_left > 0 && end - t > day_left) ++seen.past_a_lane_day;
-        if (ticks > 0 && day_left == 0) ++seen.on_a_lane_day_start;
-        fits = fits && end - t <= day_left;
-      }
-      if (fits) ++seen.fitting;
       lanes.clear();
       for (std::size_t i = 0; i < k; ++i)
         if (active[i])
           lanes.emplace_back(i, walked.traces[i], walked.cursors[i], t,
-                             walked.qos[i], walked.meters[i],
+                             walked.qos[i], walked.energy[i],
                              fleet.transition * shares[i]);
       std::vector<ReqRate> loads(k);
       reached = walk_merged_span(
@@ -484,8 +456,8 @@ Coverage run_trial(const Trial& trial, std::uint64_t seed) {
                                work_oracle);
     }
     EXPECT_EQ(reached, expected) << "span [" << t << ", " << end << ")";
-    if (reached != expected) return seen;
-    if (reached < end) ++seen.crossings;
+    if (reached != expected) return crossings;
+    if (reached < end) ++crossings;
     t = reached;
   }
   expect_same(qos_walked.stats(), qos_oracle.stats());
@@ -494,51 +466,47 @@ Coverage run_trial(const Trial& trial, std::uint64_t seed) {
   for (std::size_t i = 0; i < k; ++i) {
     SCOPED_TRACE("app " + std::to_string(i));
     expect_same(walked.qos[i].stats(), oracle.qos[i].stats());
-    expect_same(walked.meters[i], oracle.meters[i]);
+    expect_same(walked.energy[i], oracle.energy[i]);
   }
   EXPECT_EQ(work_walked.sub_runs, work_oracle.sub_runs);
   EXPECT_EQ(work_walked.frontier_advances, work_oracle.frontier_advances);
   EXPECT_EQ(work_walked.power_fallbacks, work_oracle.power_fallbacks);
-  return seen;
+  return crossings;
 }
 
 TEST(SpanWalk, OneWorkloadMatchesTheRunAtWalkBitForBit) {
-  Coverage seen;
+  std::size_t crossings = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed)
-    seen += run_trial({1, false, seed % 3 == 0}, seed);
-  EXPECT_GT(seen.crossings, 0u);
+    crossings += run_trial({1, false, seed % 3 == 0}, seed);
+  EXPECT_GT(crossings, 0u);
 }
 
 TEST(SpanWalk, MergedWalkMatchesTheRunAtWalkBitForBit) {
   // Two to four apps, with and without windows, degrade on every third.
-  Coverage seen;
+  std::size_t crossings = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed)
-    seen += run_trial({2 + seed % 3, seed % 2 == 0, seed % 3 == 1}, 100 + seed);
-  EXPECT_GT(seen.crossings, 0u);
-  EXPECT_GT(seen.fitting, 0u);
+    crossings +=
+        run_trial({2 + seed % 3, seed % 2 == 0, seed % 3 == 1}, 100 + seed);
+  EXPECT_GT(crossings, 0u);
 }
 
 TEST(SpanWalk, OneAppWithAWindowTakesTheMergedWalk) {
-  Coverage seen;
+  std::size_t crossings = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed)
-    seen += run_trial({1, true, seed % 2 == 0}, 200 + seed);
-  EXPECT_GT(seen.crossings, 0u);
+    crossings += run_trial({1, true, seed % 2 == 0}, 200 + seed);
+  EXPECT_GT(crossings, 0u);
 }
 
 TEST(SpanWalk, MergedSpansThatDoAndDoNotFitALaneDay) {
-  // Three days of three apps. The first is there from the start, so its
-  // meter's days are the cluster's and each day's first span opens it on
-  // a day boundary; the second arrives mid-day, so its meter's day ends
-  // inside a cluster day and a span can reach past it; the third arrives
-  // one second before a cluster day ends.
-  Coverage seen;
+  // Three days of three apps: one there from the start, one arriving
+  // mid-day and one a second before a day ends. The late two stay more
+  // than a day, so a day of their own residency ends inside a cluster day
+  // and some sub-runs run across it, which no span bound cuts; each app's
+  // two energy sums must still be the oracle's bits.
   for (std::uint64_t seed = 1; seed <= 6; ++seed)
-    seen += run_trial({3, false, seed % 2 == 0, 3 * kSecondsPerDay,
-                       {0, 50'000, kSecondsPerDay - 1}},
-                      300 + seed);
-  EXPECT_GT(seen.fitting, 0u);
-  EXPECT_GT(seen.past_a_lane_day, 0u);
-  EXPECT_GT(seen.on_a_lane_day_start, 0u);
+    run_trial({3, false, seed % 2 == 0, 3 * kSecondsPerDay,
+               {0, 50'000, kSecondsPerDay - 1}},
+              300 + seed);
 }
 
 TEST(SpanWalk, DegradeStopsAtTheFirstCrossing) {
@@ -549,7 +517,7 @@ TEST(SpanWalk, DegradeStopsAtTheFirstCrossing) {
   const SpanFleet fleet{100.0, 0.0, &fleets()[2].curve, {0.5, 0.5}};
   CompiledTrace::Cursor cursor;
   QosTracker qos;
-  EnergyMeter meter(1.0);
+  EnergyMeter meter;
   SpanWork work;
   std::int64_t overloaded = 0;
   const auto on_overload = [&](ReqRate, ReqRate, TimePoint len) {

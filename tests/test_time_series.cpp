@@ -35,16 +35,14 @@ TEST(TimeSeries, IntegralUsesStep) {
 }
 
 TEST(TimeSeries, PerWindowAggregates) {
+  // Windows of 2 samples over 5, the last one partial: each window's
+  // integral and max, through the clamping range queries.
   const TimeSeries s({1.0, 2.0, 3.0, 4.0, 5.0});
-  const auto sums = s.integral_per_window(2);
-  ASSERT_EQ(sums.size(), 3u);
-  EXPECT_DOUBLE_EQ(sums[0], 3.0);
-  EXPECT_DOUBLE_EQ(sums[1], 7.0);
-  EXPECT_DOUBLE_EQ(sums[2], 5.0);  // partial last window
-  const auto maxes = s.max_per_window(2);
-  ASSERT_EQ(maxes.size(), 3u);
-  EXPECT_DOUBLE_EQ(maxes[2], 5.0);
-  EXPECT_THROW((void)s.integral_per_window(0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(s.integral_over(0, 2), 3.0);
+  EXPECT_DOUBLE_EQ(s.integral_over(2, 4), 7.0);
+  EXPECT_DOUBLE_EQ(s.integral_over(4, 6), 5.0);  // partial last window
+  EXPECT_DOUBLE_EQ(s.max_over(4, 6), 5.0);
+  EXPECT_DOUBLE_EQ(s.integral_over(6, 8), 0.0);  // past the end
 }
 
 TEST(TimeSeries, Extremes) {
@@ -109,9 +107,10 @@ TEST_P(WindowPartition, WindowsSumToTotal) {
   std::vector<double> values;
   for (int i = 0; i < 97; ++i) values.push_back(i * 0.37);
   const TimeSeries s(values);
-  const auto windows = s.integral_per_window(GetParam());
+  const std::size_t window = GetParam();
   double sum = 0.0;
-  for (double w : windows) sum += w;
+  for (std::size_t begin = 0; begin < s.size(); begin += window)
+    sum += s.integral_over(begin, begin + window);
   EXPECT_NEAR(sum, s.integral(), 1e-9);
 }
 

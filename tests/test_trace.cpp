@@ -21,7 +21,6 @@ TEST(LoadTrace, BasicAccessors) {
   EXPECT_DOUBLE_EQ(t.at(1), 20.0);
   EXPECT_DOUBLE_EQ(t.peak(), 30.0);
   EXPECT_DOUBLE_EQ(t.mean(), 20.0);
-  EXPECT_DOUBLE_EQ(t.total_requests(), 60.0);
 }
 
 TEST(LoadTrace, BeyondEndServesZero) {

@@ -15,15 +15,6 @@ TEST(Scale, MultipliesRates) {
   EXPECT_THROW((void)scale(kBase, -1.0), std::invalid_argument);
 }
 
-TEST(Clip, ClampsIntoRange) {
-  const LoadTrace t = clip(kBase, 2.0, 4.0);
-  EXPECT_DOUBLE_EQ(t.at(0), 2.0);
-  EXPECT_DOUBLE_EQ(t.at(5), 4.0);
-  EXPECT_DOUBLE_EQ(t.at(2), 3.0);
-  EXPECT_THROW((void)clip(kBase, -1.0, 4.0), std::invalid_argument);
-  EXPECT_THROW((void)clip(kBase, 4.0, 2.0), std::invalid_argument);
-}
-
 TEST(Smooth, WindowOnePreservesTrace) {
   const LoadTrace t = smooth(kBase, 1);
   for (std::size_t i = 0; i < t.size(); ++i)
@@ -51,30 +42,6 @@ TEST(Slice, ExtractsRange) {
   EXPECT_DOUBLE_EQ(t.at(2), 4.0);
   EXPECT_EQ(slice(kBase, 4, 100).size(), 2u);  // clamped end
   EXPECT_THROW((void)slice(kBase, 3, 1), std::invalid_argument);
-}
-
-TEST(Concat, Appends) {
-  const LoadTrace t = concat(kBase, LoadTrace({7.0}));
-  ASSERT_EQ(t.size(), 7u);
-  EXPECT_DOUBLE_EQ(t.at(6), 7.0);
-}
-
-TEST(DownsampleMax, TakesBucketMaxima) {
-  const LoadTrace t = downsample_max(kBase, 2);
-  ASSERT_EQ(t.size(), 3u);
-  EXPECT_DOUBLE_EQ(t.at(0), 2.0);
-  EXPECT_DOUBLE_EQ(t.at(1), 4.0);
-  EXPECT_DOUBLE_EQ(t.at(2), 6.0);
-  // Peak is always preserved by max-downsampling.
-  EXPECT_DOUBLE_EQ(t.peak(), kBase.peak());
-  EXPECT_THROW((void)downsample_max(kBase, 0), std::invalid_argument);
-}
-
-TEST(Quantize, RoundsToIntegers) {
-  const LoadTrace t = quantize(LoadTrace({1.4, 2.6, 3.5}));
-  EXPECT_DOUBLE_EQ(t.at(0), 1.0);
-  EXPECT_DOUBLE_EQ(t.at(1), 3.0);
-  EXPECT_DOUBLE_EQ(t.at(2), 4.0);
 }
 
 TEST(ComposeSeasonality, DiurnalEnvelopePeaksAtPeakHour) {
